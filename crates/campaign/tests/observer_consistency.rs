@@ -1,12 +1,13 @@
-//! Property test: observer totals are consistent with the engine's own
-//! accounting, randomized over campaign scenarios (schemes × workloads ×
-//! faults × seeds).
+//! Property tests over campaign scenarios (schemes × workloads × faults ×
+//! seeds): observer totals are consistent with the engine's own
+//! accounting, and the engine's fixed-point fast-forward is invisible.
 //!
 //! The telemetry layer ([`mdx_obs`]) trusts the [`SimObserver`] hooks to
-//! fire exactly once per lifecycle event. This test pins that contract by
-//! attaching the stock [`EventCounts`] observer (through a shared-cell
-//! wrapper so the totals are readable after the run) and checking its
-//! counters against [`SimResult`]'s independently-derived statistics.
+//! fire exactly once per lifecycle event. The first test pins that
+//! contract by attaching the stock [`EventCounts`] observer (through a
+//! shared-cell wrapper so the totals are readable after the run) and
+//! checking its counters against [`SimResult`]'s independently-derived
+//! statistics.
 
 use mdx_campaign::{
     detour_stress_for, run_scenario_instrumented, ObsOptions, Scenario, Workload, CAMPAIGN_SCHEMES,
@@ -16,7 +17,8 @@ use mdx_core::RouteChange;
 use mdx_fault::{enumerate_single_faults, FaultTimeline};
 use mdx_reconfig::{ReconfigSpec, RecoveryPolicy};
 use mdx_sim::{
-    DeadlockInfo, EventCounts, InjectSpec, PacketId, SimObserver, Simulator, WaitSnapshot,
+    DeadlockInfo, EventCounts, InjectSpec, PacketId, PhaseEnd, SimObserver, SimResult, Simulator,
+    WaitSnapshot,
 };
 use mdx_topology::{ChannelId, MdCrossbar, Node};
 use mdx_workloads::TrafficPattern;
@@ -81,6 +83,24 @@ impl SimObserver for SharedCounts {
     }
     fn on_deadlock(&mut self, info: &DeadlockInfo) {
         self.0.borrow_mut().on_deadlock(info);
+    }
+}
+
+/// Stall probes seen by a [`ProbeLog`]: each probe's cycle and snapshot.
+type Probes = Rc<RefCell<Vec<(u64, Vec<WaitSnapshot>)>>>;
+
+/// Asks for a stall probe every `every` cycles and records each one.
+struct ProbeLog {
+    every: u64,
+    seen: Probes,
+}
+
+impl SimObserver for ProbeLog {
+    fn probe_interval(&self) -> Option<u64> {
+        Some(self.every)
+    }
+    fn on_probe(&mut self, now: u64, waits: &[WaitSnapshot]) {
+        self.seen.borrow_mut().push((now, waits.to_vec()));
     }
 }
 
@@ -254,5 +274,97 @@ proptest! {
             row.phases().iter().map(|(_, c)| c).sum::<u64>(),
             row.latency_total
         );
+    }
+}
+
+/// The scenario's engine with its schedule loaded and, given an interval,
+/// a [`ProbeLog`] attached. `None` when the scheme/fault pair is
+/// unbuildable or the workload schedules nothing.
+fn loaded_sim(scenario: &Scenario, probe_every: Option<u64>) -> Option<(Simulator, Probes)> {
+    let shape = scenario.shape_obj().ok()?;
+    let faults = scenario.fault_set().ok()?;
+    let net = Arc::new(MdCrossbar::build(shape.clone()));
+    let scheme = build_scheme(&scenario.scheme, net.clone(), &faults).ok()?;
+    let specs = scenario.specs(&shape, &faults);
+    if specs.is_empty() {
+        return None;
+    }
+    let mut sim = Simulator::new(net.graph().clone(), scheme, scenario.sim_config());
+    let probes = Probes::default();
+    if let Some(every) = probe_every {
+        sim.set_observer(Box::new(ProbeLog {
+            every,
+            seen: probes.clone(),
+        }));
+    }
+    for spec in specs {
+        sim.schedule(spec);
+    }
+    Some((sim, probes))
+}
+
+/// Runs `sim` one cycle per [`Simulator::run_phase`] call: stopping at
+/// `now + 1` bounds every fast-forward to a single cycle, which is the
+/// plain cycle-by-cycle loop the fast-forward must reproduce.
+fn run_stepped(sim: &mut Simulator) -> SimResult {
+    sim.prepare();
+    loop {
+        let next = sim.now() + 1;
+        match sim.run_phase(Some(next), false) {
+            PhaseEnd::ReachedCycle => {}
+            end => return sim.finalize(end),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fixed-point fast-forward changes nothing but the engine's step
+    /// count. `run()` equals the same closed-loop run stepped cycle by
+    /// cycle — outcome, deadlock cycle and `detected_at` included — with
+    /// identical self-profile tick accounting and, when a stall probe is
+    /// attached, identical probe cycles and snapshots. On a deadlocked
+    /// run most of the watchdog wait is skipped rather than stepped, and
+    /// the paper's scheme never deadlocks.
+    #[test]
+    fn fast_forward_matches_cycle_by_cycle_stepping(
+        shape_pick in 0usize..3, scheme_pick in 0usize..3, wl_pick in 0u8..3,
+        fault_pick in any::<u64>(), seed in any::<u64>(), probe_pick in 0usize..3,
+    ) {
+        let scenario = make_scenario(shape_pick, scheme_pick, wl_pick, fault_pick, seed);
+        let probe_every = [None, Some(16), Some(97)][probe_pick];
+        let Some((mut fast, fast_probes)) = loaded_sim(&scenario, probe_every) else {
+            return Ok(());
+        };
+        let (mut stepped, stepped_probes) = loaded_sim(&scenario, probe_every).unwrap();
+        let result = fast.run();
+        let expected = run_stepped(&mut stepped);
+
+        prop_assert_eq!(&result, &expected);
+        let got = result.profile.as_ref().unwrap();
+        let want = expected.profile.as_ref().unwrap();
+        // The reference never skipped a cycle.
+        prop_assert_eq!(want.steps, want.ticks());
+        prop_assert_eq!(got.ticks(), want.ticks());
+        prop_assert_eq!(got.idle_ticks(), want.idle_ticks());
+        prop_assert_eq!(got.occupancy, want.occupancy);
+        prop_assert_eq!(got.events, want.events);
+        prop_assert_eq!(&*fast_probes.borrow(), &*stepped_probes.borrow());
+        if probe_every.is_some() {
+            prop_assert!(!fast_probes.borrow().is_empty());
+        }
+
+        if result.outcome.is_deadlock() {
+            let watchdog = scenario.sim_config().watchdog;
+            prop_assert!(
+                got.ticks() - got.steps >= watchdog / 2,
+                "stepped {} of {} ticks through a {}-cycle watchdog",
+                got.steps, got.ticks(), watchdog
+            );
+        }
+        if scenario.scheme == "sr2201" {
+            prop_assert!(!result.outcome.is_deadlock(), "sr2201 deadlocked: {}", scenario.token());
+        }
     }
 }

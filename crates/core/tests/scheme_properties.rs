@@ -10,7 +10,7 @@
 use mdx_core::registry::{build_scheme_for, required_topology, SCHEME_IDS};
 use mdx_core::{Action, Header, RouteChange};
 use mdx_fault::{FaultSet, FaultSite};
-use mdx_topology::{Network, Node, NodeId, Shape};
+use mdx_topology::{Network, NodeId, Shape};
 use proptest::prelude::*;
 
 /// The shape each pinned topology uses in this suite (small enough that

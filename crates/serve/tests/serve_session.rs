@@ -61,10 +61,13 @@ fn a_hundred_tokens_stream_through_one_bounded_process() {
     let service = Arc::new(Service::new(&cfg));
     let server = Server::new(service.clone(), cfg.workers);
     let out = CaptureWriter::default();
+    // One writer per session, as `serve_stream` and the TCP reader use:
+    // its lock keeps each response line whole across workers.
+    let writer = out.shared();
 
     for seed in 0..TOKENS {
         let req = Request::run(&storm_token(seed)).with_id(seed);
-        server.submit(serde_json::to_string(&req).unwrap(), out.shared());
+        server.submit(serde_json::to_string(&req).unwrap(), writer.clone());
     }
     server.drain();
 
@@ -186,13 +189,14 @@ fn zero_window_width_errors_instead_of_wedging_the_pool() {
     let service = Arc::new(Service::new(&cfg));
     let server = Server::new(service.clone(), cfg.workers);
     let out = CaptureWriter::default();
+    let writer = out.shared();
 
     let mut bad = Request::run(&storm_token(21)).with_id(1);
     bad.windows = Some(0);
-    server.submit(serde_json::to_string(&bad).unwrap(), out.shared());
+    server.submit(serde_json::to_string(&bad).unwrap(), writer.clone());
     // The same (sole) worker must survive to serve the next request.
     let good = Request::run(&storm_token(22)).with_id(2);
-    server.submit(serde_json::to_string(&good).unwrap(), out.shared());
+    server.submit(serde_json::to_string(&good).unwrap(), writer);
     server.drain();
 
     let responses = out.responses();

@@ -72,6 +72,22 @@ pub enum VictimMode {
     Pause,
 }
 
+/// What one engine step did, as the run loop's watchdog and fast-forward
+/// see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StepEffect {
+    /// A flit moved or a packet element settled: resets the watchdog.
+    Progress,
+    /// Nothing moved, but engine state changed (an injection, a new
+    /// downstream visit, an S-XB emission, a grant, a `streaming` flip, a
+    /// purged stale request or a first-blocked mark), so the next step
+    /// may differ.
+    Changed,
+    /// Nothing changed: every later step repeats this one until a
+    /// clock-driven event (see [`Simulator::fixed_point_exit`]).
+    Fixed,
+}
+
 /// Mixes (seed, channel, packet) into an arbitration priority — a cheap
 /// splitmix-style hash, deterministic but uncorrelated across ports.
 fn arb_hash(seed: u64, channel: u32, packet: u32) -> u64 {
@@ -200,11 +216,13 @@ struct Profiler {
     steps: u64,
     /// Executed steps that made no progress.
     idle_steps: u64,
-    /// Cycles skipped by the idle fast-forward plus quiescent
+    /// Cycles the loop did not step: open-loop idle jumps, fixed-point
+    /// waits fast-forwarded toward the watchdog, and quiescent
     /// `advance_idle` dead time.
     jumped_cycles: u64,
     /// In-flight packet count per tick, bucketed by
-    /// [`crate::result::OCCUPANCY_BOUNDS`].
+    /// [`crate::result::OCCUPANCY_BOUNDS`]; jumped cycles count at the
+    /// in-flight level frozen across the jump.
     occupancy: [u64; OCCUPANCY_BUCKETS],
     /// Phase timing enabled?
     timing: bool,
@@ -748,8 +766,9 @@ impl Simulator {
         idx
     }
 
-    fn step(&mut self) -> bool {
+    fn step(&mut self) -> StepEffect {
         let mut progress = false;
+        let mut changed = false;
 
         // 1. Injections due this cycle (unless the epoch protocol has the
         //    gate closed).
@@ -783,6 +802,7 @@ impl Simulator {
                 obs.on_inject(PacketId(pidx), &spec, self.now);
             }
             self.create_visit(pidx, at, None, None, None, spec.header);
+            changed = true;
         }
 
         // 2. Create downstream visits where a header flit sits at a buffer
@@ -810,6 +830,7 @@ impl Simulator {
                 Some(run),
                 header,
             );
+            changed = true;
         }
 
         // 3. S-XB emission: strictly one broadcast at a time, in order of
@@ -878,6 +899,7 @@ impl Simulator {
                 }
                 // The queue slot is closed either way.
                 self.packets[pidx as usize].open -= 1;
+                changed = true;
             }
         }
 
@@ -888,7 +910,9 @@ impl Simulator {
             let pu = port as usize;
             // Purge stale requests from visits that were dropped.
             let visits = &self.visits;
+            let queued = self.chan_requests[pu].len();
             self.chan_requests[pu].retain(|&(vidx, _, _)| !visits[vidx as usize].complete);
+            changed |= self.chan_requests[pu].len() != queued;
             if self.chan_owner[pu].is_none() {
                 let seed = self.cfg.arb_seed;
                 let winner = self.chan_requests[pu]
@@ -900,6 +924,7 @@ impl Simulator {
                     })
                     .map(|(i, &(vidx, _, _))| (i, self.visits[vidx as usize].packet));
                 if let Some((i, winner_packet)) = winner {
+                    changed = true;
                     let Some((vidx, bidx, _)) = self.chan_requests[pu].remove(i) else {
                         // Unreachable by construction — the winner index came
                         // from enumerating this very queue — but a panic here
@@ -955,6 +980,7 @@ impl Simulator {
                         }
                     }
                     if newly {
+                        changed = true;
                         if let Some(obs) = self.observer.as_deref_mut() {
                             let ch = ChannelId((pu / self.vcs) as u32);
                             let vc = (pu % self.vcs) as u8;
@@ -981,6 +1007,7 @@ impl Simulator {
             {
                 if !*streaming && branches.iter().all(|b| b.granted) {
                     *streaming = true;
+                    changed = true;
                 }
             }
         }
@@ -1167,7 +1194,13 @@ impl Simulator {
         let visits = &self.visits;
         self.active.retain(|&vi| !visits[vi as usize].complete);
 
-        progress
+        if progress {
+            StepEffect::Progress
+        } else if changed {
+            StepEffect::Changed
+        } else {
+            StepEffect::Fixed
+        }
     }
 
     fn complete_visit(&mut self, vi: u32) {
@@ -1349,6 +1382,11 @@ impl Simulator {
     ///
     /// Completion, the cycle limit, and the watchdog end the phase
     /// regardless of the stopping parameters.
+    ///
+    /// Once a step changes no state, the loop jumps to the next cycle at
+    /// which one can (see [`EngineProfile::jumped_cycles`]). The result,
+    /// every observer hook and probe, and the profile's tick counts are
+    /// those of a loop that steps every cycle.
     pub fn run_phase(&mut self, stop_at: Option<u64>, drain: bool) -> PhaseEnd {
         // The self-profiler's wall clock wraps the whole loop (one Instant
         // pair per phase, not per cycle); the per-cycle counters inside the
@@ -1389,21 +1427,20 @@ impl Simulator {
             if drain && self.idle() {
                 return PhaseEnd::Drained;
             }
-            let progress = if timing {
+            let effect = if timing {
                 let t = Instant::now();
-                let p = self.step();
+                let e = self.step();
                 self.prof.step += t.elapsed();
-                p
+                e
             } else {
                 self.step()
             };
+            let progress = effect == StepEffect::Progress;
             self.prof.steps += 1;
             if !progress {
                 self.prof.idle_steps += 1;
             }
-            self.prof.occupancy[EngineProfile::occupancy_bucket(
-                self.started_packets.saturating_sub(self.finished_packets),
-            )] += 1;
+            self.prof.occupancy[self.in_flight_bucket()] += 1;
             if let Some(iv) = probe_every {
                 if self.now.is_multiple_of(iv) {
                     let t = timing.then(Instant::now);
@@ -1426,8 +1463,7 @@ impl Simulator {
                 // cycle-driven loop only avoids burning it thanks to this
                 // special case, and an event-driven core would get it for
                 // free.
-                self.prof.jumped_cycles += target - self.now;
-                self.prof.occupancy[0] += target - self.now;
+                self.book_skipped(target - self.now);
                 self.now = target;
                 self.last_progress = target;
                 continue;
@@ -1436,7 +1472,7 @@ impl Simulator {
                     Some(info) => PhaseEnd::Deadlock(info),
                     None => PhaseEnd::Drained,
                 };
-            } else if (!self.injection_open || self.next_inject >= self.inject_order.len())
+            } else if self.next_open_injection().is_none()
                 && self.now - self.last_progress >= self.cfg.watchdog
             {
                 return match self.analyze_deadlock() {
@@ -1444,8 +1480,54 @@ impl Simulator {
                     None => PhaseEnd::Stalled,
                 };
             }
-            self.now += 1;
+            if effect == StepEffect::Fixed {
+                // Every step before the exit cycle would repeat this one:
+                // skip them, booked as the idle ticks they would have been,
+                // and run the real step there (watchdog expiry included).
+                let exit = self.fixed_point_exit(stop_at, drain, probe_every);
+                self.book_skipped(exit - self.now - 1);
+                self.now = exit;
+            } else {
+                self.now += 1;
+            }
         }
+    }
+
+    /// The earliest cycle after a fixed-point step at `now` whose loop
+    /// iteration can differ from it: the watchdog's (or, draining, the
+    /// quiet window's) expiry, the next due injection or source arrival,
+    /// the next stall probe, `stop_at`, or the cycle limit. Always past
+    /// `now`: the checks that precede it in the loop did not fire.
+    fn fixed_point_exit(&self, stop_at: Option<u64>, drain: bool, probe_every: Option<u64>) -> u64 {
+        let deadline = self
+            .next_open_injection()
+            .unwrap_or_else(|| self.last_progress.saturating_add(self.cfg.watchdog));
+        let quiet = drain.then(|| self.last_progress + DRAIN_QUIET);
+        let probe = probe_every.map(|iv| (self.now / iv + 1) * iv);
+        [quiet, self.source_next, probe, stop_at]
+            .into_iter()
+            .flatten()
+            .fold(deadline.min(self.cfg.max_cycles), u64::min)
+    }
+
+    /// The cycle of the next scheduled injection while the gate is open.
+    /// The watchdog is ineligible until it has happened.
+    fn next_open_injection(&self) -> Option<u64> {
+        let &pidx = self.inject_order.get(self.next_inject)?;
+        self.injection_open
+            .then(|| self.packets[pidx as usize].spec.inject_at)
+    }
+
+    /// The self-profile's occupancy bucket for the current in-flight count.
+    fn in_flight_bucket(&self) -> usize {
+        EngineProfile::occupancy_bucket(self.started_packets.saturating_sub(self.finished_packets))
+    }
+
+    /// Books `cycles` the loop did not step as idle ticks, at the
+    /// in-flight level frozen across them.
+    fn book_skipped(&mut self, cycles: u64) {
+        self.prof.jumped_cycles += cycles;
+        self.prof.occupancy[self.in_flight_bucket()] += cycles;
     }
 
     /// Fires the end-of-run observer hooks and collects the result.
@@ -1501,13 +1583,9 @@ impl Simulator {
         self.now += cycles;
         self.last_progress = self.now;
         // Dead time is idle time: nothing moves while the service
-        // processor rewrites registers. Bucket the span at the frozen
-        // in-flight level (a quiet — not empty — drain can hold wounded
-        // packets in place).
-        self.prof.jumped_cycles += cycles;
-        self.prof.occupancy[EngineProfile::occupancy_bucket(
-            self.started_packets.saturating_sub(self.finished_packets),
-        )] += cycles;
+        // processor rewrites registers. A quiet — not empty — drain can
+        // hold wounded packets in place, hence the frozen in-flight level.
+        self.book_skipped(cycles);
     }
 
     /// Opens or closes the injection gate. While closed, due injections

@@ -275,9 +275,10 @@ impl PhaseSplit {
 /// the replaying host is). Deserialized results therefore always carry
 /// `profile: None`.
 ///
-/// The idle-tick numbers are the sizing instrument for the event-driven
-/// engine refactor (ROADMAP item 1): `idle_tick_fraction()` is exactly
-/// the share of engine work an event queue would skip.
+/// The tick counters describe the simulated run, not the loop's effort:
+/// [`EngineProfile::ticks`], [`EngineProfile::idle_ticks`] and `occupancy`
+/// come out the same whether the loop stepped a quiet cycle or jumped
+/// over it. `steps` is the work the loop actually did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineProfile {
     /// Wall-clock seconds spent inside the engine's run loop (excludes
@@ -289,19 +290,28 @@ pub struct EngineProfile {
     /// Engine loop iterations actually executed (each one touches every
     /// in-flight packet).
     pub steps: u64,
-    /// Executed steps in which no flit moved and no packet was injected
-    /// or retired — pure overhead a calendar queue would skip.
+    /// Executed steps that made no progress: no flit moved and no packet
+    /// element (visit, buffered run) settled.
     pub idle_steps: u64,
-    /// Cycles skipped wholesale by the idle fast-forward (quiet gaps
-    /// before the next scheduled injection). Counted as idle ticks: the
-    /// cycle-driven loop only avoids them thanks to a special case.
+    /// Cycles the loop did not step, each counted as an idle tick:
+    /// - open-loop idle jumps across an empty network to the next source
+    ///   arrival;
+    /// - fixed-point waits: after a step that changed nothing, the loop
+    ///   jumps to the next cycle that can differ (watchdog or drain
+    ///   expiry, a due injection or arrival, a stall probe, a stop);
+    /// - quiescent [`crate::Simulator::advance_idle`] dead time.
+    ///
+    /// A fixed-point wait books exactly the idle steps it skips, so
+    /// `ticks`, `idle_ticks` and `occupancy` equal those of a loop that
+    /// steps every cycle.
     pub jumped_cycles: u64,
     /// Discrete events processed: injections + flit-hops + deliveries +
     /// retirements.
     pub events: u64,
-    /// Histogram of in-flight packet count per executed step, bucketed by
-    /// [`OCCUPANCY_BOUNDS`] (jumped cycles count into bucket 0 — nothing
-    /// was in flight).
+    /// Histogram of in-flight packet count per tick, bucketed by
+    /// [`OCCUPANCY_BOUNDS`]. Jumped cycles count at the in-flight level
+    /// frozen across the jump (bucket 0 for an open-loop idle jump, where
+    /// nothing is in flight).
     pub occupancy: [u64; OCCUPANCY_BUCKETS],
     /// Optional per-phase wall-clock split (see
     /// [`crate::Simulator::set_phase_timing`]).
@@ -320,8 +330,7 @@ impl EngineProfile {
         self.idle_steps + self.jumped_cycles
     }
 
-    /// Fraction of ticks in which nothing moved — the headroom an
-    /// event-driven engine core would reclaim. 0.0 for an empty run.
+    /// Fraction of ticks in which nothing moved. 0.0 for an empty run.
     pub fn idle_tick_fraction(&self) -> f64 {
         let t = self.ticks();
         if t == 0 {
