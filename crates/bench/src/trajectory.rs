@@ -28,7 +28,11 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 pub const DEFAULT_THRESHOLD: f64 = 0.10;
 
 /// One metric snapshot of a figure-level sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Columns added after the first release are `#[serde(default)]`, so the
+/// committed `BENCH_*.json` history written without them still parses,
+/// zero-filled.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrajectoryEntry {
     /// Which sweep this snapshot measures (`fig9`, `fig10`, `serve`,
     /// `tournament`).
@@ -40,6 +44,7 @@ pub struct TrajectoryEntry {
     /// load-dependent, so like the timestamp it is recorded for humans and
     /// excluded from both the regression diff and duplicate detection —
     /// back-to-back runs of one commit must still compare clean.
+    #[serde(default)]
     pub wall_clock_s: f64,
     /// Scenarios executed.
     pub scenarios: usize,
@@ -65,62 +70,26 @@ pub struct TrajectoryEntry {
     /// over every row's self-profile). Deterministic per token set, so it
     /// participates in duplicate detection — but it has no inherent bad
     /// direction, so it is tracked, not regression-diffed.
+    #[serde(default)]
     pub idle_tick_fraction: f64,
     /// Simulated cycles per wall-clock second across the sweep (total
     /// cycles / total engine run-loop seconds). Machine-dependent: like
     /// `wall_clock_s`, recorded for humans and excluded from both the
     /// regression diff and duplicate detection.
+    #[serde(default)]
     pub cycles_per_sec: f64,
     /// 99th-percentile `queue` span duration over the serve session's
     /// kept traces, in seconds. Span-derived wall-clock timing is
     /// machine- and load-dependent, so like `wall_clock_s` it is recorded
     /// for humans and excluded from both the regression diff and
     /// duplicate detection. Zero for non-serve figures.
+    #[serde(default)]
     pub p99_queue_wait_s: f64,
     /// 99th-percentile `run` span duration (engine execution, wall clock)
     /// over the serve session's kept traces, in seconds. Machine-
     /// dependent like `p99_queue_wait_s`; zero for non-serve figures.
+    #[serde(default)]
     pub p99_engine_run_s: f64,
-}
-
-// Hand-written so trajectory files from before `wall_clock_s` (or the
-// engine-profile columns) existed still parse: the derived impl treats a
-// missing field as an error, which would brick every committed
-// BENCH_*.json on upgrade.
-impl Deserialize for TrajectoryEntry {
-    fn from_value(v: &serde::value::Value) -> Result<TrajectoryEntry, serde::de::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::expected("a trajectory entry object"))?;
-        let lenient = |name: &str| match entries.iter().find(|(k, _)| k == name) {
-            Some((_, v)) => Deserialize::from_value(v),
-            None => Ok(0.0),
-        };
-        let wall_clock_s = lenient("wall_clock_s")?;
-        let idle_tick_fraction = lenient("idle_tick_fraction")?;
-        let cycles_per_sec = lenient("cycles_per_sec")?;
-        let p99_queue_wait_s = lenient("p99_queue_wait_s")?;
-        let p99_engine_run_s = lenient("p99_engine_run_s")?;
-        Ok(TrajectoryEntry {
-            figure: Deserialize::from_value(serde::de::field(entries, "figure")?)?,
-            recorded_at_epoch_s: Deserialize::from_value(serde::de::field(
-                entries,
-                "recorded_at_epoch_s",
-            )?)?,
-            wall_clock_s,
-            scenarios: Deserialize::from_value(serde::de::field(entries, "scenarios")?)?,
-            deadlock_rate: Deserialize::from_value(serde::de::field(entries, "deadlock_rate")?)?,
-            completed_rate: Deserialize::from_value(serde::de::field(entries, "completed_rate")?)?,
-            throughput: Deserialize::from_value(serde::de::field(entries, "throughput")?)?,
-            mean_latency: Deserialize::from_value(serde::de::field(entries, "mean_latency")?)?,
-            p95_latency: Deserialize::from_value(serde::de::field(entries, "p95_latency")?)?,
-            sxb_util: Deserialize::from_value(serde::de::field(entries, "sxb_util")?)?,
-            idle_tick_fraction,
-            cycles_per_sec,
-            p99_queue_wait_s,
-            p99_engine_run_s,
-        })
-    }
 }
 
 /// A trajectory file: every snapshot ever appended for one figure.

@@ -131,6 +131,38 @@ fn legacy_rows_without_newer_columns_still_parse() {
 }
 
 #[test]
+fn committed_fig9_entries_reserialize_as_golden() {
+    // The committed fig9 entries predate the p99 span columns: they must
+    // read back zero-filled and re-serialize byte for byte as the golden
+    // (generated once, never regenerated). Entries appended later are not
+    // covered, so the golden stays a prefix of the file.
+    let golden_path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trajectory_fig9.jsonl");
+    let golden = std::fs::read_to_string(&golden_path).unwrap_or_default();
+    let body = std::fs::read_to_string(repo_root().join("BENCH_fig9.json")).expect("fig9 file");
+    let file: TrajectoryFile = serde_json::from_str(&body).expect("fig9 file parses");
+    let n = match golden.lines().count() {
+        0 => file.entries.len(),
+        n => n,
+    };
+    let actual: String = file
+        .entries
+        .iter()
+        .take(n)
+        .map(|e| serde_json::to_string(e).expect("entry serializes") + "\n")
+        .collect();
+    if actual != golden {
+        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("trajectory_fig9.jsonl");
+        std::fs::write(&out, &actual).expect("write actual output");
+        panic!(
+            "fig9 entries differ from {}; actual output written to {}",
+            golden_path.display(),
+            out.display()
+        );
+    }
+}
+
+#[test]
 fn sentinel_is_clean_on_the_committed_history() {
     let cfg = SentinelConfig::default();
     for (name, file) in committed_files() {

@@ -16,9 +16,8 @@
 //! `attribution` section are counted but contribute nothing.
 
 use crate::runner::RowAttribution;
-use serde::de::{Deserialize, Error as DeError};
 use serde::value::Value;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Default share-shift threshold: one percentage point.
 pub const DEFAULT_DIFF_THRESHOLD: f64 = 0.01;
@@ -302,48 +301,6 @@ impl AttributionDiff {
     }
 }
 
-impl Deserialize for RowAttribution {
-    fn from_value(v: &Value) -> Result<RowAttribution, DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| DeError::expected("attribution object"))?;
-        let num = |name: &str| -> Result<u64, DeError> {
-            field(m, name)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| DeError::custom(format!("missing numeric field `{name}`")))
-        };
-        let top_blame = match field(m, "top_blame").and_then(|v| v.as_seq()) {
-            None => Vec::new(),
-            Some(seq) => seq
-                .iter()
-                .filter_map(|pair| {
-                    let p = pair.as_seq()?;
-                    Some((p.first()?.as_str()?.to_string(), p.get(1)?.as_u64()?))
-                })
-                .collect(),
-        };
-        Ok(RowAttribution {
-            delivered: num("delivered")? as usize,
-            conserved: field(m, "conserved")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(true),
-            latency_total: num("latency_total")?,
-            inject_wait: num("inject_wait")?,
-            epoch_pause: num("epoch_pause")?,
-            gather_wait: num("gather_wait")?,
-            blocked_normal: num("blocked_normal")?,
-            blocked_gather: num("blocked_gather")?,
-            blocked_detour: num("blocked_detour")?,
-            detour_transfer: num("detour_transfer")?,
-            base_transfer: num("base_transfer")?,
-            detour_overhead_hops: num("detour_overhead_hops")?,
-            top_blame,
-            critical_len: num("critical_len").unwrap_or(0) as usize,
-            critical_wait: num("critical_wait").unwrap_or(0),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,5 +403,20 @@ mod tests {
                 ..
             }
         ));
+        // Older rows without the optional columns still diff, but a
+        // present column of the wrong shape is an error, not a default.
+        let legacy = good.replace(r#""conserved":true,"#, "").replace(
+            r#","top_blame":[["R0 -> X0-XB",7]],"critical_len":1,"critical_wait":7"#,
+            "",
+        );
+        assert!(!legacy.contains("conserved") && !legacy.contains("critical"));
+        assert!(diff_attribution(&legacy, &good, DEFAULT_DIFF_THRESHOLD).is_ok());
+        for bad in [
+            good.replace(r#""conserved":true"#, r#""conserved":1"#),
+            good.replace(r#"["R0 -> X0-XB",7]"#, r#"["R0 -> X0-XB"]"#),
+        ] {
+            let err = diff_attribution(&good, &bad, DEFAULT_DIFF_THRESHOLD).unwrap_err();
+            assert!(matches!(err, DiffError::BadRow { side: "b", .. }), "{err}");
+        }
     }
 }

@@ -10,25 +10,26 @@
 
 use mdx_metrics::{Counter, Gauge, Histogram, Registry, DEFAULT_LATENCY_BUCKETS_S};
 use mdx_sim::{EngineProfile, PhaseSplit, OCCUPANCY_BOUNDS};
-use serde::value::Value;
-use serde::{de, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// The engine self-profile of one campaign row, in serializable form.
 ///
-/// Wall-clock derived fields (`wall_s`, `cycles_per_sec`) vary with
-/// machine load; the tick/occupancy fields are deterministic per token.
-/// Carried on [`crate::runner::ScenarioReport`] rows *outside* the replay
-/// digest (which hashes only the engine's canonical result). Serialization
-/// covers only the deterministic fields — a replayed row's JSONL stays
-/// byte-identical regardless of host speed, and the wall-clock fields come
-/// back as `0.0` after a round-trip.
-#[derive(Debug, Clone, PartialEq)]
+/// Wall-clock derived fields (`wall_s`, `cycles_per_sec`, `phases`) vary
+/// with machine load; the tick/occupancy fields are deterministic per
+/// token. Carried on [`crate::runner::ScenarioReport`] rows *outside* the
+/// replay digest (which hashes only the engine's canonical result).
+/// Serialization covers only the deterministic fields — a replayed row's
+/// JSONL stays byte-identical regardless of host speed, and the
+/// wall-clock fields come back as `0.0` / `None` after a round-trip.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RowProfile {
     /// Wall-clock seconds inside the engine's run loop. Not serialized.
+    #[serde(skip)]
     pub wall_s: f64,
     /// Simulated cycles.
     pub cycles: u64,
     /// Simulated cycles per wall-clock second. Not serialized.
+    #[serde(skip)]
     pub cycles_per_sec: f64,
     /// Engine ticks (executed steps + fast-forwarded cycles).
     pub ticks: u64,
@@ -44,48 +45,8 @@ pub struct RowProfile {
     /// Per-phase wall-clock split, when the run had phase timing enabled
     /// ([`crate::ObsOptions::profile_phases`]). Machine-dependent like
     /// `wall_s` — not serialized, lost on a round-trip.
+    #[serde(skip)]
     pub phases: Option<PhaseSplit>,
-}
-
-// Hand-written so the machine-dependent wall-clock fields stay off the
-// wire: rows replayed from a token must serialize byte-identically to the
-// original run (`stream_rows_replay_byte_identically_from_their_token`).
-impl Serialize for RowProfile {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (String::from("cycles"), self.cycles.to_value()),
-            (String::from("ticks"), self.ticks.to_value()),
-            (String::from("idle_ticks"), self.idle_ticks.to_value()),
-            (
-                String::from("idle_tick_fraction"),
-                self.idle_tick_fraction.to_value(),
-            ),
-            (
-                String::from("events_per_cycle"),
-                self.events_per_cycle.to_value(),
-            ),
-            (String::from("occupancy"), self.occupancy.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for RowProfile {
-    fn from_value(v: &Value) -> Result<RowProfile, de::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| de::Error::expected("RowProfile map"))?;
-        Ok(RowProfile {
-            wall_s: 0.0,
-            cycles: Deserialize::from_value(de::field(entries, "cycles")?)?,
-            cycles_per_sec: 0.0,
-            ticks: Deserialize::from_value(de::field(entries, "ticks")?)?,
-            idle_ticks: Deserialize::from_value(de::field(entries, "idle_ticks")?)?,
-            idle_tick_fraction: Deserialize::from_value(de::field(entries, "idle_tick_fraction")?)?,
-            events_per_cycle: Deserialize::from_value(de::field(entries, "events_per_cycle")?)?,
-            occupancy: Deserialize::from_value(de::field(entries, "occupancy")?)?,
-            phases: None,
-        })
-    }
 }
 
 impl RowProfile {

@@ -326,15 +326,13 @@ pub struct RowTelemetry {
 /// [`ObsOptions::attribution`]: the run's phase totals, the heaviest
 /// blame rows, and the critical-path shape. The full per-packet records
 /// stay in [`Telemetry::attribution`].
-///
-/// `Deserialize` is implemented by hand in [`crate::diff`]: the diff tool
-/// reads attribution sections leniently (older or wider schemas still
-/// parse), unlike the derive's strict missing-field behavior.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RowAttribution {
     /// Delivered packets decomposed.
     pub delivered: usize,
     /// Whether `sum(phases) == latency` held for every delivered packet.
+    // Absent from older rows, which read as conserved.
+    #[serde(default = "conserved_by_default")]
     pub conserved: bool,
     /// Total end-to-end latency over delivered packets (cycles).
     pub latency_total: u64,
@@ -357,11 +355,19 @@ pub struct RowAttribution {
     /// Total detour hop overhead vs. fault-free dimension-order paths.
     pub detour_overhead_hops: u64,
     /// Heaviest blame rows as `(channel description, blocked cycles)`.
+    // This and the critical-path columns are absent from older rows.
+    #[serde(default)]
     pub top_blame: Vec<(String, u64)>,
     /// Wait-for chain length of the critical path.
+    #[serde(default)]
     pub critical_len: usize,
     /// Total cycles across the critical path's waits.
+    #[serde(default)]
     pub critical_wait: u64,
+}
+
+fn conserved_by_default() -> bool {
+    true
 }
 
 impl RowAttribution {

@@ -131,20 +131,10 @@ impl std::fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 /// One fully-specified simulation run.
-///
-/// Serialization is hand-written rather than derived so that the optional
-/// `reconfig` segment is *omitted* when absent — and likewise the
-/// `topology` field while it holds the default `"mdx"`: every token minted
-/// before live reconfiguration or the scheme zoo existed decodes
-/// unchanged, and re-encoding such a scenario reproduces the original
-/// token byte for byte.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Topology extents (one per dimension).
     pub shape: Vec<u16>,
-    /// Topology id (see [`mdx_topology::TOPOLOGY_IDS`]); `"mdx"` — the
-    /// paper's crossbar — unless the scenario says otherwise.
-    pub topology: String,
     /// Routing scheme id (see [`mdx_core::registry`]).
     pub scheme: String,
     /// Faulty components (from cycle 0).
@@ -158,57 +148,28 @@ pub struct Scenario {
     pub buffer_flits: usize,
     /// Engine hard cycle limit ([`SimConfig::max_cycles`]).
     pub max_cycles: u64,
+    /// Topology id (see [`mdx_topology::TOPOLOGY_IDS`]); `"mdx"` — the
+    /// paper's crossbar — unless the scenario says otherwise.
+    // Omitted while default, so pre-zoo tokens re-encode byte for byte.
+    #[serde(
+        default = "default_topology",
+        skip_serializing_if = "is_default_topology"
+    )]
+    pub topology: String,
     /// Live-reconfiguration script: a fault timeline plus recovery policy,
     /// run through the epoch protocol ([`mdx_reconfig`]). `None` replays as
     /// a plain static run.
+    // Omitted when absent, so pre-reconfig tokens re-encode byte for byte.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub reconfig: Option<ReconfigSpec>,
 }
 
-impl Serialize for Scenario {
-    fn to_value(&self) -> serde::value::Value {
-        let mut m = vec![
-            ("shape".to_string(), self.shape.to_value()),
-            ("scheme".to_string(), self.scheme.to_value()),
-            ("faults".to_string(), self.faults.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("buffer_flits".to_string(), self.buffer_flits.to_value()),
-            ("max_cycles".to_string(), self.max_cycles.to_value()),
-        ];
-        if self.topology != DEFAULT_TOPOLOGY {
-            m.push(("topology".to_string(), self.topology.to_value()));
-        }
-        if let Some(rc) = &self.reconfig {
-            m.push(("reconfig".to_string(), rc.to_value()));
-        }
-        serde::value::Value::Map(m)
-    }
+fn default_topology() -> String {
+    DEFAULT_TOPOLOGY.to_string()
 }
 
-impl Deserialize for Scenario {
-    fn from_value(v: &serde::value::Value) -> Result<Scenario, serde::de::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::expected("a Scenario map"))?;
-        let req = |name: &str| serde::de::field(entries, name);
-        Ok(Scenario {
-            shape: Deserialize::from_value(req("shape")?)?,
-            topology: match entries.iter().find(|(k, _)| k == "topology") {
-                Some((_, v)) => Deserialize::from_value(v)?,
-                None => DEFAULT_TOPOLOGY.to_string(),
-            },
-            scheme: Deserialize::from_value(req("scheme")?)?,
-            faults: Deserialize::from_value(req("faults")?)?,
-            workload: Deserialize::from_value(req("workload")?)?,
-            seed: Deserialize::from_value(req("seed")?)?,
-            buffer_flits: Deserialize::from_value(req("buffer_flits")?)?,
-            max_cycles: Deserialize::from_value(req("max_cycles")?)?,
-            reconfig: match entries.iter().find(|(k, _)| k == "reconfig") {
-                Some((_, v)) => Some(Deserialize::from_value(v)?),
-                None => None,
-            },
-        })
-    }
+fn is_default_topology(topology: &str) -> bool {
+    topology == DEFAULT_TOPOLOGY
 }
 
 impl Scenario {
@@ -217,7 +178,7 @@ impl Scenario {
     pub fn new(shape: Vec<u16>, scheme: &str, workload: Workload, seed: u64) -> Scenario {
         Scenario {
             shape,
-            topology: DEFAULT_TOPOLOGY.to_string(),
+            topology: default_topology(),
             scheme: scheme.to_string(),
             faults: Vec::new(),
             workload,

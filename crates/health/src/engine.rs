@@ -27,39 +27,19 @@ use crate::spec::SloSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Overall or per-objective verdict, ordered by severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Overall or per-objective verdict, ordered by severity. Serialized as
+/// the same lowercase word the verdict stamp and alert log use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Status {
     /// Within budget.
+    #[serde(rename = "pass")]
     Pass,
     /// One burn window over threshold, or an instantaneous warn crossing.
+    #[serde(rename = "warn")]
     Warn,
     /// Both burn windows over threshold.
+    #[serde(rename = "breach")]
     Breach,
-}
-
-// Hand-rolled so the JSON form is the same lowercase word the verdict
-// stamp and alert log use ("pass"/"warn"/"breach"), not a variant name.
-impl Serialize for Status {
-    fn to_value(&self) -> serde_json::Value {
-        serde_json::Value::Str(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for Status {
-    fn from_value(v: &serde_json::Value) -> Result<Status, serde::de::Error> {
-        match v {
-            serde_json::Value::Str(s) => match s.as_str() {
-                "pass" => Ok(Status::Pass),
-                "warn" => Ok(Status::Warn),
-                "breach" => Ok(Status::Breach),
-                other => Err(serde::de::Error::custom(format!(
-                    "unknown status `{other}`"
-                ))),
-            },
-            _ => Err(serde::de::Error::expected("a status string")),
-        }
-    }
 }
 
 impl Status {

@@ -4,85 +4,48 @@
 //! The trace renderer builds its JSON by string formatting (one
 //! pre-serialized event per line, zero intermediate allocation), so
 //! nothing in the type system keeps its output well-formed. This module is
-//! the counterweight: typed mirror structs with **hand-written,
-//! deny-unknown-fields deserialization** — every map key must be a known
-//! field, every `ph` must be a known phase, and each phase's required
-//! fields must be present. Tests parse rendered traces through
-//! [`TraceDoc::parse`] instead of spot-checking a loose
+//! the counterweight: typed mirror structs that deny unknown fields —
+//! every map key must be a known field, every `ph` must be a known phase,
+//! and each phase's required fields must be present. Tests parse rendered
+//! traces through [`TraceDoc::parse`] instead of spot-checking a loose
 //! [`serde::value::Value`], so a renamed, retyped, or accidentally added
 //! key fails loudly.
-//!
-//! (The workspace serde shim's *derived* `Deserialize` ignores unknown
-//! keys by design, which is exactly wrong for a schema test — hence the
-//! manual impls.)
 
-use serde::de::{field, Deserialize, Error};
-use serde::value::Value;
-
-/// Map-entry lookup for optional JSON keys: absent and `null` both read as
-/// `None`.
-fn opt<T: Deserialize>(entries: &[(String, Value)], name: &str) -> Result<Option<T>, Error> {
-    match entries.iter().find(|(k, _)| k == name) {
-        None => Ok(None),
-        Some((_, Value::Null)) => Ok(None),
-        Some((_, v)) => T::from_value(v).map(Some),
-    }
-}
-
-/// Errors on any map key outside `allowed` — the deny-unknown-fields
-/// backbone of every impl in this module.
-fn deny_unknown(entries: &[(String, Value)], what: &str, allowed: &[&str]) -> Result<(), Error> {
-    for (k, _) in entries {
-        if !allowed.contains(&k.as_str()) {
-            return Err(Error::custom(format!("unknown {what} field `{k}`")));
-        }
-    }
-    Ok(())
-}
+use serde::de::Error;
+use serde::Deserialize;
 
 /// The `args` object of a trace event. Exactly the keys the two renderers
 /// (the hop-level [`crate::TraceRecorder`] and the span exporter
 /// [`crate::spans_to_perfetto`]) ever write; anything else is a schema
 /// break.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TraceArgs {
     /// Metadata name (`process_name` / `thread_name` events).
+    #[serde(default)]
     pub name: Option<String>,
     /// Holder label on blocked-slice events (e.g. `pkt3`).
+    #[serde(default)]
     pub holder: Option<String>,
     /// Flit counter value.
+    #[serde(default)]
     pub flits: Option<u64>,
     /// Gather-queue depth counter value.
+    #[serde(default)]
     pub depth: Option<u64>,
     /// Trace id on root request/row span slices.
+    #[serde(default)]
     pub trace: Option<String>,
     /// `MDX1.` scenario token on engine-run span slices.
+    #[serde(default)]
     pub token: Option<String>,
-}
-
-impl Deserialize for TraceArgs {
-    fn from_value(v: &Value) -> Result<TraceArgs, Error> {
-        let entries = v.as_map().ok_or_else(|| Error::expected("args map"))?;
-        deny_unknown(
-            entries,
-            "args",
-            &["name", "holder", "flits", "depth", "trace", "token"],
-        )?;
-        Ok(TraceArgs {
-            name: opt(entries, "name")?,
-            holder: opt(entries, "holder")?,
-            flits: opt(entries, "flits")?,
-            depth: opt(entries, "depth")?,
-            trace: opt(entries, "trace")?,
-            token: opt(entries, "token")?,
-        })
-    }
 }
 
 /// One Chrome-trace event, restricted to the four phases the renderer
 /// emits: complete slices (`X`), instants (`i`), counters (`C`), and
 /// name metadata (`M`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TraceEvent {
     /// Event name.
     pub name: String,
@@ -91,38 +54,20 @@ pub struct TraceEvent {
     /// Process id (track group).
     pub pid: u64,
     /// Thread id (track) — absent only on `process_name` metadata.
+    #[serde(default)]
     pub tid: Option<u64>,
     /// Timestamp (µs in trace units; simulation cycles here).
+    #[serde(default)]
     pub ts: Option<u64>,
     /// Slice duration (`X` only).
+    #[serde(default)]
     pub dur: Option<u64>,
     /// Instant scope (`i` only; the renderer always writes `t`).
+    #[serde(default)]
     pub s: Option<String>,
     /// Event arguments.
+    #[serde(default)]
     pub args: Option<TraceArgs>,
-}
-
-impl Deserialize for TraceEvent {
-    fn from_value(v: &Value) -> Result<TraceEvent, Error> {
-        let entries = v.as_map().ok_or_else(|| Error::expected("event map"))?;
-        deny_unknown(
-            entries,
-            "event",
-            &["name", "ph", "pid", "tid", "ts", "dur", "s", "args"],
-        )?;
-        let ev = TraceEvent {
-            name: String::from_value(field(entries, "name")?)?,
-            ph: String::from_value(field(entries, "ph")?)?,
-            pid: u64::from_value(field(entries, "pid")?)?,
-            tid: opt(entries, "tid")?,
-            ts: opt(entries, "ts")?,
-            dur: opt(entries, "dur")?,
-            s: opt(entries, "s")?,
-            args: opt(entries, "args")?,
-        };
-        ev.validate()?;
-        Ok(ev)
-    }
 }
 
 impl TraceEvent {
@@ -176,31 +121,26 @@ impl TraceEvent {
 
 /// The whole trace document: `traceEvents` plus `displayTimeUnit`, nothing
 /// else.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TraceDoc {
     /// All events, in emission order.
+    #[serde(rename = "traceEvents")]
     pub trace_events: Vec<TraceEvent>,
     /// Viewer display unit (the renderer writes `ms`).
+    #[serde(rename = "displayTimeUnit")]
     pub display_time_unit: String,
 }
 
-impl Deserialize for TraceDoc {
-    fn from_value(v: &Value) -> Result<TraceDoc, Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| Error::expected("trace document"))?;
-        deny_unknown(entries, "document", &["traceEvents", "displayTimeUnit"])?;
-        Ok(TraceDoc {
-            trace_events: Vec::from_value(field(entries, "traceEvents")?)?,
-            display_time_unit: String::from_value(field(entries, "displayTimeUnit")?)?,
-        })
-    }
-}
-
 impl TraceDoc {
-    /// Parses and validates rendered trace JSON.
+    /// Parses and validates rendered trace JSON: the schema, then every
+    /// event's phase-specific shape.
     pub fn parse(json: &str) -> Result<TraceDoc, Error> {
-        serde_json::from_str(json).map_err(|e| Error::custom(e.to_string()))
+        let doc: TraceDoc = serde_json::from_str(json).map_err(|e| Error::custom(e.to_string()))?;
+        for ev in &doc.trace_events {
+            ev.validate()?;
+        }
+        Ok(doc)
     }
 
     /// Events with phase `ph`.

@@ -45,9 +45,9 @@
 //! request without a client `trace` gets a server-minted id, also echoed,
 //! so the client can fetch the trace later.
 //!
-//! Serialization is hand-written so absent optional fields are *omitted*
-//! rather than `null`-padded: request lines stay human-writable and
-//! response lines stay schema-stable as fields are added.
+//! Absent optional fields are *omitted* rather than `null`-padded: request
+//! lines stay human-writable and response lines stay schema-stable as
+//! fields are added.
 
 use mdx_campaign::ScenarioReport;
 use mdx_obs::PostmortemReport;
@@ -56,35 +56,45 @@ use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 /// One protocol request line.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Request {
     /// The verb: `run`, `spec`, `postmortem`, `tournament`, `stats`,
     /// `metrics`, `spans`, `health`, or `shutdown`.
     pub cmd: String,
     /// Client correlation tag, echoed on the response.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub id: Option<u64>,
     /// `MDX1.` scenario token (`run`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub token: Option<String>,
     /// Spec text: a workload stream for `spec` requests (see
     /// [`mdx_workloads::StreamSpec`]) or a tournament grid for
     /// `tournament` requests (see [`mdx_tournament::TournamentSpec`]).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub spec: Option<String>,
     /// Topology extents for `spec` requests (default `[4, 4]`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub shape: Option<Vec<u16>>,
     /// Routing scheme id for `spec` requests (default `sr2201`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub scheme: Option<String>,
     /// Scenario seed for `spec` requests (default 0).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
     /// Window width in cycles for this row's open-loop telemetry,
     /// overriding the server default.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub windows: Option<u64>,
     /// Skip the cache lookup and re-simulate (the fresh row still
     /// refreshes the cache).
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub force: bool,
     /// Row digest (`postmortem`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub digest: Option<String>,
     /// Client-chosen trace id, echoed on the response and adopted as the
     /// request's span trace id when collection is on.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<String>,
 }
 
@@ -113,62 +123,6 @@ impl Request {
     }
 }
 
-fn push_opt<T: Serialize>(m: &mut Vec<(String, Value)>, name: &str, v: &Option<T>) {
-    if let Some(v) = v {
-        m.push((name.to_string(), v.to_value()));
-    }
-}
-
-fn opt_field<T: Deserialize>(
-    entries: &[(String, Value)],
-    name: &str,
-) -> Result<Option<T>, serde::de::Error> {
-    match entries.iter().find(|(k, _)| k == name) {
-        Some((_, Value::Null)) | None => Ok(None),
-        Some((_, v)) => T::from_value(v).map(Some),
-    }
-}
-
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        let mut m = vec![("cmd".to_string(), self.cmd.to_value())];
-        push_opt(&mut m, "id", &self.id);
-        push_opt(&mut m, "token", &self.token);
-        push_opt(&mut m, "spec", &self.spec);
-        push_opt(&mut m, "shape", &self.shape);
-        push_opt(&mut m, "scheme", &self.scheme);
-        push_opt(&mut m, "seed", &self.seed);
-        push_opt(&mut m, "windows", &self.windows);
-        if self.force {
-            m.push(("force".to_string(), true.to_value()));
-        }
-        push_opt(&mut m, "digest", &self.digest);
-        push_opt(&mut m, "trace", &self.trace);
-        Value::Map(m)
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(v: &Value) -> Result<Request, serde::de::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::expected("a request object"))?;
-        Ok(Request {
-            cmd: Deserialize::from_value(serde::de::field(entries, "cmd")?)?,
-            id: opt_field(entries, "id")?,
-            token: opt_field(entries, "token")?,
-            spec: opt_field(entries, "spec")?,
-            shape: opt_field(entries, "shape")?,
-            scheme: opt_field(entries, "scheme")?,
-            seed: opt_field(entries, "seed")?,
-            windows: opt_field(entries, "windows")?,
-            force: opt_field(entries, "force")?.unwrap_or(false),
-            digest: opt_field(entries, "digest")?,
-            trace: opt_field(entries, "trace")?,
-        })
-    }
-}
-
 /// Service counters, returned by the `stats` verb.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServeStats {
@@ -191,127 +145,141 @@ pub struct ServeStats {
 }
 
 /// One protocol response line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Response {
     /// The response kind: `row`, `error`, `stats`, `metrics`, `spans`,
     /// `postmortem`, `tournament`, or `ok`.
     pub kind: String,
     /// The request's correlation id, echoed back.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub id: Option<u64>,
     /// Whether a `row` (or `tournament`) came from its cache.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cached: Option<bool>,
     /// The campaign row (`row`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub row: Option<ScenarioReport>,
     /// What went wrong (`error`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub error: Option<String>,
     /// Service counters (`stats`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stats: Option<ServeStats>,
     /// Metric-registry snapshot as JSON (`metrics`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub metrics: Option<Value>,
     /// Span-collector ledger as JSON (`spans`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub spans: Option<Value>,
     /// Forensic report (`postmortem`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub postmortem: Option<PostmortemReport>,
     /// The finished cross-scheme table (`tournament`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub tournament: Option<TournamentResult>,
     /// The SLO engine's full report as JSON (`health`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub health: Option<Value>,
     /// Overall SLO status (`pass` / `warn` / `breach`), stamped on every
     /// response line when the server evaluates SLOs.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub verdict: Option<String>,
     /// The request's trace id: the client's `trace` echoed back, or the
     /// server-minted id when span collection traced an untagged request.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<String>,
 }
 
 impl Response {
-    fn empty(kind: &str, id: Option<u64>) -> Response {
-        Response {
-            kind: kind.to_string(),
-            id,
-            cached: None,
-            row: None,
-            error: None,
-            stats: None,
-            metrics: None,
-            spans: None,
-            postmortem: None,
-            tournament: None,
-            health: None,
-            verdict: None,
-            trace: None,
-        }
-    }
-
     /// A `row` response.
     pub fn row(id: Option<u64>, cached: bool, row: ScenarioReport) -> Response {
         Response {
+            kind: "row".to_string(),
+            id,
             cached: Some(cached),
             row: Some(row),
-            ..Response::empty("row", id)
+            ..Response::default()
         }
     }
 
     /// An `error` response.
     pub fn error(id: Option<u64>, msg: impl Into<String>) -> Response {
         Response {
+            kind: "error".to_string(),
+            id,
             error: Some(msg.into()),
-            ..Response::empty("error", id)
+            ..Response::default()
         }
     }
 
     /// A `stats` response.
     pub fn stats(id: Option<u64>, stats: ServeStats) -> Response {
         Response {
+            kind: "stats".to_string(),
+            id,
             stats: Some(stats),
-            ..Response::empty("stats", id)
+            ..Response::default()
         }
     }
 
     /// A `metrics` response carrying a registry snapshot as JSON.
     pub fn metrics(id: Option<u64>, snapshot: Value) -> Response {
         Response {
+            kind: "metrics".to_string(),
+            id,
             metrics: Some(snapshot),
-            ..Response::empty("metrics", id)
+            ..Response::default()
         }
     }
 
     /// A `spans` response carrying the collector's ledger as JSON.
     pub fn spans(id: Option<u64>, ledger: Value) -> Response {
         Response {
+            kind: "spans".to_string(),
+            id,
             spans: Some(ledger),
-            ..Response::empty("spans", id)
+            ..Response::default()
         }
     }
 
     /// A `postmortem` response.
     pub fn postmortem(id: Option<u64>, pm: PostmortemReport) -> Response {
         Response {
+            kind: "postmortem".to_string(),
+            id,
             postmortem: Some(pm),
-            ..Response::empty("postmortem", id)
+            ..Response::default()
         }
     }
 
     /// A `tournament` response carrying the finished comparison table.
     pub fn tournament(id: Option<u64>, cached: bool, table: TournamentResult) -> Response {
         Response {
+            kind: "tournament".to_string(),
+            id,
             cached: Some(cached),
             tournament: Some(table),
-            ..Response::empty("tournament", id)
+            ..Response::default()
         }
     }
 
     /// A `health` response carrying the SLO engine's report as JSON.
     pub fn health(id: Option<u64>, report: Value) -> Response {
         Response {
+            kind: "health".to_string(),
+            id,
             health: Some(report),
-            ..Response::empty("health", id)
+            ..Response::default()
         }
     }
 
     /// An `ok` acknowledgment (shutdown).
     pub fn ok(id: Option<u64>) -> Response {
-        Response::empty("ok", id)
+        Response {
+            kind: "ok".to_string(),
+            id,
+            ..Response::default()
+        }
     }
 
     /// Tags the response with the request's trace id (builder style).
@@ -331,48 +299,6 @@ impl Response {
     /// Whether this is an error response.
     pub fn is_error(&self) -> bool {
         self.kind == "error"
-    }
-}
-
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        let mut m = vec![("kind".to_string(), self.kind.to_value())];
-        push_opt(&mut m, "id", &self.id);
-        push_opt(&mut m, "cached", &self.cached);
-        push_opt(&mut m, "row", &self.row);
-        push_opt(&mut m, "error", &self.error);
-        push_opt(&mut m, "stats", &self.stats);
-        push_opt(&mut m, "metrics", &self.metrics);
-        push_opt(&mut m, "spans", &self.spans);
-        push_opt(&mut m, "postmortem", &self.postmortem);
-        push_opt(&mut m, "tournament", &self.tournament);
-        push_opt(&mut m, "health", &self.health);
-        push_opt(&mut m, "verdict", &self.verdict);
-        push_opt(&mut m, "trace", &self.trace);
-        Value::Map(m)
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(v: &Value) -> Result<Response, serde::de::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::expected("a response object"))?;
-        Ok(Response {
-            kind: Deserialize::from_value(serde::de::field(entries, "kind")?)?,
-            id: opt_field(entries, "id")?,
-            cached: opt_field(entries, "cached")?,
-            row: opt_field(entries, "row")?,
-            error: opt_field(entries, "error")?,
-            stats: opt_field(entries, "stats")?,
-            metrics: opt_field(entries, "metrics")?,
-            spans: opt_field(entries, "spans")?,
-            postmortem: opt_field(entries, "postmortem")?,
-            tournament: opt_field(entries, "tournament")?,
-            health: opt_field(entries, "health")?,
-            verdict: opt_field(entries, "verdict")?,
-            trace: opt_field(entries, "trace")?,
-        })
     }
 }
 
@@ -397,6 +323,10 @@ mod tests {
         assert_eq!(req.cmd, "stats");
         assert_eq!(req.id, None);
         assert!(!req.force);
+        // `null` reads as absent for optional fields, but `force` is a bool.
+        let req: Request = serde_json::from_str(r#"{"cmd":"stats","id":null}"#).unwrap();
+        assert_eq!(req.id, None);
+        assert!(serde_json::from_str::<Request>(r#"{"cmd":"run","force":null}"#).is_err());
     }
 
     #[test]

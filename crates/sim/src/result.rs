@@ -1,8 +1,7 @@
 //! Injection specifications, per-packet outcomes and run-level statistics.
 
 use mdx_core::{DropReason, Header, RouteChange};
-use serde::value::Value;
-use serde::{de, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// Dense id of a packet within one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -371,8 +370,9 @@ impl EngineProfile {
 ///
 /// Equality (like serialization) covers only the five deterministic
 /// fields — two runs of the same token compare equal even though their
-/// wall-clock [`SimResult::profile`]s differ.
-#[derive(Debug, Clone)]
+/// wall-clock [`SimResult::profile`]s differ. Campaign replay digests are
+/// FNV hashes of this serialization.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimResult {
     /// Terminal condition.
     pub outcome: SimOutcome,
@@ -390,6 +390,7 @@ pub struct SimResult {
     /// Always populated by [`crate::Simulator`] runs; **excluded from
     /// serialization** so replay digests stay machine-independent, hence
     /// `None` after a deserialization round-trip. See [`EngineProfile`].
+    #[serde(skip)]
     pub profile: Option<EngineProfile>,
 }
 
@@ -403,39 +404,6 @@ impl PartialEq for SimResult {
             && self.packets == other.packets
             && self.route_names == other.route_names
             && self.diagnostics == other.diagnostics
-    }
-}
-
-// Serialization is hand-written (not derived) to pin the canonical wire
-// shape to exactly the five deterministic fields: campaign replay digests
-// are FNV hashes of this serialization, and the machine-dependent
-// `profile` must never perturb them. The field order and shapes below are
-// byte-identical to what the pre-profile derive emitted.
-impl Serialize for SimResult {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (String::from("outcome"), self.outcome.to_value()),
-            (String::from("stats"), self.stats.to_value()),
-            (String::from("packets"), self.packets.to_value()),
-            (String::from("route_names"), self.route_names.to_value()),
-            (String::from("diagnostics"), self.diagnostics.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SimResult {
-    fn from_value(v: &Value) -> Result<SimResult, de::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| de::Error::expected("SimResult map"))?;
-        Ok(SimResult {
-            outcome: Deserialize::from_value(de::field(entries, "outcome")?)?,
-            stats: Deserialize::from_value(de::field(entries, "stats")?)?,
-            packets: Deserialize::from_value(de::field(entries, "packets")?)?,
-            route_names: Deserialize::from_value(de::field(entries, "route_names")?)?,
-            diagnostics: Deserialize::from_value(de::field(entries, "diagnostics")?)?,
-            profile: None,
-        })
     }
 }
 

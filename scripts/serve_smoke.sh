@@ -4,18 +4,22 @@
 # Phase 1 (stdio): drive one `campaign serve` process with three token
 # requests (the third a duplicate that must be answered from the result
 # cache), plus stats, metrics, and shutdown, then validate every streamed
-# JSONL response line against the protocol schema.
+# JSONL response line against the protocol schema. The worker pool may
+# answer out of order, so the duplicate goes out only after rows 1 and 2
+# are back, and `stats` only after the duplicate is.
 #
 # Phase 2 (TCP): start `campaign serve --tcp` with a live Prometheus
-# endpoint (`--metrics-addr 127.0.0.1:0`), run a session over a socket,
+# endpoint (`--metrics-addr 127.0.0.1:0`), run a session over a socket
+# (the second, identical spec goes out only after the first row is back),
 # scrape the endpoint mid-session, and validate the exposition format and
 # the required series (per-verb request latency, cache hits, engine
-# idle-tick fraction).
+# idle-tick fraction). An exit trap stops the server if a check fails.
 #
 # Phase 3 (spans): run a traced stdio session (`--span-log` at sample
 # rate 1), validate the span-log JSONL schema, require every root span's
 # trace id to be echoed on a response line (client-supplied ids
-# included), and run the `campaign spans` summarizer over the log.
+# included), and run the `campaign spans` summarizer over the log. The
+# `spans` ledger is requested only after both traced rows are back.
 #
 # Artifacts (under target/ so the work tree stays clean):
 #   target/serve-smoke-session.jsonl   the stdio response stream
@@ -33,6 +37,33 @@ SPANOUT=$OUTDIR/serve-smoke-spans-session.jsonl
 ERR=$OUTDIR/serve-smoke-tcp.stderr
 mkdir -p "$OUTDIR"
 
+SRV=
+trap 'if [ -n "$SRV" ]; then kill "$SRV" 2>/dev/null || true; fi' EXIT
+
+# Drives one stdio `campaign serve` session: `session OUT CMD...` reads
+# request lines on stdin in batches separated by blank lines, sends each
+# batch only after every answer to the previous one is back (the worker
+# pool may answer out of order), and writes the response lines to OUT.
+session() {
+  python3 -c '
+import subprocess, sys
+out, cmd = sys.argv[1], sys.argv[2:]
+batches = [b.split("\n") for b in sys.stdin.read().strip().split("\n\n")]
+srv = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+lines = []
+for i, batch in enumerate(batches):
+    srv.stdin.write("".join(line + "\n" for line in batch))
+    srv.stdin.flush()
+    if i == len(batches) - 1:
+        srv.stdin.close()
+        lines += srv.stdout.readlines()
+    else:
+        lines += [srv.stdout.readline() for _ in batch]
+assert srv.wait() == 0, f"{cmd} exited with an error"
+open(out, "w").write("".join(lines))
+' "$@"
+}
+
 # ---- Phase 1: stdio session ------------------------------------------------
 # The `spec` verb mints the scenario token server-side, so the session is
 # fully self-contained: requests 1 and 3 are the same spec (and therefore
@@ -40,11 +71,13 @@ mkdir -p "$OUTDIR"
 {
   printf '%s\n' '{"cmd":"spec","id":1,"spec":"seed 1\nflits 2\nphase 0..200 uniform rate=0.03\nhorizon 600","shape":[4,3],"seed":1}'
   printf '%s\n' '{"cmd":"spec","id":2,"spec":"seed 2\nflits 2\nphase 0..200 transpose rate=0.03\nhorizon 600","shape":[4,4],"seed":2}'
+  echo
   printf '%s\n' '{"cmd":"spec","id":3,"spec":"seed 1\nflits 2\nphase 0..200 uniform rate=0.03\nhorizon 600","shape":[4,3],"seed":1}'
+  echo
   printf '%s\n' '{"cmd":"stats","id":4}'
   printf '%s\n' '{"cmd":"metrics","id":5}'
   printf '%s\n' '{"cmd":"shutdown","id":6}'
-} | "$BIN" serve --windows 100 > "$OUT"
+} | session "$OUT" "$BIN" serve --windows 100
 
 python3 - "$OUT" <<'EOF'
 import json, sys
@@ -106,7 +139,6 @@ while ! grep -q "listening on" "$ERR" || ! grep -q "metrics on" "$ERR"; do
   if [ "$i" -gt 100 ]; then
     echo "error: serve --tcp did not come up" >&2
     cat "$ERR" >&2
-    kill "$SRV" 2>/dev/null || true
     exit 1
   fi
   sleep 0.1
@@ -122,11 +154,13 @@ host, port = addr.rsplit(":", 1)
 sock = socket.create_connection((host, int(port)), timeout=30)
 f = sock.makefile("rw")
 spec = "seed 1\nflits 2\nphase 0..200 uniform rate=0.03\nhorizon 600"
+rows = []
 for i in (1, 2):
+    # The duplicate goes out only after the first row is back, so it hits.
     f.write(json.dumps({"cmd": "spec", "id": i, "spec": spec,
                         "shape": [4, 3], "seed": 1}) + "\n")
-f.flush()
-rows = [json.loads(f.readline()) for _ in (1, 2)]
+    f.flush()
+    rows.append(json.loads(f.readline()))
 assert all(r["kind"] == "row" for r in rows), rows
 assert sorted(r["cached"] for r in rows) == [False, True], rows
 
@@ -169,17 +203,20 @@ print(f"serve TCP smoke OK: live scrape in {prom}")
 EOF
 
 wait "$SRV"
+SRV=
 
 # ---- Phase 3: traced session with a span log -------------------------------
 # Sample rate 1 keeps every trace; request 1 carries a client-chosen trace
-# id that must come back on its response line *and* name its spans.
+# id that must come back on its response line *and* name its spans. The
+# `spans` ledger is asked for only once both traced rows are back.
 : > "$SPANS"
 {
   printf '%s\n' '{"cmd":"spec","id":1,"trace":"smoke-trace-1","spec":"seed 1\nflits 2\nphase 0..200 uniform rate=0.03\nhorizon 600","shape":[4,3],"seed":1}'
   printf '%s\n' '{"cmd":"spec","id":2,"spec":"seed 1\nflits 2\nphase 0..200 uniform rate=0.03\nhorizon 600","shape":[4,3],"seed":1}'
+  echo
   printf '%s\n' '{"cmd":"spans","id":3}'
   printf '%s\n' '{"cmd":"shutdown","id":4}'
-} | "$BIN" serve --windows 100 --span-log "$SPANS" --span-sample 1 > "$SPANOUT"
+} | session "$SPANOUT" "$BIN" serve --windows 100 --span-log "$SPANS" --span-sample 1
 
 python3 - "$SPANS" "$SPANOUT" <<'EOF'
 import json, sys

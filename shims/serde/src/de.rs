@@ -33,13 +33,29 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Looks up a struct field in deserialized map entries (derive helper).
+/// Looks up a struct field in deserialized map entries (derive helper
+/// for `#[serde(default)]` fields).
+pub fn lookup<'a>(entries: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
+    entries.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+}
+
+/// Looks up a required struct field in deserialized map entries (derive
+/// helper).
 pub fn field<'a>(entries: &'a [(String, Value)], name: &str) -> Result<&'a Value, Error> {
-    entries
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| Error::custom(format!("missing field `{name}`")))
+    lookup(entries, name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))
+}
+
+/// Errors on the first key outside `known` (derive helper for
+/// `#[serde(deny_unknown_fields)]`).
+pub fn deny_unknown_fields(
+    entries: &[(String, Value)],
+    what: &str,
+    known: &[&str],
+) -> Result<(), Error> {
+    match entries.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => Err(Error::custom(format!("unknown field `{k}` of {what}"))),
+        None => Ok(()),
+    }
 }
 
 /// Types reconstructible from the shim's data model.

@@ -5,7 +5,17 @@
 //! Supported input shapes — exactly what this workspace uses:
 //! structs with named fields, tuple structs, unit structs, and enums with
 //! unit / tuple / struct variants (explicit discriminants are skipped).
-//! Not supported: generics, lifetimes, `#[serde(...)]` attributes.
+//! Not supported: generics, lifetimes.
+//!
+//! Supported `#[serde(...)]` attributes, with real serde's meaning:
+//!
+//! - container: `deny_unknown_fields` (structs only);
+//! - named field: `default`, `default = "path"`, `skip`,
+//!   `skip_serializing_if = "path"`, `rename = "name"`;
+//! - variant: `rename = "name"`.
+//!
+//! Any other key is a compile-time panic naming it, so no attribute is
+//! silently ignored.
 //!
 //! Generated code targets the `serde` shim's `Value`-based traits:
 //! `Serialize::to_value` / `Deserialize::from_value`.
@@ -13,16 +23,34 @@
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::iter::Peekable;
 
+/// One `#[serde(...)]` entry: a key and its string value, if any.
+type Attr = (String, Option<String>);
+
+/// A named field and its `#[serde(...)]` options.
+#[derive(Debug)]
+struct Field {
+    name: String,
+    /// The key on the wire (`rename`, else the field name).
+    key: String,
+    /// `None`: required; `Some(None)`: `Default::default()`;
+    /// `Some(Some(path))`: `path()`.
+    default: Option<Option<String>>,
+    skip: bool,
+    skip_serializing_if: Option<String>,
+}
+
 #[derive(Debug)]
 enum Fields {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
 }
 
 #[derive(Debug)]
 struct Variant {
     name: String,
+    /// The tag on the wire (`rename`, else the variant name).
+    tag: String,
     fields: Fields,
 }
 
@@ -30,6 +58,7 @@ struct Variant {
 enum Item {
     Struct {
         name: String,
+        deny_unknown_fields: bool,
         fields: Fields,
     },
     Enum {
@@ -40,17 +69,84 @@ enum Item {
 
 type Tokens = Peekable<proc_macro::token_stream::IntoIter>;
 
-fn skip_attributes(it: &mut Tokens) {
+/// The text inside a plain string literal token.
+fn string_lit(tok: Option<TokenTree>, key: &str) -> String {
+    let lit = match tok {
+        Some(TokenTree::Literal(l)) => l.to_string(),
+        other => panic!("serde derive shim: `{key}` needs a string value, found {other:?}"),
+    };
+    match lit.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
+        Some(s) => s.to_string(),
+        None => panic!("serde derive shim: `{key}` needs a plain string literal, found {lit}"),
+    }
+}
+
+/// Parses the inside of `serde(...)`: `key` or `key = "value"`, comma
+/// separated.
+fn parse_serde_args(ts: TokenStream, out: &mut Vec<Attr>) {
+    let mut it = ts.into_iter().peekable();
+    while let Some(tok) = it.next() {
+        let key = match tok {
+            TokenTree::Ident(id) => id.to_string(),
+            other => panic!("serde derive shim: expected an attribute key, found {other}"),
+        };
+        let value = match it.peek() {
+            Some(TokenTree::Punct(p)) if p.as_char() == '=' => {
+                it.next();
+                Some(string_lit(it.next(), &key))
+            }
+            _ => None,
+        };
+        match it.next() {
+            None => {}
+            Some(TokenTree::Punct(p)) if p.as_char() == ',' => {}
+            Some(other) => panic!("serde derive shim: expected `,` after `{key}`, found {other}"),
+        }
+        out.push((key, value));
+    }
+}
+
+/// Consumes the outer attributes in front of an item, field, or variant,
+/// returning the `#[serde(...)]` entries and skipping every other
+/// attribute (doc comments, lints, other derives' helpers).
+fn parse_attributes(it: &mut Tokens) -> Vec<Attr> {
+    let mut attrs = Vec::new();
     while let Some(TokenTree::Punct(p)) = it.peek() {
         if p.as_char() != '#' {
             break;
         }
         it.next();
-        match it.next() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {}
+        let body = match it.next() {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => g.stream(),
             other => panic!("serde derive shim: malformed attribute near {other:?}"),
+        };
+        let mut inner = body.into_iter();
+        if let (Some(TokenTree::Ident(id)), Some(TokenTree::Group(g))) =
+            (inner.next(), inner.next())
+        {
+            if id.to_string() == "serde" && g.delimiter() == Delimiter::Parenthesis {
+                parse_serde_args(g.stream(), &mut attrs);
+            }
         }
     }
+    attrs
+}
+
+/// Panics on the first attribute key outside `allowed`, naming it.
+fn check_keys(attrs: &[Attr], allowed: &[&str], on: &str) {
+    for (key, _) in attrs {
+        if !allowed.contains(&key.as_str()) {
+            panic!("serde derive shim: unsupported attribute `#[serde({key})]` on {on}");
+        }
+    }
+}
+
+/// The value of a key that requires one (`rename = "..."`).
+fn value_of(attrs: &[Attr], key: &str) -> Option<String> {
+    attrs.iter().find(|(k, _)| k == key).map(|(_, v)| match v {
+        Some(v) => v.clone(),
+        None => panic!("serde derive shim: `{key}` needs a string value"),
+    })
 }
 
 fn skip_visibility(it: &mut Tokens) {
@@ -90,16 +186,31 @@ fn skip_to_toplevel_comma(it: &mut Tokens) -> bool {
     false
 }
 
-fn parse_named_fields(ts: TokenStream) -> Vec<String> {
+fn parse_named_fields(ts: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut it = ts.into_iter().peekable();
     loop {
-        skip_attributes(&mut it);
+        let attrs = parse_attributes(&mut it);
         if it.peek().is_none() {
             break;
         }
         skip_visibility(&mut it);
-        fields.push(expect_ident(&mut it, "field name"));
+        let name = expect_ident(&mut it, "field name");
+        check_keys(
+            &attrs,
+            &["default", "skip", "skip_serializing_if", "rename"],
+            &format!("field `{name}`"),
+        );
+        fields.push(Field {
+            key: value_of(&attrs, "rename").unwrap_or_else(|| name.clone()),
+            default: attrs
+                .iter()
+                .find(|(k, _)| k == "default")
+                .map(|(_, v)| v.clone()),
+            skip: attrs.iter().any(|(k, _)| k == "skip"),
+            skip_serializing_if: value_of(&attrs, "skip_serializing_if"),
+            name,
+        });
         match it.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             other => panic!("serde derive shim: expected `:` after field, found {other:?}"),
@@ -115,10 +226,11 @@ fn count_tuple_fields(ts: TokenStream) -> usize {
     let mut it = ts.into_iter().peekable();
     let mut count = 0usize;
     loop {
-        skip_attributes(&mut it);
+        let attrs = parse_attributes(&mut it);
         if it.peek().is_none() {
             break;
         }
+        check_keys(&attrs, &[], "a tuple field");
         count += 1;
         if !skip_to_toplevel_comma(&mut it) {
             break;
@@ -131,11 +243,12 @@ fn parse_variants(ts: TokenStream) -> Vec<Variant> {
     let mut variants = Vec::new();
     let mut it = ts.into_iter().peekable();
     loop {
-        skip_attributes(&mut it);
+        let attrs = parse_attributes(&mut it);
         if it.peek().is_none() {
             break;
         }
         let name = expect_ident(&mut it, "variant name");
+        check_keys(&attrs, &["rename"], &format!("variant `{name}`"));
         let fields = match it.peek() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let g = g.stream();
@@ -149,7 +262,11 @@ fn parse_variants(ts: TokenStream) -> Vec<Variant> {
             }
             _ => Fields::Unit,
         };
-        variants.push(Variant { name, fields });
+        variants.push(Variant {
+            tag: value_of(&attrs, "rename").unwrap_or_else(|| name.clone()),
+            name,
+            fields,
+        });
         // Skips any `= discriminant` and the trailing comma.
         if !skip_to_toplevel_comma(&mut it) {
             break;
@@ -160,37 +277,41 @@ fn parse_variants(ts: TokenStream) -> Vec<Variant> {
 
 fn parse_item(input: TokenStream) -> Item {
     let mut it = input.into_iter().peekable();
+    let mut attrs = Vec::new();
     loop {
-        skip_attributes(&mut it);
+        attrs.extend(parse_attributes(&mut it));
         skip_visibility(&mut it);
         match it.next() {
             Some(TokenTree::Ident(id)) if id.to_string() == "struct" => {
                 let name = expect_ident(&mut it, "struct name");
-                return match it.next() {
+                check_keys(
+                    &attrs,
+                    &["deny_unknown_fields"],
+                    &format!("struct `{name}`"),
+                );
+                let deny_unknown_fields = attrs.iter().any(|(k, _)| k == "deny_unknown_fields");
+                let fields = match it.next() {
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                        Item::Struct {
-                            name,
-                            fields: Fields::Named(parse_named_fields(g.stream())),
-                        }
+                        Fields::Named(parse_named_fields(g.stream()))
                     }
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                        Item::Struct {
-                            name,
-                            fields: Fields::Tuple(count_tuple_fields(g.stream())),
-                        }
+                        Fields::Tuple(count_tuple_fields(g.stream()))
                     }
-                    Some(TokenTree::Punct(p)) if p.as_char() == ';' => Item::Struct {
-                        name,
-                        fields: Fields::Unit,
-                    },
+                    Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
                     other => panic!(
                         "serde derive shim: unsupported struct body for `{name}` \
                          (generics are not supported): {other:?}"
                     ),
                 };
+                return Item::Struct {
+                    name,
+                    deny_unknown_fields,
+                    fields,
+                };
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "enum" => {
                 let name = expect_ident(&mut it, "enum name");
+                check_keys(&attrs, &[], &format!("enum `{name}`"));
                 return match it.next() {
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Item::Enum {
                         name,
@@ -210,13 +331,35 @@ fn parse_item(input: TokenStream) -> Item {
 
 fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
-    out.push_str(s); // identifiers never need escaping
+    out.push_str(s); // identifiers and attribute literals are already escaped
     out.push('"');
+}
+
+/// A `Value::Map` of the written fields. `access(f)` is an expression of
+/// type `&FieldType` for field `f`.
+fn gen_named_to_map(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let written: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+    let mut b = format!(
+        "{{ let mut __m: Vec<(String, ::serde::value::Value)> = Vec::with_capacity({});",
+        written.len()
+    );
+    for f in written {
+        let val = access(&f.name);
+        let mut push = String::from("__m.push((String::from(");
+        push_str_lit(&mut push, &f.key);
+        push.push_str(&format!("), ::serde::Serialize::to_value({val})));"));
+        match &f.skip_serializing_if {
+            Some(pred) => b.push_str(&format!("if !{pred}({val}) {{ {push} }}")),
+            None => b.push_str(&push),
+        }
+    }
+    b.push_str("::serde::value::Value::Map(__m) }");
+    b
 }
 
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
-        Item::Struct { name, fields } => {
+        Item::Struct { name, fields, .. } => {
             let body = match fields {
                 Fields::Unit => "::serde::value::Value::Null".to_string(),
                 Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
@@ -228,18 +371,7 @@ fn gen_serialize(item: &Item) -> String {
                     b.push_str("])");
                     b
                 }
-                Fields::Named(fields) => {
-                    let mut b = String::from(
-                        "{ let mut __m: Vec<(String, ::serde::value::Value)> = Vec::new();",
-                    );
-                    for f in fields {
-                        b.push_str("__m.push((String::from(");
-                        push_str_lit(&mut b, f);
-                        b.push_str(&format!("), ::serde::Serialize::to_value(&self.{f})));"));
-                    }
-                    b.push_str("::serde::value::Value::Map(__m) }");
-                    b
-                }
+                Fields::Named(fields) => gen_named_to_map(fields, |f| format!("&self.{f}")),
             };
             (name, body)
         }
@@ -251,14 +383,14 @@ fn gen_serialize(item: &Item) -> String {
                     Fields::Unit => {
                         b.push_str(&format!("{name}::{vn} => ::serde::value::Value::Str("));
                         b.push_str("String::from(");
-                        push_str_lit(&mut b, vn);
+                        push_str_lit(&mut b, &v.tag);
                         b.push_str(")),");
                     }
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
                         b.push_str(&format!("{name}::{vn}({}) => ", binds.join(",")));
                         b.push_str("::serde::value::Value::Map(vec![(String::from(");
-                        push_str_lit(&mut b, vn);
+                        push_str_lit(&mut b, &v.tag);
                         b.push_str("), ");
                         if *n == 1 {
                             b.push_str("::serde::Serialize::to_value(__f0)");
@@ -272,18 +404,13 @@ fn gen_serialize(item: &Item) -> String {
                         b.push_str(")]),");
                     }
                     Fields::Named(fields) => {
-                        b.push_str(&format!("{name}::{vn} {{ {} }} => {{", fields.join(",")));
-                        b.push_str(
-                            "let mut __m: Vec<(String, ::serde::value::Value)> = Vec::new();",
-                        );
-                        for f in fields {
-                            b.push_str("__m.push((String::from(");
-                            push_str_lit(&mut b, f);
-                            b.push_str(&format!("), ::serde::Serialize::to_value({f})));"));
-                        }
+                        let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        b.push_str(&format!("{name}::{vn} {{ {} }} => ", binds.join(",")));
                         b.push_str("::serde::value::Value::Map(vec![(String::from(");
-                        push_str_lit(&mut b, vn);
-                        b.push_str("), ::serde::value::Value::Map(__m))]) },");
+                        push_str_lit(&mut b, &v.tag);
+                        b.push_str("), ");
+                        b.push_str(&gen_named_to_map(fields, str::to_string));
+                        b.push_str(")]),");
                     }
                 }
             }
@@ -315,18 +442,45 @@ fn gen_tuple_from_seq(path: &str, n: usize, seq_expr: &str) -> String {
     b
 }
 
-fn gen_named_from_map(path: &str, fields: &[String], map_expr: &str) -> String {
+fn gen_named_from_map(path: &str, fields: &[Field], deny_unknown: bool, map_expr: &str) -> String {
     let mut b = format!(
         "{{ let __m = {map_expr}.as_map().ok_or_else(|| \
-           ::serde::de::Error::expected(\"map for {path}\"))?; \
-         ::core::result::Result::Ok({path} {{"
+           ::serde::de::Error::expected(\"map for {path}\"))?;"
     );
-    for f in fields {
+    if deny_unknown {
         b.push_str(&format!(
-            "{f}: ::serde::Deserialize::from_value(::serde::de::field(__m, "
+            "::serde::de::deny_unknown_fields(__m, \"{path}\", &["
         ));
-        push_str_lit(&mut b, f);
-        b.push_str(")?)?,");
+        for f in fields.iter().filter(|f| !f.skip) {
+            push_str_lit(&mut b, &f.key);
+            b.push(',');
+        }
+        b.push_str("])?;");
+    }
+    b.push_str(&format!("::core::result::Result::Ok({path} {{"));
+    for f in fields {
+        let name = &f.name;
+        let fallback = match &f.default {
+            Some(Some(func)) => format!("{func}()"),
+            _ => "::core::default::Default::default()".to_string(),
+        };
+        if f.skip {
+            b.push_str(&format!("{name}: {fallback},"));
+            continue;
+        }
+        let mut key = String::new();
+        push_str_lit(&mut key, &f.key);
+        if f.default.is_some() {
+            b.push_str(&format!(
+                "{name}: match ::serde::de::lookup(__m, {key}) {{ \
+                   ::core::option::Option::Some(__x) => ::serde::Deserialize::from_value(__x)?, \
+                   ::core::option::Option::None => {fallback} }},"
+            ));
+        } else {
+            b.push_str(&format!(
+                "{name}: ::serde::Deserialize::from_value(::serde::de::field(__m, {key})?)?,"
+            ));
+        }
     }
     b.push_str("}) }");
     b
@@ -334,14 +488,20 @@ fn gen_named_from_map(path: &str, fields: &[String], map_expr: &str) -> String {
 
 fn gen_deserialize(item: &Item) -> String {
     let (name, body) = match item {
-        Item::Struct { name, fields } => {
+        Item::Struct {
+            name,
+            deny_unknown_fields,
+            fields,
+        } => {
             let body = match fields {
                 Fields::Unit => format!("::core::result::Result::Ok({name})"),
                 Fields::Tuple(1) => format!(
                     "::core::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))"
                 ),
                 Fields::Tuple(n) => gen_tuple_from_seq(name, *n, "__v"),
-                Fields::Named(fields) => gen_named_from_map(name, fields, "__v"),
+                Fields::Named(fields) => {
+                    gen_named_from_map(name, fields, *deny_unknown_fields, "__v")
+                }
             };
             (name, body)
         }
@@ -351,7 +511,7 @@ fn gen_deserialize(item: &Item) -> String {
             );
             for v in variants {
                 if matches!(v.fields, Fields::Unit) {
-                    push_str_lit(&mut b, &v.name);
+                    push_str_lit(&mut b, &v.tag);
                     b.push_str(&format!(
                         " => ::core::result::Result::Ok({name}::{}),",
                         v.name
@@ -371,22 +531,22 @@ fn gen_deserialize(item: &Item) -> String {
                 match &v.fields {
                     Fields::Unit => {}
                     Fields::Tuple(1) => {
-                        push_str_lit(&mut b, &v.name);
+                        push_str_lit(&mut b, &v.tag);
                         b.push_str(&format!(
                             " => ::core::result::Result::Ok({path}( \
                                ::serde::Deserialize::from_value(__inner)?)),"
                         ));
                     }
                     Fields::Tuple(n) => {
-                        push_str_lit(&mut b, &v.name);
+                        push_str_lit(&mut b, &v.tag);
                         b.push_str(" => ");
                         b.push_str(&gen_tuple_from_seq(&path, *n, "__inner"));
                         b.push(',');
                     }
                     Fields::Named(fields) => {
-                        push_str_lit(&mut b, &v.name);
+                        push_str_lit(&mut b, &v.tag);
                         b.push_str(" => ");
-                        b.push_str(&gen_named_from_map(&path, fields, "__inner"));
+                        b.push_str(&gen_named_from_map(&path, fields, false, "__inner"));
                         b.push(',');
                     }
                 }
@@ -411,7 +571,7 @@ fn gen_deserialize(item: &Item) -> String {
 }
 
 /// Derives the shim's `serde::Serialize` for a struct or enum.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item)
@@ -420,7 +580,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives the shim's `serde::Deserialize` for a struct or enum.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_deserialize(&item)
