@@ -16,6 +16,27 @@
 //!   but stream only once all are held — the Fig. 5 acquisition pattern.
 //! * **Serialization** — the scheme's S-XB gathers RC=1 requests into a
 //!   FIFO; one packet at a time is re-emitted on all S-XB ports (Fig. 6).
+//!
+//! ## Work per step
+//!
+//! A step does work where something changed, not everywhere something
+//! exists. Four worklists and one counter are kept up to date at the events
+//! that change them, and each worklist is walked in ascending id order, the
+//! order a full scan would visit:
+//!
+//! * **Arbitration** — a port is arbitrated only after a request is queued
+//!   on it or its owner leaves; every other port with queued requests is
+//!   still held.
+//! * **Moving visits** — only live, unpaused sinks and streaming forwards
+//!   can move. A forward joins at the grant that completes its port set.
+//!   Completion checks look only at the visits that moved.
+//! * **Heads** — a buffer's front header can become visible only when it
+//!   crosses or when the run ahead of it retires. Retirement looks only at
+//!   the input ports of visits that just completed.
+//! * **Buffer credits** — each port counts the flits in its downstream
+//!   buffer: one in per flit crossing, one out per flit its front consumer
+//!   drains. Debug builds check every list and counter against a full
+//!   recount at the end of each step.
 
 use crate::observer::{SimObserver, WaitSnapshot};
 use crate::result::{
@@ -79,9 +100,8 @@ enum StepEffect {
     /// A flit moved or a packet element settled: resets the watchdog.
     Progress,
     /// Nothing moved, but engine state changed (an injection, a new
-    /// downstream visit, an S-XB emission, a grant, a `streaming` flip, a
-    /// purged stale request or a first-blocked mark), so the next step
-    /// may differ.
+    /// downstream visit, an S-XB emission, a grant or a first-blocked
+    /// mark), so the next step may differ.
     Changed,
     /// Nothing changed: every later step repeats this one until a
     /// clock-driven event (see [`Simulator::fixed_point_exit`]).
@@ -206,8 +226,9 @@ struct Visit {
 ///
 /// The unconditional part is a handful of integer adds per executed step —
 /// noise next to the step itself. The per-phase `Instant` reads are gated
-/// behind `timing` ([`Simulator::set_phase_timing`]) because three clock
-/// reads per cycle are measurable on short runs.
+/// behind `timing` ([`Simulator::set_phase_timing`]) because four clock
+/// reads per executed step (two around the source pull, two around the
+/// step) are measurable on short runs.
 #[derive(Debug, Default)]
 struct Profiler {
     /// Wall clock accumulated across `run_phase` calls.
@@ -243,6 +264,25 @@ struct PacketRt {
     /// (graph node id, header-arrival cycle) per hop — interned into the
     /// run-level name table by `collect_result`.
     route: Vec<(u32, u64)>,
+    /// Listed in `victim_log` since the last `take_new_victims`.
+    victim_logged: bool,
+}
+
+/// A flit that may cross a branch's port this cycle: (visit, branch,
+/// channel, lane).
+type BranchMove = (u32, u32, ChannelId, u8);
+
+/// Buffers one step reuses from the last, so a step allocates nothing.
+#[derive(Debug, Default)]
+struct StepScratch {
+    branch_moves: Vec<BranchMove>,
+    /// Lane winners when a link carries more than one lane.
+    lane_winners: Vec<BranchMove>,
+    sink_moves: Vec<u32>,
+    /// Visits that moved this step, the only completion candidates.
+    moved: Vec<u32>,
+    /// Input ports of the visits that completed this step.
+    retire: Vec<u32>,
 }
 
 /// The simulator. Feed it a schedule with [`Simulator::schedule`], then call
@@ -278,8 +318,20 @@ pub struct Simulator {
     chan_resident: Vec<VecDeque<(u32, u32)>>,
     /// The downstream visit consuming the front resident run, if created.
     chan_downstream: Vec<Option<u32>>,
-    request_chans: BTreeSet<u32>,
-    resident_chans: BTreeSet<u32>,
+    /// Flits in each port's downstream buffer: one in per flit crossing,
+    /// one out per flit the front consumer drains. Always equals
+    /// [`Simulator::occupancy`].
+    buffered: Vec<u32>,
+    /// Ports to arbitrate next step: a request was queued on them or their
+    /// owner left. Any other port with queued requests has an owner.
+    arb_ports: Vec<u32>,
+    /// Ports whose front run's header may have become visible: it crossed,
+    /// or the run ahead of it retired.
+    head_ports: Vec<u32>,
+    /// Ids of the live, unpaused sinks and streaming forwards — the only
+    /// visits that can move — in ascending order.
+    moving: Vec<u32>,
+    scratch: StepScratch,
     /// Per physical channel: the lane served last cycle (round-robin share
     /// of the link's one-flit-per-cycle bandwidth).
     chan_last_vc: Vec<u8>,
@@ -351,8 +403,11 @@ impl Simulator {
             chan_requests: vec![VecDeque::new(); ports],
             chan_resident: vec![VecDeque::new(); ports],
             chan_downstream: vec![None; ports],
-            request_chans: BTreeSet::new(),
-            resident_chans: BTreeSet::new(),
+            buffered: vec![0; ports],
+            arb_ports: Vec::new(),
+            head_ports: Vec::new(),
+            moving: Vec::new(),
+            scratch: StepScratch::default(),
             chan_last_vc: vec![0; channels],
             serial_queue: VecDeque::new(),
             emission_active: None,
@@ -390,8 +445,8 @@ impl Simulator {
     }
 
     /// Enables per-phase wall-clock timing in the self-profile
-    /// ([`EngineProfile::phases`]). Off by default: the split needs three
-    /// monotonic-clock reads per engine cycle, which is measurable on
+    /// ([`EngineProfile::phases`]). Off by default: the split needs four
+    /// monotonic-clock reads per executed step, which is measurable on
     /// short runs (the aggregate counters are always on and cost a few
     /// integer adds). A runtime setter rather than a [`SimConfig`] field
     /// so replayable scenario tokens never encode it.
@@ -432,6 +487,7 @@ impl Simulator {
             deliveries: Vec::new(),
             dropped: None,
             route: Vec::new(),
+            victim_logged: false,
         });
         id
     }
@@ -549,7 +605,8 @@ impl Simulator {
         }
     }
 
-    /// Total flits currently in the port's downstream buffer.
+    /// Total flits currently in the port's downstream buffer, recounted
+    /// from the resident runs: what `buffered` tracks incrementally.
     fn occupancy(&self, port: usize) -> usize {
         let total: usize = self.chan_resident[port]
             .iter()
@@ -652,9 +709,10 @@ impl Simulator {
     }
 
     fn log_victim(&mut self, packet: u32) {
-        let id = PacketId(packet);
-        if !self.victim_log.contains(&id) {
-            self.victim_log.push(id);
+        let p = &mut self.packets[packet as usize];
+        if !p.victim_logged {
+            p.victim_logged = true;
+            self.victim_log.push(PacketId(packet));
         }
     }
 
@@ -737,12 +795,16 @@ impl Simulator {
         let total = self.packets[packet as usize].spec.flits;
         let idx = self.visits.len() as u32;
         if !paused {
-            if let VKind::Forward { branches, .. } = &kind {
-                for (bi, b) in branches.iter().enumerate() {
-                    let port = self.port(b.channel, b.vc);
-                    self.chan_requests[port].push_back((idx, bi as u32, self.now));
-                    self.request_chans.insert(port as u32);
+            match &kind {
+                VKind::Forward { branches, .. } => {
+                    for (bi, b) in branches.iter().enumerate() {
+                        let port = self.port(b.channel, b.vc);
+                        self.chan_requests[port].push_back((idx, bi as u32, self.now));
+                        self.arb_ports.push(port as u32);
+                    }
                 }
+                // The newest id: `moving` stays ascending.
+                VKind::Sink { .. } => self.moving.push(idx),
             }
         }
         self.visits.push(Visit {
@@ -769,6 +831,7 @@ impl Simulator {
     fn step(&mut self) -> StepEffect {
         let mut progress = false;
         let mut changed = false;
+        let mut s = std::mem::take(&mut self.scratch);
 
         // 1. Injections due this cycle (unless the epoch protocol has the
         //    gate closed).
@@ -806,9 +869,12 @@ impl Simulator {
         }
 
         // 2. Create downstream visits where a header flit sits at a buffer
-        //    head.
-        let heads: Vec<u32> = self.resident_chans.iter().copied().collect();
-        for port in heads {
+        //    head. Only a port whose front header crossed, or whose front
+        //    run retired, since the last look can qualify.
+        let mut heads = std::mem::take(&mut self.head_ports);
+        heads.sort_unstable();
+        heads.dedup();
+        for &port in &heads {
             let pu = port as usize;
             if self.chan_downstream[pu].is_some() {
                 continue;
@@ -832,6 +898,9 @@ impl Simulator {
             );
             changed = true;
         }
+        heads.clear();
+        debug_assert!(self.head_ports.is_empty());
+        self.head_ports = heads;
 
         // 3. S-XB emission: strictly one broadcast at a time, in order of
         //    arrival (paper Fig. 6 step 2).
@@ -904,15 +973,15 @@ impl Simulator {
         }
 
         // 4. Arbitration: grant free ports oldest-request-first, breaking
-        //    same-cycle ties with the seeded per-port hash.
-        let pending: Vec<u32> = self.request_chans.iter().copied().collect();
-        for port in pending {
+        //    same-cycle ties with the seeded per-port hash. Only ports on
+        //    the worklist can change: every other port with queued requests
+        //    still has its owner, and its requests are already marked
+        //    blocked.
+        let mut ports = std::mem::take(&mut self.arb_ports);
+        ports.sort_unstable();
+        ports.dedup();
+        for &port in &ports {
             let pu = port as usize;
-            // Purge stale requests from visits that were dropped.
-            let visits = &self.visits;
-            let queued = self.chan_requests[pu].len();
-            self.chan_requests[pu].retain(|&(vidx, _, _)| !visits[vidx as usize].complete);
-            changed |= self.chan_requests[pu].len() != queued;
             if self.chan_owner[pu].is_none() {
                 let seed = self.cfg.arb_seed;
                 let winner = self.chan_requests[pu]
@@ -940,18 +1009,30 @@ impl Simulator {
                     };
                     self.chan_owner[pu] = Some((vidx, bidx));
                     self.chan_resident[pu].push_back((vidx, bidx));
-                    self.resident_chans.insert(port);
                     // The run holds the packet open until it drains out of
-                    // the downstream buffer (step 9), so a packet can never
+                    // the downstream buffer (step 8), so a packet can never
                     // look finished while flits are queued behind another
                     // packet's resident run.
                     let packet = self.visits[vidx as usize].packet;
                     self.packets[packet as usize].open += 1;
                     let mut was_blocked = None;
-                    if let VKind::Forward { branches, .. } = &mut self.visits[vidx as usize].kind {
+                    let mut flipped = false;
+                    if let VKind::Forward {
+                        branches,
+                        streaming,
+                    } = &mut self.visits[vidx as usize].kind
+                    {
                         let b = &mut branches[bidx as usize];
                         b.granted = true;
                         was_blocked = b.blocked_since.take();
+                        // A forward visit streams once every port is held.
+                        if branches.iter().all(|b| b.granted) {
+                            *streaming = true;
+                            flipped = true;
+                        }
+                    }
+                    if flipped {
+                        self.join_moving(vidx);
                     }
                     if let (Some(since), Some(obs)) = (was_blocked, self.observer.as_deref_mut()) {
                         let ch = ChannelId((pu / self.vcs) as u32);
@@ -965,11 +1046,8 @@ impl Simulator {
             if self.observer.is_some() && !self.chan_requests[pu].is_empty() {
                 let holder =
                     self.chan_owner[pu].map(|(ovi, _)| PacketId(self.visits[ovi as usize].packet));
-                let waiting: Vec<(u32, u32)> = self.chan_requests[pu]
-                    .iter()
-                    .map(|&(v, b, _)| (v, b))
-                    .collect();
-                for (vidx, bidx) in waiting {
+                for i in 0..self.chan_requests[pu].len() {
+                    let (vidx, bidx, _) = self.chan_requests[pu][i];
                     let packet = self.visits[vidx as usize].packet;
                     let mut newly = false;
                     if let VKind::Forward { branches, .. } = &mut self.visits[vidx as usize].kind {
@@ -989,46 +1067,17 @@ impl Simulator {
                     }
                 }
             }
-            if self.chan_requests[pu].is_empty() {
-                self.request_chans.remove(&port);
-            }
         }
+        ports.clear();
+        debug_assert!(self.arb_ports.is_empty());
+        self.arb_ports = ports;
 
-        // 5. Streaming: a forward visit streams once every port is held.
-        for &vi in &self.active {
-            let v = &mut self.visits[vi as usize];
-            if v.paused {
-                continue;
-            }
-            if let VKind::Forward {
-                branches,
-                streaming,
-            } = &mut v.kind
-            {
-                if !*streaming && branches.iter().all(|b| b.granted) {
-                    *streaming = true;
-                    changed = true;
-                }
-            }
-        }
-
-        // 6. Collect moves against the start-of-cycle state.
-        let mut branch_moves: Vec<(u32, u32, ChannelId, u8)> = Vec::new();
-        let mut sink_moves: Vec<u32> = Vec::new();
-        for &vi in &self.active {
+        // 5. Collect moves against the start-of-cycle state.
+        for &vi in &self.moving {
             let v = &self.visits[vi as usize];
-            if v.complete || v.paused {
-                continue;
-            }
             let avail = self.avail(v);
             match &v.kind {
-                VKind::Forward {
-                    branches,
-                    streaming,
-                } => {
-                    if !*streaming {
-                        continue;
-                    }
+                VKind::Forward { branches, .. } => {
                     // A source visit (injection or S-XB emission) reads the
                     // packet from local memory once and copies each flit to
                     // all its ports in lockstep — one stalled port
@@ -1043,83 +1092,102 @@ impl Simulator {
                         if b.crossed >= v.total || b.crossed >= avail || b.crossed >= lockstep {
                             continue;
                         }
-                        if self.occupancy(self.port(b.channel, b.vc)) < self.cfg.buffer_flits {
-                            branch_moves.push((vi, bi as u32, b.channel, b.vc));
+                        let port = self.port(b.channel, b.vc);
+                        if (self.buffered[port] as usize) < self.cfg.buffer_flits {
+                            s.branch_moves.push((vi, bi as u32, b.channel, b.vc));
                         }
                     }
                 }
                 VKind::Sink { consumed, .. } => {
                     if *consumed < v.total && *consumed < avail {
-                        sink_moves.push(vi);
+                        s.sink_moves.push(vi);
                     }
                 }
             }
         }
 
-        // 7. Apply moves; the physical link carries one flit per cycle,
+        // 6. Apply moves; the physical link carries one flit per cycle,
         //    shared round-robin among its lanes; release ports whose tail
         //    just crossed.
-        let selected: Vec<(u32, u32, ChannelId, u8)> = if self.vcs == 1 {
-            branch_moves
-        } else {
-            let mut by_channel: HashMap<u32, Vec<(u32, u32, ChannelId, u8)>> = HashMap::new();
-            for m in branch_moves {
-                by_channel.entry(m.2 .0).or_default().push(m);
-            }
-            let mut chans: Vec<u32> = by_channel.keys().copied().collect();
-            chans.sort_unstable();
-            let mut picked = Vec::with_capacity(chans.len());
-            for ch in chans {
-                let cands = &by_channel[&ch];
-                let last = self.chan_last_vc[ch as usize];
-                let vcs = self.vcs as u8;
-                let win = cands
+        if self.vcs > 1 {
+            // Only a port's owner streams across it, so each (channel,
+            // lane) has at most one move: the sort order is total, and
+            // sorting in place allocates nothing.
+            s.branch_moves.sort_unstable_by_key(|m| (m.2, m.3));
+            let vcs = self.vcs as u8;
+            for cands in s.branch_moves.chunk_by(|a, b| a.2 == b.2) {
+                debug_assert!(cands.windows(2).all(|w| w[0].3 < w[1].3));
+                let ch = cands[0].2.idx();
+                let last = self.chan_last_vc[ch];
+                let win = *cands
                     .iter()
                     .min_by_key(|&&(_, _, _, vc)| (vc + vcs - last - 1) % vcs)
-                    .copied()
-                    .expect("non-empty candidate set");
-                self.chan_last_vc[ch as usize] = win.3;
-                picked.push(win);
+                    .expect("chunks are non-empty");
+                self.chan_last_vc[ch] = win.3;
+                s.lane_winners.push(win);
             }
-            picked
-        };
-        for (vi, bi, ch, vc) in selected {
-            let total = self.visits[vi as usize].total;
+            std::mem::swap(&mut s.branch_moves, &mut s.lane_winners);
+        }
+        for &(vi, bi, ch, vc) in &s.branch_moves {
             let port = self.port(ch, vc);
-            if let VKind::Forward { branches, .. } = &mut self.visits[vi as usize].kind {
-                let b = &mut branches[bi as usize];
-                b.crossed += 1;
-                if b.crossed == total {
-                    // Tail crossed: the output port frees (cut-through).
-                    debug_assert_eq!(self.chan_owner[port], Some((vi, bi)));
-                    self.chan_owner[port] = None;
-                }
+            let v = &mut self.visits[vi as usize];
+            let (total, in_port) = (v.total, v.in_port);
+            let VKind::Forward { branches, .. } = &mut v.kind else {
+                unreachable!("branch moves come from forward visits")
+            };
+            let old = branches[bi as usize].crossed;
+            // The fan drains a flit from its input buffer when its slowest
+            // branch advances.
+            let drained = in_port.filter(|_| {
+                branches
+                    .iter()
+                    .enumerate()
+                    .all(|(j, b)| j == bi as usize || b.crossed > old)
+            });
+            branches[bi as usize].crossed = old + 1;
+            if old == 0 {
+                // The header crossed: the next switch may see it next step.
+                self.head_ports.push(port as u32);
             }
+            if old + 1 == total {
+                // Tail crossed: the output port frees (cut-through).
+                debug_assert_eq!(self.chan_owner[port], Some((vi, bi)));
+                self.chan_owner[port] = None;
+                self.arb_ports.push(port as u32);
+            }
+            if let Some(q) = drained {
+                self.buffered[q as usize] -= 1;
+            }
+            self.buffered[port] += 1;
             self.chan_flits[ch.idx()] += 1;
             self.port_flits[port] += 1;
             self.flit_hops += 1;
-            if self.observer.is_some() {
-                let occupancy = self.occupancy(port);
-                if let Some(obs) = self.observer.as_deref_mut() {
-                    obs.on_flit(ch, vc, occupancy, self.now);
-                }
+            if let Some(obs) = self.observer.as_deref_mut() {
+                obs.on_flit(ch, vc, self.buffered[port] as usize, self.now);
             }
+            s.moved.push(vi);
             progress = true;
         }
-        for vi in sink_moves {
-            if let VKind::Sink { consumed, .. } = &mut self.visits[vi as usize].kind {
+        for &vi in &s.sink_moves {
+            let v = &mut self.visits[vi as usize];
+            if let VKind::Sink { consumed, .. } = &mut v.kind {
                 *consumed += 1;
             }
+            if let Some(q) = v.in_port {
+                self.buffered[q as usize] -= 1;
+            }
+            s.moved.push(vi);
             progress = true;
         }
 
-        // 8. Completions.
-        let active_snapshot = self.active.clone();
-        for &vi in &active_snapshot {
+        // 7. Completions. A visit finishes only by moving, so only this
+        //    step's movers are checked, in ascending id order.
+        let mut finished = false;
+        s.moved.sort_unstable();
+        s.moved.dedup();
+        for &vi in &s.moved {
             let v = &self.visits[vi as usize];
-            if v.complete || v.paused {
-                continue;
-            }
+            let in_port = v.in_port;
             match &v.kind {
                 VKind::Sink { consumed, sink } if *consumed == v.total => {
                     let packet = v.packet;
@@ -1149,8 +1217,6 @@ impl Simulator {
                             }
                         }
                     }
-                    self.complete_visit(vi);
-                    progress = true;
                 }
                 VKind::Forward { branches, .. }
                     if branches.iter().all(|b| b.crossed == v.total) =>
@@ -1158,41 +1224,48 @@ impl Simulator {
                     if self.emission_active == Some(vi) {
                         self.emission_active = None;
                     }
-                    self.complete_visit(vi);
-                    progress = true;
                 }
-                _ => {}
+                _ => continue,
             }
+            self.complete_visit(vi);
+            s.retire.extend(in_port);
+            finished = true;
+            progress = true;
         }
 
-        // 9. Retire fully-drained front runs so the next resident packet's
-        //    header becomes visible.
-        let residents: Vec<u32> = self.resident_chans.iter().copied().collect();
-        for port in residents {
+        // 8. Retire the front runs the completed visits drained, so the
+        //    next resident packet's header becomes visible.
+        s.retire.sort_unstable();
+        for &port in &s.retire {
             let pu = port as usize;
-            let Some(d) = self.chan_downstream[pu] else {
-                continue;
-            };
-            if self.visits[d as usize].complete {
-                let run = self.chan_resident[pu]
-                    .pop_front()
-                    .expect("front run exists while its visit is live");
-                debug_assert_eq!(
-                    self.visits[run.0 as usize].packet,
-                    self.visits[d as usize].packet
-                );
-                self.chan_downstream[pu] = None;
-                if self.chan_resident[pu].is_empty() {
-                    self.resident_chans.remove(&port);
-                }
-                self.dec_open(self.visits[run.0 as usize].packet);
-                progress = true;
+            let run = self.chan_resident[pu]
+                .pop_front()
+                .expect("front run exists while its visit is live");
+            debug_assert_eq!(
+                self.chan_downstream[pu].map(|d| self.visits[d as usize].packet),
+                Some(self.visits[run.0 as usize].packet)
+            );
+            self.chan_downstream[pu] = None;
+            if !self.chan_resident[pu].is_empty() {
+                self.head_ports.push(port);
             }
+            self.dec_open(self.visits[run.0 as usize].packet);
         }
 
-        // Prune the active list.
-        let visits = &self.visits;
-        self.active.retain(|&vi| !visits[vi as usize].complete);
+        if finished {
+            let visits = &self.visits;
+            self.active.retain(|&vi| !visits[vi as usize].complete);
+            self.moving.retain(|&vi| !visits[vi as usize].complete);
+        }
+
+        s.branch_moves.clear();
+        s.lane_winners.clear();
+        s.sink_moves.clear();
+        s.moved.clear();
+        s.retire.clear();
+        self.scratch = s;
+        #[cfg(debug_assertions)]
+        self.check_worklists();
 
         if progress {
             StepEffect::Progress
@@ -1201,6 +1274,68 @@ impl Simulator {
         } else {
             StepEffect::Fixed
         }
+    }
+
+    /// Debug builds: checks the incremental step state against a full
+    /// recount at the end of every step.
+    #[cfg(debug_assertions)]
+    fn check_worklists(&self) {
+        for port in 0..self.buffered.len() {
+            assert_eq!(
+                self.buffered[port] as usize,
+                self.occupancy(port),
+                "buffer credits of {} drifted",
+                self.describe_port(port)
+            );
+            let requests = &self.chan_requests[port];
+            assert!(
+                requests.is_empty()
+                    || self.chan_owner[port].is_some()
+                    || self.arb_ports.contains(&(port as u32)),
+                "{} has requests but neither an owner nor an arbitration slot",
+                self.describe_port(port)
+            );
+            assert!(
+                requests
+                    .iter()
+                    .all(|&(vi, _, _)| !self.visits[vi as usize].complete),
+                "a complete visit still requests {}",
+                self.describe_port(port)
+            );
+            let visible = self.chan_resident[port]
+                .front()
+                .is_some_and(|&run| self.branch(run).crossed > 0);
+            assert!(
+                !visible
+                    || self.chan_downstream[port].is_some()
+                    || self.head_ports.contains(&(port as u32)),
+                "{} hides a visible header",
+                self.describe_port(port)
+            );
+        }
+        assert!(
+            self.moving.windows(2).all(|w| w[0] < w[1]),
+            "moving visits out of order"
+        );
+        let movers = self.active.iter().copied().filter(|&vi| {
+            let v = &self.visits[vi as usize];
+            !v.complete
+                && !v.paused
+                && match &v.kind {
+                    VKind::Forward { streaming, .. } => *streaming,
+                    VKind::Sink { .. } => true,
+                }
+        });
+        assert!(
+            movers.eq(self.moving.iter().copied()),
+            "moving visits differ from the live streaming ones"
+        );
+    }
+
+    /// Adds a visit that can now move to `moving`, keeping it ascending.
+    fn join_moving(&mut self, vi: u32) {
+        let pos = self.moving.partition_point(|&m| m < vi);
+        self.moving.insert(pos, vi);
     }
 
     fn complete_visit(&mut self, vi: u32) {
@@ -1626,7 +1761,11 @@ impl Simulator {
     /// activation-time victims plus packets victimized afterwards (their
     /// next hop entered the dead region while draining).
     pub fn take_new_victims(&mut self) -> Vec<PacketId> {
-        std::mem::take(&mut self.victim_log)
+        let log = std::mem::take(&mut self.victim_log);
+        for id in &log {
+            self.packets[id.0 as usize].victim_logged = false;
+        }
+        log
     }
 
     /// The packet's schedule entry.
@@ -1738,11 +1877,18 @@ impl Simulator {
             }
         }
 
+        // Evacuation rewrote buffers: recount the credits, and let every
+        // buffer show its (possibly new) front header to the next step.
+        for port in 0..self.buffered.len() {
+            self.buffered[port] = self.occupancy(port) as u32;
+            if !self.chan_resident[port].is_empty() {
+                self.head_ports.push(port as u32);
+            }
+        }
+
         let out: Vec<PacketId> = victims.iter().map(|&p| PacketId(p)).collect();
         for &p in &out {
-            if !self.victim_log.contains(&p) {
-                self.victim_log.push(p);
-            }
+            self.log_victim(p.0);
         }
         let now = self.now;
         if let Some(obs) = self.observer.as_deref_mut() {
@@ -1768,20 +1914,18 @@ impl Simulator {
         let mut released_runs = 0u32;
         for &(port, bi) in &branch_ports {
             self.chan_requests[port].retain(|&(v, b, _)| !(v == vi && b == bi));
-            if self.chan_requests[port].is_empty() {
-                self.request_chans.remove(&(port as u32));
-            }
             if self.chan_owner[port] == Some((vi, bi)) {
                 self.chan_owner[port] = None;
+                self.arb_ports.push(port as u32);
             }
             let before = self.chan_resident[port].len();
             self.chan_resident[port].retain(|&run| run != (vi, bi));
             released_runs += (before - self.chan_resident[port].len()) as u32;
-            if self.chan_resident[port].is_empty() {
-                self.resident_chans.remove(&(port as u32));
-            }
         }
         self.packets[packet as usize].open -= released_runs;
+        if let Ok(pos) = self.moving.binary_search(&vi) {
+            self.moving.remove(pos);
+        }
         let v = &mut self.visits[vi as usize];
         v.kind = VKind::Forward {
             branches: Vec::new(),
@@ -1807,7 +1951,9 @@ impl Simulator {
             }
         }
         let mut closed_visits = 0u32;
-        for vi in 0..self.visits.len() as u32 {
+        // `active` holds every visit that is not complete, in id order.
+        for i in 0..self.active.len() {
+            let vi = self.active[i];
             if self.visits[vi as usize].packet != pid || self.visits[vi as usize].complete {
                 continue;
             }
@@ -1826,11 +1972,9 @@ impl Simulator {
             };
             for (port, bi) in branch_ports {
                 self.chan_requests[port].retain(|&(v, b, _)| !(v == vi && b == bi));
-                if self.chan_requests[port].is_empty() {
-                    self.request_chans.remove(&(port as u32));
-                }
                 if self.chan_owner[port] == Some((vi, bi)) {
                     self.chan_owner[port] = None;
+                    self.arb_ports.push(port as u32);
                 }
             }
             let v = &mut self.visits[vi as usize];
@@ -1840,16 +1984,11 @@ impl Simulator {
         }
         // Flush resident runs (buffered flits) of the packet everywhere.
         let mut flushed_runs = 0u32;
-        let resident_ports: Vec<u32> = self.resident_chans.iter().copied().collect();
-        for port in resident_ports {
-            let pu = port as usize;
-            let visits = &self.visits;
-            let before = self.chan_resident[pu].len();
-            self.chan_resident[pu].retain(|&(v, _)| visits[v as usize].packet != pid);
-            flushed_runs += (before - self.chan_resident[pu].len()) as u32;
-            if self.chan_resident[pu].is_empty() {
-                self.resident_chans.remove(&port);
-            }
+        let visits = &self.visits;
+        for runs in &mut self.chan_resident {
+            let before = runs.len();
+            runs.retain(|&(v, _)| visits[v as usize].packet != pid);
+            flushed_runs += (before - runs.len()) as u32;
         }
         let expected = closed_visits + flushed_runs + removed_slots;
         if self.packets[pid as usize].open != expected {
@@ -1875,6 +2014,7 @@ impl Simulator {
         }
         let visits = &self.visits;
         self.active.retain(|&vi| !visits[vi as usize].complete);
+        self.moving.retain(|&vi| !visits[vi as usize].complete);
     }
 
     /// Replaces the routing function (the reprogram step). The engine must
@@ -1939,12 +2079,15 @@ impl Simulator {
                     kind
                 }
             };
-            if let VKind::Forward { branches, .. } = &kind {
-                for (bi, b) in branches.iter().enumerate() {
-                    let port = self.port(b.channel, b.vc);
-                    self.chan_requests[port].push_back((vi, bi as u32, self.now));
-                    self.request_chans.insert(port as u32);
+            match &kind {
+                VKind::Forward { branches, .. } => {
+                    for (bi, b) in branches.iter().enumerate() {
+                        let port = self.port(b.channel, b.vc);
+                        self.chan_requests[port].push_back((vi, bi as u32, self.now));
+                        self.arb_ports.push(port as u32);
+                    }
                 }
+                VKind::Sink { .. } => self.join_moving(vi),
             }
             let epoch = self.current_epoch;
             let v = &mut self.visits[vi as usize];

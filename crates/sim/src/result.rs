@@ -286,8 +286,9 @@ pub struct EngineProfile {
     /// Simulated cycles (same as `SimStats::cycles`, duplicated so the
     /// profile is self-contained for metric export).
     pub cycles: u64,
-    /// Engine loop iterations actually executed (each one touches every
-    /// in-flight packet).
+    /// Engine loop iterations actually executed. Each one works on what
+    /// changed since the last: ports that gained a request or lost their
+    /// owner, visits that can move, and buffers whose front changed.
     pub steps: u64,
     /// Executed steps that made no progress: no flit moved and no packet
     /// element (visit, buffered run) settled.
