@@ -1,6 +1,6 @@
 # Convenience targets for the SR2201 reproduction.
 
-.PHONY: test experiments trajectory sentinel bench examples doc clippy lint campaign campaign-smoke metrics-demo metrics-serve-demo reconfig-demo reconfig-smoke attribution-smoke serve-smoke tournament-smoke health-smoke spans-demo bench-serve all
+.PHONY: test experiments trajectory sentinel bench examples doc clippy lint campaign campaign-smoke metrics-demo metrics-serve-demo reconfig-demo reconfig-smoke attribution-smoke serve-smoke tournament-smoke health-smoke spans-demo all
 
 test:
 	cargo test --workspace
@@ -9,7 +9,8 @@ experiments: trajectory
 	cargo run --release -p mdx-bench --bin experiments -- --json results all
 
 # Append one metric snapshot each to BENCH_fig9.json / BENCH_fig10.json /
-# BENCH_serve.json / BENCH_tournament.json and diff against the previous run.
+# BENCH_tournament.json and judge each grown file with the sentinel (an
+# identical snapshot is skipped, not appended).
 trajectory:
 	cargo run --release -p mdx-bench --bin experiments -- trajectory --dir .
 
@@ -133,10 +134,5 @@ spans-demo:
 			--span-log target/spans-demo.jsonl --span-sample 1
 	target/release/campaign spans target/spans-demo.jsonl \
 		--perfetto target/spans-demo-perfetto.json
-
-# In-process service throughput: tokens/sec cold, cache-hit latency hot.
-# Exits nonzero when a duplicate token misses the cache.
-bench-serve:
-	cargo run --release -p mdx-serve -- bench-serve --tokens 100
 
 all: test experiments bench doc

@@ -5,43 +5,56 @@
 //! experiments fig5-bc-deadlock fig6-sxb-broadcast
 //! experiments --list
 //! experiments --json results/ all
-//! experiments trajectory --dir .          # append BENCH_fig9/fig10 snapshots
+//! experiments trajectory --dir .          # append BENCH_*.json snapshots
 //! experiments trajectory --fail-on-regression
 //! experiments sentinel --dir .            # median/MAD scan of BENCH_*.json
-//! experiments sentinel --min-points 6 --mad-k 3.0 file.json
+//! experiments sentinel file.json
 //! ```
 
-use mdx_bench::{experiment_ids, run_experiment};
+use mdx_bench::{experiment_ids, run_experiment, TrajectoryEntry};
 use std::io::Write;
+use std::path::Path;
 
-/// `experiments trajectory [--dir DIR] [--threshold FRAC] [--fail-on-regression]`:
-/// runs the scaled-down fig9/fig10 sweeps, the serve-mode session, and
-/// the default cross-scheme tournament grid, appends one snapshot each to
-/// `BENCH_fig9.json` / `BENCH_fig10.json` / `BENCH_serve.json` /
-/// `BENCH_tournament.json` under DIR, and prints the diff against the
-/// previous snapshot. Every snapshot records the sweep's wall-clock
-/// seconds (reported here, never diffed).
-fn cmd_trajectory(args: &[String]) -> ! {
+/// A sweep that measures one trajectory entry.
+type Snapshot = fn() -> TrajectoryEntry;
+
+/// The trajectory series and the sweep that extends each.
+const SERIES: [(&str, Snapshot); 3] = [
+    ("BENCH_fig9.json", mdx_bench::snapshot_fig9),
+    ("BENCH_fig10.json", mdx_bench::snapshot_fig10),
+    ("BENCH_tournament.json", mdx_bench::snapshot_tournament),
+];
+
+/// Splits `--dir DIR` (default `.`) off a subcommand's arguments.
+fn take_dir(args: &[String]) -> (String, Vec<&str>) {
     let mut dir = ".".to_string();
-    let mut threshold = mdx_bench::DEFAULT_THRESHOLD;
-    let mut fail_on_regression = false;
+    let mut rest = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dir" => match it.next() {
-                Some(d) => dir = d.clone(),
-                None => {
-                    eprintln!("--dir requires a directory");
-                    std::process::exit(2);
-                }
-            },
-            "--threshold" => match it.next().and_then(|t| t.parse::<f64>().ok()) {
-                Some(t) => threshold = t,
-                None => {
-                    eprintln!("--threshold requires a fraction (e.g. 0.10)");
-                    std::process::exit(2);
-                }
-            },
+        if a != "--dir" {
+            rest.push(a.as_str());
+        } else if let Some(d) = it.next() {
+            dir = d.clone();
+        } else {
+            eprintln!("--dir requires a directory");
+            std::process::exit(2);
+        }
+    }
+    (dir, rest)
+}
+
+/// `experiments trajectory [--dir DIR] [--fail-on-regression]`: runs the
+/// scaled-down fig9/fig10 sweeps and the default cross-scheme tournament
+/// grid, appends one snapshot each to `BENCH_fig9.json` /
+/// `BENCH_fig10.json` / `BENCH_tournament.json` under DIR, and prints the
+/// sentinel's report on each grown file, or that the append was skipped
+/// because the snapshot equals the file's last entry. Every snapshot
+/// records the sweep's wall-clock seconds (reported here, never judged).
+fn cmd_trajectory(args: &[String]) -> ! {
+    let (dir, rest) = take_dir(args);
+    let mut fail_on_regression = false;
+    for a in rest {
+        match a {
             "--fail-on-regression" => fail_on_regression = true,
             other => {
                 eprintln!("unknown trajectory flag: {other}");
@@ -51,74 +64,45 @@ fn cmd_trajectory(args: &[String]) -> ! {
     }
     std::fs::create_dir_all(&dir).expect("create trajectory dir");
     let mut regressions = 0usize;
-    for (file, entry) in [
-        ("BENCH_fig9.json", mdx_bench::snapshot_fig9()),
-        ("BENCH_fig10.json", mdx_bench::snapshot_fig10()),
-        ("BENCH_serve.json", mdx_bench::snapshot_serve()),
-        ("BENCH_tournament.json", mdx_bench::snapshot_tournament()),
-    ] {
-        let path = std::path::Path::new(&dir).join(file);
-        let wall = entry.wall_clock_s;
-        let diff = mdx_bench::append_snapshot(&path, entry, threshold).expect("append snapshot");
-        print!("{}", diff.render());
+    for (file, snapshot) in SERIES {
+        let entry = snapshot();
+        let path = Path::new(&dir).join(file);
+        let (figure, wall) = (entry.figure.clone(), entry.wall_clock_s);
+        match mdx_bench::append_snapshot(&path, entry).expect("append snapshot") {
+            Some(report) => {
+                print!("{}", report.render());
+                regressions += report.regressions;
+            }
+            None => println!("{figure}: snapshot identical to the previous entry; append skipped"),
+        }
         println!("  -> {} (sweep took {wall:.1}s)", path.display());
-        regressions += diff.regressions;
     }
     if fail_on_regression && regressions > 0 {
-        eprintln!("trajectory: {regressions} regression(s) beyond threshold");
+        eprintln!("trajectory: {regressions} confirmed regression(s)");
         std::process::exit(1);
     }
     std::process::exit(0);
 }
 
-/// `experiments sentinel [--dir DIR] [--min-points N] [--mad-k K]
-/// [--rel-floor F] [FILE..]`: scans each trajectory file (explicit FILEs,
-/// or the four `BENCH_*.json` under DIR, skipping absent ones) with the
-/// median/MAD changepoint detector and exits nonzero on any confirmed
-/// regression. Unlike `trajectory`, this runs no sweeps — it judges the
-/// committed history as it stands, so CI can gate on it cheaply.
+/// `experiments sentinel [--dir DIR] [FILE..]`: scans each trajectory file
+/// (explicit FILEs, or the `BENCH_*.json` series under DIR, skipping
+/// absent ones) with the median/MAD changepoint detector and exits nonzero
+/// on any confirmed regression. Unlike `trajectory`, this runs no sweeps —
+/// it judges the committed history as it stands, so CI can gate on it
+/// cheaply.
 fn cmd_sentinel(args: &[String]) -> ! {
-    let mut dir = ".".to_string();
-    let mut cfg = mdx_bench::SentinelConfig::default();
+    let (dir, rest) = take_dir(args);
     let mut files: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    let missing = |flag: &str, what: &str| -> ! {
-        eprintln!("{flag} requires {what}");
-        std::process::exit(2);
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dir" => match it.next() {
-                Some(d) => dir = d.clone(),
-                None => missing("--dir", "a directory"),
-            },
-            "--min-points" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.min_points = n,
-                None => missing("--min-points", "a count"),
-            },
-            "--mad-k" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(k) => cfg.mad_k = k,
-                None => missing("--mad-k", "a number (e.g. 4.0)"),
-            },
-            "--rel-floor" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) => cfg.rel_floor = f,
-                None => missing("--rel-floor", "a fraction (e.g. 0.05)"),
-            },
-            other if !other.starts_with("--") => files.push(other.to_string()),
-            other => {
-                eprintln!("unknown sentinel flag: {other}");
-                std::process::exit(2);
-            }
+    for a in rest {
+        if a.starts_with("--") {
+            eprintln!("unknown sentinel flag: {a}");
+            std::process::exit(2);
         }
+        files.push(a.to_string());
     }
     if files.is_empty() {
-        for f in [
-            "BENCH_fig9.json",
-            "BENCH_fig10.json",
-            "BENCH_serve.json",
-            "BENCH_tournament.json",
-        ] {
-            let p = std::path::Path::new(&dir).join(f);
+        for (f, _) in SERIES {
+            let p = Path::new(&dir).join(f);
             if p.exists() {
                 files.push(p.display().to_string());
             }
@@ -130,7 +114,7 @@ fn cmd_sentinel(args: &[String]) -> ! {
     }
     let mut regressions = 0usize;
     for f in &files {
-        match mdx_bench::scan_path(std::path::Path::new(f), &cfg) {
+        match mdx_bench::scan_path(Path::new(f)) {
             Ok(report) => {
                 print!("{}", report.render());
                 regressions += report.regressions;

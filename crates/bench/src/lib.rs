@@ -23,13 +23,10 @@ use mdx_topology::NetworkGraph;
 use std::sync::Arc;
 
 pub use report::Table;
-pub use sentinel::{
-    scan_file, scan_path, MetricVerdict, SentinelConfig, SentinelReport, DEFAULT_MAD_K,
-    DEFAULT_MIN_POINTS, DEFAULT_REL_FLOOR,
-};
+pub use sentinel::{scan_file, scan_path, MetricVerdict, SentinelReport};
 pub use trajectory::{
-    append_snapshot, snapshot_fig10, snapshot_fig9, snapshot_serve, snapshot_tournament,
-    MetricDelta, TrajectoryDiff, TrajectoryEntry, TrajectoryFile, DEFAULT_THRESHOLD,
+    append_snapshot, snapshot_fig10, snapshot_fig9, snapshot_tournament, TrajectoryEntry,
+    TrajectoryFile,
 };
 
 /// Runs one schedule to completion and returns the result.

@@ -1,63 +1,62 @@
 //! Bench-trajectory regression sentinel: median/MAD changepoint detection
-//! over committed `BENCH_*.json` files.
+//! over `BENCH_*.json` files — the one detector that judges them.
 //!
-//! The per-append diff in [`crate::trajectory`] only compares the last
-//! two snapshots — a slow drift, or a regression that lands together with
-//! a noisy baseline entry, slips through. The sentinel looks at the whole
-//! series instead: for each diffed metric it takes the **median** and
-//! **MAD** (median absolute deviation) of every entry but the last, then
-//! asks whether the latest entry deviates from that robust baseline by
-//! more than `mad_k` floored MADs *in the metric's bad direction*
-//! (throughput falling, deadlocks rising — the same direction table the
-//! trajectory diff uses).
+//! `experiments sentinel` runs it over the committed files, and
+//! [`crate::append_snapshot`] runs it on every file it grows. For each
+//! judged metric it takes the **median** and **MAD** (median absolute
+//! deviation) of every entry but the last, then asks whether the latest
+//! entry deviates from that robust baseline by more than [`MAD_K`]
+//! floored MADs *in the metric's bad direction* (throughput falling,
+//! deadlocks rising — see [`METRICS`]). Looking at the whole series
+//! catches a slow drift, or a regression that lands together with a noisy
+//! baseline entry, which a two-point comparison would miss.
 //!
 //! Median/MAD (rather than mean/stddev) keeps one historical outlier from
 //! inflating the tolerance band; the floors keep a perfectly flat history
 //! (MAD = 0, common for deterministic sweeps) from flagging floating-point
 //! dust:
 //!
-//! - the MAD is floored at `rel_floor * |median|` — a deviation also has
-//!   to be *relatively* large to count;
+//! - the MAD is floored at [`REL_FLOOR`] `* |median|` — a deviation also
+//!   has to be *relatively* large to count;
 //! - and at a tiny absolute epsilon, so an all-zero series (deadlock rate
 //!   in a healthy file) only flags when deadlocks genuinely appear.
 //!
-//! Files shorter than `min_points` entries are skipped, not failed — a
+//! Files shorter than [`MIN_POINTS`] entries are skipped, not failed — a
 //! fresh trajectory has no baseline to regress against.
 
-use crate::trajectory::{metric_value, TrajectoryFile, METRICS};
+use crate::trajectory::{read_file, TrajectoryEntry, TrajectoryFile};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
 
-/// Default minimum series length before the sentinel judges a file.
-pub const DEFAULT_MIN_POINTS: usize = 4;
-/// Default tolerance band, in floored MADs (~2.7 sigma for normal noise).
-pub const DEFAULT_MAD_K: f64 = 4.0;
-/// Default relative MAD floor, as a fraction of the baseline median.
-pub const DEFAULT_REL_FLOOR: f64 = 0.05;
+/// Entries a series needs before its latest one is judged.
+pub const MIN_POINTS: usize = 4;
+/// Tolerance band, in floored MADs (~2.7 sigma for normal noise).
+pub const MAD_K: f64 = 4.0;
+/// Relative MAD floor, as a fraction of the baseline median.
+pub const REL_FLOOR: f64 = 0.05;
 
 /// Absolute MAD floor: deviations below this never flag, no matter how
 /// flat the baseline.
 const ABS_FLOOR: f64 = 1e-9;
 
-/// Sentinel tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SentinelConfig {
-    /// Entries a series needs before the latest one is judged.
-    pub min_points: usize,
-    /// Tolerance band in floored MADs.
-    pub mad_k: f64,
-    /// Relative MAD floor (fraction of the baseline median).
-    pub rel_floor: f64,
-}
+/// The judged metrics and their bad direction: `true` = higher is worse.
+pub const METRICS: &[(&str, bool)] = &[
+    ("deadlock_rate", true),
+    ("completed_rate", false),
+    ("throughput", false),
+    ("mean_latency", true),
+    ("p95_latency", true),
+];
 
-impl Default for SentinelConfig {
-    fn default() -> SentinelConfig {
-        SentinelConfig {
-            min_points: DEFAULT_MIN_POINTS,
-            mad_k: DEFAULT_MAD_K,
-            rel_floor: DEFAULT_REL_FLOOR,
-        }
+fn metric_value(e: &TrajectoryEntry, name: &str) -> f64 {
+    match name {
+        "deadlock_rate" => e.deadlock_rate,
+        "completed_rate" => e.completed_rate,
+        "throughput" => e.throughput,
+        "mean_latency" => e.mean_latency,
+        "p95_latency" => e.p95_latency,
+        _ => unreachable!("unknown trajectory metric {name}"),
     }
 }
 
@@ -77,7 +76,7 @@ pub struct MetricVerdict {
     /// Deviation in floored MADs, counted only in the bad direction
     /// (0 when the latest value moved the healthy way).
     pub score: f64,
-    /// `score > mad_k`: a confirmed regression.
+    /// `score > MAD_K`: a confirmed regression.
     pub regression: bool,
 }
 
@@ -88,7 +87,7 @@ pub struct SentinelReport {
     pub figure: String,
     /// Entries in the file.
     pub entries: usize,
-    /// True when the series was shorter than `min_points` and judgment
+    /// True when the series was shorter than [`MIN_POINTS`] and judgment
     /// was skipped.
     pub skipped: bool,
     /// Per-metric verdicts (empty when skipped).
@@ -144,9 +143,9 @@ fn median(vals: &mut [f64]) -> f64 {
 }
 
 /// Scans one in-memory trajectory file.
-pub fn scan_file(file: &TrajectoryFile, cfg: &SentinelConfig) -> SentinelReport {
+pub fn scan_file(file: &TrajectoryFile) -> SentinelReport {
     let n = file.entries.len();
-    if n < cfg.min_points.max(2) {
+    if n < MIN_POINTS {
         return SentinelReport {
             figure: file.figure.clone(),
             entries: n,
@@ -164,7 +163,7 @@ pub fn scan_file(file: &TrajectoryFile, cfg: &SentinelConfig) -> SentinelReport 
         let med = median(&mut vals);
         let mut devs: Vec<f64> = baseline.iter().map(|v| (v - med).abs()).collect();
         let mad = median(&mut devs);
-        let floor = mad.max(cfg.rel_floor * med.abs()).max(ABS_FLOOR);
+        let floor = mad.max(REL_FLOOR * med.abs()).max(ABS_FLOOR);
         let deviation = latest - med;
         let bad_dev = if higher_is_worse {
             deviation
@@ -179,7 +178,7 @@ pub fn scan_file(file: &TrajectoryFile, cfg: &SentinelConfig) -> SentinelReport 
             latest,
             deviation,
             score,
-            regression: score > cfg.mad_k,
+            regression: score > MAD_K,
         });
     }
     let regressions = verdicts.iter().filter(|v| v.regression).count();
@@ -193,17 +192,13 @@ pub fn scan_file(file: &TrajectoryFile, cfg: &SentinelConfig) -> SentinelReport 
 }
 
 /// Reads and scans a trajectory file on disk.
-pub fn scan_path(path: &Path, cfg: &SentinelConfig) -> io::Result<SentinelReport> {
-    let body = std::fs::read_to_string(path)?;
-    let file: TrajectoryFile = serde_json::from_str(&body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{path:?}: {e}")))?;
-    Ok(scan_file(&file, cfg))
+pub fn scan_path(path: &Path) -> io::Result<SentinelReport> {
+    read_file(path).map(|file| scan_file(&file))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trajectory::TrajectoryEntry;
 
     fn entry(throughput: f64, deadlock_rate: f64, mean_latency: f64) -> TrajectoryEntry {
         TrajectoryEntry {
@@ -234,7 +229,7 @@ mod tests {
     #[test]
     fn short_series_is_skipped_not_failed() {
         let f = file(vec![entry(2.0, 0.0, 40.0)]);
-        let r = scan_file(&f, &SentinelConfig::default());
+        let r = scan_file(&f);
         assert!(r.skipped);
         assert_eq!(r.regressions, 0);
         assert!(r.render().contains("too short"));
@@ -249,7 +244,7 @@ mod tests {
             .map(|&t| entry(t, 0.0, 40.0))
             .collect();
         entries.push(entry(1.0, 0.25, 41.0));
-        let r = scan_file(&file(entries), &SentinelConfig::default());
+        let r = scan_file(&file(entries));
         assert!(!r.skipped);
         let by_name = |n: &str| r.verdicts.iter().find(|v| v.metric == n).unwrap();
         assert!(by_name("throughput").regression, "{r:?}");
@@ -268,7 +263,7 @@ mod tests {
         // direction gate and the MAD floors both hold.
         let mut entries: Vec<TrajectoryEntry> = (0..6).map(|_| entry(2.0, 0.0, 40.0)).collect();
         entries.push(entry(3.0, 0.0, 40.0));
-        let r = scan_file(&file(entries), &SentinelConfig::default());
+        let r = scan_file(&file(entries));
         assert_eq!(r.regressions, 0, "{r:?}");
         assert!(r.verdicts.iter().all(|v| v.score == 0.0 || !v.regression));
     }
@@ -283,7 +278,7 @@ mod tests {
             .map(|&t| entry(t, 0.0, 40.0))
             .collect();
         entries.push(entry(1.0, 0.0, 40.0));
-        let r = scan_file(&file(entries), &SentinelConfig::default());
+        let r = scan_file(&file(entries));
         let tp = r
             .verdicts
             .iter()
@@ -304,7 +299,7 @@ mod tests {
             .map(|i| entry(2.0 + 0.01 * i as f64, 0.0, 40.0))
             .collect();
         std::fs::write(&path, serde_json::to_string_pretty(&file(entries)).unwrap()).unwrap();
-        let r = scan_path(&path, &SentinelConfig::default()).unwrap();
+        let r = scan_path(&path).unwrap();
         assert!(!r.skipped);
         assert_eq!(r.regressions, 0);
         let _ = std::fs::remove_file(&path);

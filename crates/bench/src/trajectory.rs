@@ -1,18 +1,20 @@
-//! Cross-run bench trajectory: append-only metric snapshots with
-//! regression diffs.
+//! Cross-run bench trajectory: append-only metric snapshots, judged by the
+//! regression sentinel.
 //!
-//! A *trajectory file* (`BENCH_fig9.json`, `BENCH_fig10.json`) accumulates
-//! one [`TrajectoryEntry`] per invocation of the `experiments trajectory`
-//! subcommand: throughput, latency, deadlock rate, and S-XB utilization of
-//! a scaled-down Fig. 9 / Fig. 10 sweep. [`append_snapshot`] appends the
-//! new entry and diffs it against the previous one, flagging any metric
-//! that moved in its bad direction by more than a threshold — so a perf or
+//! A *trajectory file* (`BENCH_fig9.json`, `BENCH_fig10.json`,
+//! `BENCH_tournament.json`) accumulates one [`TrajectoryEntry`] per
+//! invocation of the `experiments trajectory` subcommand: throughput,
+//! latency, deadlock rate, and S-XB utilization of a scaled-down sweep.
+//! [`append_snapshot`] appends the new entry and judges the grown file
+//! with the sentinel ([`crate::sentinel::scan_file`]), so a perf or
 //! correctness regression shows up as a trajectory kink in CI, not as a
 //! silent drift discovered figures later.
 //!
-//! Wall-clock timestamps are recorded for humans but excluded from the
-//! diff: two snapshots of the same commit compare clean.
+//! Wall-clock timestamps and timings are recorded for humans but never
+//! judged: two snapshots of the same commit are one measurement, and the
+//! second is not appended.
 
+use crate::sentinel::{scan_file, SentinelReport};
 use mdx_campaign::{run_campaign_with, CampaignResult, ObsOptions, Scenario, Workload};
 use mdx_fault::{enumerate_single_faults, FaultSite};
 use mdx_sim::SortedLatencies;
@@ -23,10 +25,6 @@ use std::io;
 use std::path::Path;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// Default regression threshold: a metric moving more than this fraction
-/// in its bad direction flags the diff.
-pub const DEFAULT_THRESHOLD: f64 = 0.10;
-
 /// One metric snapshot of a figure-level sweep.
 ///
 /// Columns added after the first release are `#[serde(default)]`, so the
@@ -34,15 +32,15 @@ pub const DEFAULT_THRESHOLD: f64 = 0.10;
 /// zero-filled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrajectoryEntry {
-    /// Which sweep this snapshot measures (`fig9`, `fig10`, `serve`,
+    /// Which sweep this snapshot measures (`fig9`, `fig10`,
     /// `tournament`).
     pub figure: String,
     /// Wall-clock seconds since the epoch when the snapshot ran. For
-    /// humans reading the file; **never** compared by the diff.
+    /// humans reading the file; **never** judged.
     pub recorded_at_epoch_s: u64,
     /// Wall-clock seconds the sweep itself took. Timing is machine- and
     /// load-dependent, so like the timestamp it is recorded for humans and
-    /// excluded from both the regression diff and duplicate detection —
+    /// excluded from both the sentinel and duplicate detection —
     /// back-to-back runs of one commit must still compare clean.
     #[serde(default)]
     pub wall_clock_s: f64,
@@ -69,25 +67,24 @@ pub struct TrajectoryEntry {
     /// Sweep-wide engine idle-tick fraction (idle ticks / ticks, summed
     /// over every row's self-profile). Deterministic per token set, so it
     /// participates in duplicate detection — but it has no inherent bad
-    /// direction, so it is tracked, not regression-diffed.
+    /// direction, so it is tracked, not judged.
     #[serde(default)]
     pub idle_tick_fraction: f64,
     /// Simulated cycles per wall-clock second across the sweep (total
     /// cycles / total engine run-loop seconds). Machine-dependent: like
     /// `wall_clock_s`, recorded for humans and excluded from both the
-    /// regression diff and duplicate detection.
+    /// sentinel and duplicate detection.
     #[serde(default)]
     pub cycles_per_sec: f64,
-    /// 99th-percentile `queue` span duration over the serve session's
-    /// kept traces, in seconds. Span-derived wall-clock timing is
-    /// machine- and load-dependent, so like `wall_clock_s` it is recorded
-    /// for humans and excluded from both the regression diff and
-    /// duplicate detection. Zero for non-serve figures.
+    /// 99th-percentile `queue` span duration of a serve session, in
+    /// seconds. No snapshot records a serve session (the repo benchmark's
+    /// `serve` workload times the service), so this is always zero; the
+    /// column stays so every committed series keeps one shape. Never
+    /// judged, and excluded from duplicate detection.
     #[serde(default)]
     pub p99_queue_wait_s: f64,
-    /// 99th-percentile `run` span duration (engine execution, wall clock)
-    /// over the serve session's kept traces, in seconds. Machine-
-    /// dependent like `p99_queue_wait_s`; zero for non-serve figures.
+    /// 99th-percentile `run` span duration of a serve session, in seconds;
+    /// always zero, like `p99_queue_wait_s`.
     #[serde(default)]
     pub p99_engine_run_s: f64,
 }
@@ -99,128 +96,6 @@ pub struct TrajectoryFile {
     pub figure: String,
     /// Snapshots, oldest first.
     pub entries: Vec<TrajectoryEntry>,
-}
-
-/// One metric's movement between the two most recent snapshots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricDelta {
-    /// Metric name (field name of [`TrajectoryEntry`]).
-    pub metric: String,
-    /// Previous snapshot's value.
-    pub previous: f64,
-    /// New snapshot's value.
-    pub current: f64,
-    /// Signed relative change (`(current - previous) / |previous|`; a full
-    /// `1.0` when rising from exactly zero).
-    pub delta: f64,
-    /// Whether the movement exceeds the threshold *in the metric's bad
-    /// direction* (throughput/completion falling; latency/deadlocks
-    /// rising).
-    pub regression: bool,
-}
-
-/// The result of appending a snapshot: the diff against the previous one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrajectoryDiff {
-    /// The figure diffed.
-    pub figure: String,
-    /// True when this was the file's first entry (nothing to diff).
-    pub first: bool,
-    /// Per-metric movements (empty on the first entry).
-    pub deltas: Vec<MetricDelta>,
-    /// Number of flagged regressions.
-    pub regressions: usize,
-    /// True when the new snapshot was measurement-identical to the file's
-    /// last entry (timestamp excluded) and the append was skipped — the
-    /// file never accumulates byte-duplicate consecutive entries.
-    pub duplicate: bool,
-}
-
-impl TrajectoryDiff {
-    /// Renders the diff as an aligned text block.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        if self.first {
-            out.push_str(&format!(
-                "{}: first snapshot recorded (no previous entry to diff)\n",
-                self.figure
-            ));
-            return out;
-        }
-        if self.duplicate {
-            out.push_str(&format!(
-                "{}: snapshot identical to the previous entry; append skipped\n",
-                self.figure
-            ));
-            return out;
-        }
-        out.push_str(&format!(
-            "{} trajectory diff (vs previous entry):\n",
-            self.figure
-        ));
-        for d in &self.deltas {
-            out.push_str(&format!(
-                "  {:<16} {:>10.4} -> {:>10.4}  ({:+.1}%){}\n",
-                d.metric,
-                d.previous,
-                d.current,
-                d.delta * 100.0,
-                if d.regression { "  << REGRESSION" } else { "" }
-            ));
-        }
-        if self.regressions > 0 {
-            out.push_str(&format!("  {} regression(s) flagged\n", self.regressions));
-        }
-        out
-    }
-}
-
-/// Bad direction of each diffed metric: `true` = higher is worse. The
-/// sentinel (`crate::sentinel`) scans the same metric set with the same
-/// direction convention.
-pub(crate) const METRICS: &[(&str, bool)] = &[
-    ("deadlock_rate", true),
-    ("completed_rate", false),
-    ("throughput", false),
-    ("mean_latency", true),
-    ("p95_latency", true),
-];
-
-pub(crate) fn metric_value(e: &TrajectoryEntry, name: &str) -> f64 {
-    match name {
-        "deadlock_rate" => e.deadlock_rate,
-        "completed_rate" => e.completed_rate,
-        "throughput" => e.throughput,
-        "mean_latency" => e.mean_latency,
-        "p95_latency" => e.p95_latency,
-        "sxb_util" => e.sxb_util,
-        _ => unreachable!("unknown trajectory metric {name}"),
-    }
-}
-
-fn diff_entries(prev: &TrajectoryEntry, cur: &TrajectoryEntry, threshold: f64) -> Vec<MetricDelta> {
-    METRICS
-        .iter()
-        .map(|&(name, higher_is_worse)| {
-            let previous = metric_value(prev, name);
-            let current = metric_value(cur, name);
-            let delta = if previous.abs() > f64::EPSILON {
-                (current - previous) / previous.abs()
-            } else if current.abs() > f64::EPSILON {
-                1.0
-            } else {
-                0.0
-            };
-            let bad_move = if higher_is_worse { delta } else { -delta };
-            MetricDelta {
-                metric: name.to_string(),
-                previous,
-                current,
-                delta,
-                regression: bad_move > threshold,
-            }
-        })
-        .collect()
 }
 
 /// Reduces a campaign sweep into a trajectory entry.
@@ -325,7 +200,6 @@ fn summarize(figure: &str, result: &CampaignResult) -> TrajectoryEntry {
         } else {
             0.0
         },
-        // Stamped by `snapshot_serve`, which owns the span collector.
         p99_queue_wait_s: 0.0,
         p99_engine_run_s: 0.0,
     }
@@ -400,108 +274,6 @@ pub fn snapshot_fig10() -> TrajectoryEntry {
     let start = Instant::now();
     let mut e = summarize("fig10", &run_campaign_with(scenarios, &metrics_opts()));
     e.wall_clock_s = start.elapsed().as_secs_f64();
-    e
-}
-
-/// 99th-percentile of a set of span durations (nearest-rank on the
-/// sorted set, matching [`SortedLatencies`]' index convention).
-fn p99_of(mut vals: Vec<f64>) -> f64 {
-    if vals.is_empty() {
-        return 0.0;
-    }
-    vals.sort_by(|a, b| a.partial_cmp(b).expect("finite span durations"));
-    vals[(vals.len() - 1) * 99 / 100]
-}
-
-/// A serve-mode sweep: the fig10-style token set pushed through one
-/// resident [`mdx_serve::Service`] — every token cold, then every token
-/// again as a duplicate that must come back from the result cache. The
-/// diffed metrics are row metrics (deterministic per token set); the
-/// session's timing lands in `wall_clock_s`, and the session runs fully
-/// traced (sample rate 1.0) so the span-derived tail columns
-/// `p99_queue_wait_s` / `p99_engine_run_s` come from real request spans.
-///
-/// # Panics
-/// Panics when a request errors or a duplicate misses the cache — either
-/// means the service layer itself regressed, which is exactly what this
-/// snapshot exists to catch.
-pub fn snapshot_serve() -> TrajectoryEntry {
-    use mdx_serve::{Request, Response, ServeConfig, Service};
-    let net = MdCrossbar::build(Shape::fig2());
-    let mut sites: Vec<Option<FaultSite>> = vec![None];
-    sites.extend(enumerate_single_faults(&net).into_iter().map(Some));
-    let tokens: Vec<String> = sites
-        .iter()
-        .map(|site| {
-            Scenario::new(
-                vec![4, 3],
-                "sr2201",
-                Workload::Mixed {
-                    pattern: TrafficPattern::UniformRandom,
-                    rate: 0.02,
-                    packet_flits: 12,
-                    window: 200,
-                    broadcast_rate: 0.002,
-                },
-                1,
-            )
-            .with_faults(*site)
-            .token()
-        })
-        .collect();
-
-    let start = Instant::now();
-    let service = Service::new(&ServeConfig {
-        span_sample: Some(1.0),
-        ..ServeConfig::default()
-    });
-    // Drive the full line protocol (not `handle` directly) so each request
-    // opens a root span with the queue/cache/run/serialize children the
-    // tail columns are computed from.
-    let run_line = |token: &str, trace: String| -> Response {
-        let line = serde_json::to_string(&Request::run(token).with_trace(trace)).expect("request");
-        let body = service.process_line(&line, Instant::now());
-        serde_json::from_str(&body).expect("response parses")
-    };
-    let reports: Vec<_> = tokens
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let resp = run_line(t, format!("traj-cold-{i}"));
-            assert!(!resp.is_error(), "serve snapshot: {:?}", resp.error);
-            resp.row.expect("row body")
-        })
-        .collect();
-    for (i, t) in tokens.iter().enumerate() {
-        let resp = run_line(t, format!("traj-dup-{i}"));
-        assert_eq!(resp.cached, Some(true), "duplicate token missed the cache");
-    }
-    // Tail timings over every kept trace (rate 1.0 keeps them all): the
-    // `queue` child is scheduler wait, the `run` child is wall-clock
-    // engine execution. Durations are in microseconds.
-    let (mut queue_s, mut run_s) = (Vec::new(), Vec::new());
-    for trace in service.spans().expect("span collector").kept_traces() {
-        for s in &trace {
-            if s.unit == mdx_obs::SpanUnit::Micros {
-                let secs = s.duration() as f64 / 1e6;
-                match s.name.as_str() {
-                    "queue" => queue_s.push(secs),
-                    "run" => run_s.push(secs),
-                    _ => {}
-                }
-            }
-        }
-    }
-    let mut e = summarize(
-        "serve",
-        &CampaignResult {
-            reports,
-            skipped: Vec::new(),
-        },
-    );
-    e.wall_clock_s = start.elapsed().as_secs_f64();
-    e.p99_queue_wait_s = p99_of(queue_s);
-    e.p99_engine_run_s = p99_of(run_s);
     e
 }
 
@@ -589,63 +361,42 @@ fn same_measurement(a: &TrajectoryEntry, b: &TrajectoryEntry) -> bool {
         && a.idle_tick_fraction == b.idle_tick_fraction
 }
 
+/// Reads and parses a trajectory file.
+pub(crate) fn read_file(path: &Path) -> io::Result<TrajectoryFile> {
+    let body = std::fs::read_to_string(path)?;
+    serde_json::from_str(&body)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{path:?}: {e}")))
+}
+
 /// Appends `entry` to the trajectory file at `path` (creating it when
-/// absent), writes the file back, and returns the diff against the
-/// previously last entry.
+/// absent), writes the file back, and returns the sentinel's report on
+/// the grown file.
 ///
 /// An entry that is measurement-identical to the file's last one (only
 /// the timestamp differing) is **not** appended — deterministic sweeps
 /// re-run on the same commit would otherwise pile up byte-duplicate
-/// consecutive entries. The returned diff has
-/// [`TrajectoryDiff::duplicate`] set and zero regressions.
-pub fn append_snapshot(
-    path: &Path,
-    entry: TrajectoryEntry,
-    threshold: f64,
-) -> io::Result<TrajectoryDiff> {
-    let mut file = match std::fs::read_to_string(path) {
-        Ok(body) => serde_json::from_str::<TrajectoryFile>(&body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{path:?}: {e}")))?,
+/// consecutive entries — and `None` is returned.
+pub fn append_snapshot(path: &Path, entry: TrajectoryEntry) -> io::Result<Option<SentinelReport>> {
+    let mut file = match read_file(path) {
+        Ok(file) => file,
         Err(e) if e.kind() == io::ErrorKind::NotFound => TrajectoryFile {
             figure: entry.figure.clone(),
             entries: Vec::new(),
         },
         Err(e) => return Err(e),
     };
-    let diff = match file.entries.last() {
-        Some(prev) if same_measurement(prev, &entry) => {
-            return Ok(TrajectoryDiff {
-                figure: entry.figure.clone(),
-                first: false,
-                deltas: Vec::new(),
-                regressions: 0,
-                duplicate: true,
-            });
-        }
-        Some(prev) => {
-            let deltas = diff_entries(prev, &entry, threshold);
-            let regressions = deltas.iter().filter(|d| d.regression).count();
-            TrajectoryDiff {
-                figure: entry.figure.clone(),
-                first: false,
-                deltas,
-                regressions,
-                duplicate: false,
-            }
-        }
-        None => TrajectoryDiff {
-            figure: entry.figure.clone(),
-            first: true,
-            deltas: Vec::new(),
-            regressions: 0,
-            duplicate: false,
-        },
-    };
+    if file
+        .entries
+        .last()
+        .is_some_and(|prev| same_measurement(prev, &entry))
+    {
+        return Ok(None);
+    }
     file.entries.push(entry);
     let body = serde_json::to_string_pretty(&file)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     std::fs::write(path, body)?;
-    Ok(diff)
+    Ok(Some(scan_file(&file)))
 }
 
 #[cfg(test)]
@@ -732,6 +483,11 @@ mod tests {
         assert_eq!(e.mean_latency, e.p95_latency);
     }
 
+    /// Whether the sentinel judges `metric`.
+    fn judged(metric: &str) -> bool {
+        crate::sentinel::METRICS.iter().any(|&(m, _)| m == metric)
+    }
+
     fn entry(figure: &str, throughput: f64, deadlock_rate: f64) -> TrajectoryEntry {
         TrajectoryEntry {
             figure: figure.to_string(),
@@ -752,44 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn append_creates_then_diffs_and_flags_direction() {
-        let path = std::env::temp_dir().join(format!(
-            "mdx-trajectory-test-{}-{:?}.json",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-
-        let d1 = append_snapshot(&path, entry("fig9", 2.0, 0.5), 0.10).unwrap();
-        assert!(d1.first);
-        assert_eq!(d1.regressions, 0);
-
-        // Throughput collapses, deadlocks rise, and (derived) completion
-        // falls: all three flagged.
-        let d2 = append_snapshot(&path, entry("fig9", 1.0, 0.8), 0.10).unwrap();
-        assert!(!d2.first);
-        assert_eq!(d2.regressions, 3);
-        let by_name = |n: &str| d2.deltas.iter().find(|d| d.metric == n).unwrap().clone();
-        assert!(by_name("throughput").regression);
-        assert!(by_name("deadlock_rate").regression);
-        assert!(by_name("completed_rate").regression);
-        assert!(!by_name("mean_latency").regression);
-        assert!(d2.render().contains("REGRESSION"));
-
-        // Throughput *rising* and deadlocks *falling* is improvement, not
-        // regression.
-        let d3 = append_snapshot(&path, entry("fig9", 3.0, 0.1), 0.10).unwrap();
-        assert_eq!(d3.regressions, 0);
-
-        // The file accumulated all three entries and round-trips.
-        let file: TrajectoryFile =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(file.entries.len(), 3);
-        assert_eq!(file.figure, "fig9");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn duplicate_consecutive_snapshot_is_skipped() {
         let path = std::env::temp_dir().join(format!(
             "mdx-trajectory-dup-test-{}-{:?}.json",
@@ -798,25 +516,21 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
 
-        let first = append_snapshot(&path, entry("fig9", 2.0, 0.5), 0.10).unwrap();
-        assert!(first.first && !first.duplicate);
+        let first = append_snapshot(&path, entry("fig9", 2.0, 0.5)).unwrap();
+        assert!(first.is_some_and(|r| r.skipped && r.entries == 1));
 
         // Same measurement, different wall clock: skipped, not appended.
         let mut again = entry("fig9", 2.0, 0.5);
         again.recorded_at_epoch_s = 12345;
-        let dup = append_snapshot(&path, again, 0.10).unwrap();
-        assert!(dup.duplicate);
-        assert_eq!(dup.regressions, 0);
-        assert!(dup.deltas.is_empty());
-        assert!(dup.render().contains("append skipped"));
+        assert_eq!(append_snapshot(&path, again).unwrap(), None);
 
         let file: TrajectoryFile =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(file.entries.len(), 1);
 
-        // A genuinely new measurement still appends and diffs.
-        let moved = append_snapshot(&path, entry("fig9", 3.0, 0.5), 0.10).unwrap();
-        assert!(!moved.duplicate && !moved.first);
+        // A genuinely new measurement still appends and is judged.
+        let moved = append_snapshot(&path, entry("fig9", 3.0, 0.5)).unwrap();
+        assert!(moved.is_some_and(|r| r.entries == 2));
         let file: TrajectoryFile =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(file.entries.len(), 2);
@@ -845,13 +559,12 @@ mod tests {
         let mut slower = stamped.clone();
         slower.wall_clock_s = 9.75;
         assert!(same_measurement(&stamped, &slower));
-        // And it is not a diffed metric: no delta mentions it.
-        let deltas = diff_entries(&stamped, &slower, 0.10);
-        assert!(deltas.iter().all(|d| d.metric != "wall_clock_s"));
+        // And the sentinel never judges it.
+        assert!(!judged("wall_clock_s"));
 
         // The span-derived tail columns behave the same way: lenient on
         // legacy files (parsed as 0.0 above), excluded from duplicate
-        // detection, and never diffed.
+        // detection, and never judged.
         assert_eq!(e.p99_queue_wait_s, 0.0);
         assert_eq!(e.p99_engine_run_s, 0.0);
         let mut tails = stamped.clone();
@@ -862,10 +575,7 @@ mod tests {
             serde_json::from_str(&serde_json::to_string(&tails).unwrap()).unwrap();
         assert_eq!(back.p99_queue_wait_s, 0.125);
         assert_eq!(back.p99_engine_run_s, 0.5);
-        let deltas = diff_entries(&stamped, &tails, 0.10);
-        assert!(deltas
-            .iter()
-            .all(|d| d.metric != "p99_queue_wait_s" && d.metric != "p99_engine_run_s"));
+        assert!(!judged("p99_queue_wait_s") && !judged("p99_engine_run_s"));
     }
 
     #[test]
@@ -905,8 +615,7 @@ mod tests {
         let mut y = x.clone();
         y.cycles_per_sec = 9.0e6;
         assert!(same_measurement(&x, &y));
-        let deltas = diff_entries(&x, &y, 0.10);
-        assert!(deltas.iter().all(|d| d.metric != "cycles_per_sec"));
+        assert!(!judged("cycles_per_sec"));
         // ...while the idle-tick fraction is a real measurement.
         let mut z = x.clone();
         z.idle_tick_fraction = 0.9;
@@ -919,15 +628,5 @@ mod tests {
         let e: TrajectoryEntry = serde_json::from_str(legacy).unwrap();
         assert_eq!(e.idle_tick_fraction, 0.0);
         assert_eq!(e.cycles_per_sec, 0.0);
-    }
-
-    #[test]
-    fn zero_baseline_rise_counts_as_full_move() {
-        let prev = entry("fig10", 1.0, 0.0);
-        let cur = entry("fig10", 1.0, 0.25);
-        let deltas = diff_entries(&prev, &cur, 0.10);
-        let dl = deltas.iter().find(|d| d.metric == "deadlock_rate").unwrap();
-        assert_eq!(dl.delta, 1.0);
-        assert!(dl.regression);
     }
 }

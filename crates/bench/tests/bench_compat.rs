@@ -1,20 +1,18 @@
 //! Schema/compat contract for the committed `BENCH_*.json` trajectory
 //! files: every committed file (including rows written by older releases
 //! that lack newer columns) must keep parsing leniently, timestamps must
-//! stay monotonic under append, and the regression sentinel must come up
-//! clean on the history as committed — so a PR that breaks the format, or
-//! one that lands a real perf/correctness regression, fails here rather
-//! than in a figure run weeks later.
+//! stay monotonic under append, the regression sentinel must come up
+//! clean on the history as committed, and an append must be judged
+//! exactly as the sentinel judges the grown file — so a PR that breaks the
+//! format, or one that lands a real perf/correctness regression, fails
+//! here rather than in a figure run weeks later.
 
-use mdx_bench::{
-    append_snapshot, scan_file, scan_path, SentinelConfig, TrajectoryEntry, TrajectoryFile,
-};
+use mdx_bench::{append_snapshot, scan_file, scan_path, TrajectoryEntry, TrajectoryFile};
 use std::path::{Path, PathBuf};
 
 const BENCH_FILES: &[&str] = &[
     "BENCH_fig9.json",
     "BENCH_fig10.json",
-    "BENCH_serve.json",
     "BENCH_tournament.json",
 ];
 
@@ -87,8 +85,8 @@ fn committed_timestamps_are_monotonic_and_appends_keep_them_so() {
         let mut next = last.clone();
         next.recorded_at_epoch_s = last.recorded_at_epoch_s + 60;
         next.throughput *= 1.01; // a new measurement, not a duplicate
-        let diff = append_snapshot(&tmp, next, 0.10).unwrap();
-        assert!(!diff.first && !diff.duplicate, "{name}");
+        let report = append_snapshot(&tmp, next).unwrap();
+        assert!(report.is_some(), "{name}: a new measurement was skipped");
         let back: TrajectoryFile =
             serde_json::from_str(&std::fs::read_to_string(&tmp).unwrap()).unwrap();
         assert_eq!(back.entries.len(), file.entries.len() + 1, "{name}");
@@ -164,10 +162,8 @@ fn committed_fig9_entries_reserialize_as_golden() {
 
 #[test]
 fn sentinel_is_clean_on_the_committed_history() {
-    let cfg = SentinelConfig::default();
     for (name, file) in committed_files() {
-        let report =
-            scan_path(&repo_root().join(&name), &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = scan_path(&repo_root().join(&name)).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
             report.regressions,
             0,
@@ -175,6 +171,64 @@ fn sentinel_is_clean_on_the_committed_history() {
             report.render()
         );
         // The path and in-memory scans agree.
-        assert_eq!(report, scan_file(&file, &cfg), "{name}");
+        assert_eq!(report, scan_file(&file), "{name}");
     }
+}
+
+#[test]
+fn append_judges_a_collapse_as_the_sentinel_judges_the_grown_file() {
+    // Six stable snapshots with mild jitter, then one where throughput
+    // collapses and deadlocks appear.
+    let entry = |i: u64, throughput: f64, deadlock_rate: f64| TrajectoryEntry {
+        figure: "fig9".to_string(),
+        recorded_at_epoch_s: 1_700_000_000 + i,
+        wall_clock_s: 1.0,
+        scenarios: 224,
+        deadlock_rate,
+        completed_rate: 1.0 - deadlock_rate,
+        throughput,
+        mean_latency: 40.0,
+        p95_latency: 80.0,
+        sxb_util: 0.3,
+        idle_tick_fraction: 0.3,
+        cycles_per_sec: 0.0,
+        p99_queue_wait_s: 0.0,
+        p99_engine_run_s: 0.0,
+    };
+    let history = TrajectoryFile {
+        figure: "fig9".to_string(),
+        entries: [2.00, 2.02, 1.98, 2.01, 1.99, 2.00]
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| entry(i as u64, t, 0.0))
+            .collect(),
+    };
+    let tmp = std::env::temp_dir().join(format!(
+        "mdx-bench-collapse-{}-{:?}.json",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&tmp, serde_json::to_string_pretty(&history).unwrap()).unwrap();
+
+    let report = append_snapshot(&tmp, entry(6, 1.0, 0.25))
+        .unwrap()
+        .expect("a new measurement is appended");
+    let grown: TrajectoryFile =
+        serde_json::from_str(&std::fs::read_to_string(&tmp).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&tmp);
+    assert_eq!(grown.entries.len(), 7);
+    assert_eq!(report, scan_file(&grown));
+    assert!(!report.skipped);
+    let flagged: Vec<&str> = report
+        .verdicts
+        .iter()
+        .filter(|v| v.regression)
+        .map(|v| v.metric.as_str())
+        .collect();
+    assert_eq!(
+        flagged,
+        ["deadlock_rate", "completed_rate", "throughput"],
+        "{}",
+        report.render()
+    );
 }

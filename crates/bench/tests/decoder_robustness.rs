@@ -4,25 +4,35 @@
 //! Covered decoders: `Scenario::from_token` (on the pinned `token_compat`
 //! tokens, mutated both as token text and as decoded JSON payload), the
 //! serve `Request` line, campaign `ScenarioReport` rows, `TrajectoryFile`
-//! documents, and `TraceDoc::parse`. A mutated request line that does not
-//! parse must still get exactly one `error` response line from
-//! `Service::process_line`. Every case only parses — nothing simulates —
-//! so the run time stays bounded.
+//! documents, `TraceDoc::parse`, and the three line grammars:
+//! `StreamSpec::parse`, `TournamentSpec::parse` and `SloSpec::parse`. A
+//! mutated request line that does not parse must still get exactly one
+//! `error` response line from `Service::process_line`, echoing the line's
+//! `trace` tag when a lenient parse finds one and omitting it otherwise.
+//! Specs that parse must also pass the runner's workload check, so a
+//! parsed spec can never panic the engine. Every case only parses —
+//! nothing simulates — so the run time stays bounded.
 
 use mdx_bench::TrajectoryFile;
-use mdx_campaign::{token, ScenarioReport};
+use mdx_campaign::{token, Scenario, ScenarioReport, Workload};
+use mdx_health::SloSpec;
 use mdx_obs::TraceDoc;
-use mdx_serve::{Request, ServeConfig, Service};
+use mdx_serve::{Request, Response, ServeConfig, Service};
+use mdx_topology::Shape;
+use mdx_tournament::TournamentSpec;
+use mdx_workloads::StreamSpec;
 use proptest::prelude::*;
+use serde_json::Value;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Characters the mutator inserts: JSON structure, escapes, number and
-/// literal fragments, base64url letters, whitespace, and multi-byte text.
+/// literal fragments, base64url letters, spec-grammar punctuation,
+/// whitespace, and multi-byte text.
 const ALPHABET: &[char] = &[
     '{', '}', '[', ']', '"', ',', ':', '\\', '0', '9', '-', '.', 'e', 'E', 'a', 'n', 't', 'u', 'l',
-    '_', 'A', 'z', ' ', '\n', '\u{0}', 'é', '🦀',
+    '_', 'A', 'z', ' ', '\n', '\u{0}', 'é', '🦀', '=', 'x', '#', 'i', 'f', '1',
 ];
 
 /// Applies one mutation per op: delete, insert, replace, truncate, or
@@ -48,6 +58,23 @@ fn mutate(src: &str, ops: &[u64]) -> String {
         }
     }
     chars.into_iter().collect()
+}
+
+/// Numbers at and beyond the edges of the workload ranges.
+const EDGE_NUMBERS: &[&str] = &[
+    "0", "1", "-1", "0.5", "1.5", "5", "NaN", "inf", "-0", "1e-9",
+];
+
+/// Sets the value of one `key=value` token (the `pick`-th, cyclically) to
+/// an edge number, so mutations also probe the numeric ranges.
+fn set_value(text: &str, pick: usize) -> String {
+    let starts: Vec<usize> = text.match_indices('=').map(|(i, _)| i + 1).collect();
+    let start = starts[pick % starts.len()];
+    let end = text[start..]
+        .find(char::is_whitespace)
+        .map_or(text.len(), |n| start + n);
+    let value = EDGE_NUMBERS[(pick / starts.len()) % EDGE_NUMBERS.len()];
+    format!("{}{value}{}", &text[..start], &text[end..])
 }
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -84,6 +111,37 @@ const REQUESTS: &[&str] = &[
     r#"{"cmd":"postmortem","id":3,"digest":"00ff00ff00ff00ff"}"#,
     r#"{"cmd":"tournament","id":4,"spec":"scheme sr2201\ntopology mdx:3x3\nseeds 1\n"}"#,
     r#"{"cmd":"stats"}"#,
+];
+
+/// JSON lines that are not requests, with and without a usable `trace`
+/// tag: the inputs the salvage exists for.
+const NOT_REQUESTS: &[&str] = &[
+    r#"{"cmd":"run","id":-1,"trace":"t-2","token":"MDX1.x"}"#,
+    r#"{"trace":"t-3","token":"MDX1.x"}"#,
+    r#"{"cmd":7,"id":3,"trace":"t-4"}"#,
+    r#"{"cmd":"run","trace":5}"#,
+];
+
+/// Stream specs using every directive, pattern family and site kind.
+const STREAM_SPECS: &[&str] = &[
+    "seed 5\nflits 2\nphase 0..600 uniform rate=0.04\nstorm 200 xbar:0:1\nstorm 420 repair xbar:0:1\nhorizon 1200",
+    "seed 42 # base\nflits 8\nphase 0..2000 uniform rate=0.05\nphase 2000..5000 hotspot:5 rate=0.10 flits=4\n\
+     burst 2500..2600 incast:5:8 rate=0.5\nstorm 3000 xbar:0:1 router:2 pe:7\nhorizon 6000",
+];
+
+/// Tournament specs using every directive and workload key.
+const TOURNAMENT_SPECS: &[&str] = &[
+    "# the default grid\nscheme all\ntopology mdx:4x3 hyperx:3x3 fullmesh:6 hypercube:2x2x2\n\
+     faults none router\nworkload mixed rate=0.02 flits=12 window=200 bc=0.002\nseeds 2\nmax-cycles 20000",
+    "scheme sr2201 hyperx-ft\ntopology mdx:4x3\nfaults none router xbar\nworkload storm flits=24\n\
+     workload mixed rate=1 bc=0\nseeds 3\nbuffer-flits 4",
+];
+
+/// SLO specs using every directive and objective option.
+const SLO_SPECS: &[&str] = &[
+    "# serve SLOs\nwindow fast=5 slow=20\nburn fast=2.0 slow=1.0\n\
+     objective lat-p99 latency_p99 ceiling 500 budget=0.05 warn=400\n\
+     objective no-deadlock deadlock_rate ceiling 0.01 budget=0.01\nobjective delivery delivery_ratio floor 0.95",
 ];
 
 /// A trace document in every phase shape the renderers emit.
@@ -159,6 +217,64 @@ proptest! {
     fn mutated_traces_parse_or_error(ops in ops()) {
         no_panic(&mutate(TRACE, &ops), TraceDoc::parse)?;
     }
+
+    #[test]
+    fn mutated_stream_specs_parse_to_checked_workloads_or_error(pick in any::<usize>(), ops in ops()) {
+        let text = mutate(&set_value(STREAM_SPECS[pick % STREAM_SPECS.len()], pick), &ops);
+        no_panic(&text, StreamSpec::parse)?;
+        if let Ok(spec) = StreamSpec::parse(&text) {
+            let check = Workload::Stream { spec }.check();
+            prop_assert!(check.is_ok(), "{text:?} parsed but fails the check: {check:?}");
+        }
+    }
+
+    #[test]
+    fn mutated_tournament_specs_parse_to_checked_cells_or_error(pick in any::<usize>(), ops in ops()) {
+        let text = mutate(&set_value(TOURNAMENT_SPECS[pick % TOURNAMENT_SPECS.len()], pick), &ops);
+        no_panic(&text, TournamentSpec::parse)?;
+        if let Ok(spec) = TournamentSpec::parse(&text) {
+            // Every cell the runner would execute, as the runner builds it
+            // (the seed never changes the check).
+            for scheme in &spec.schemes {
+                for (topology, extents) in &spec.topologies {
+                    let Ok(shape) = Shape::new(extents) else { continue };
+                    for template in &spec.workloads {
+                        let mut s = Scenario::new(extents.clone(), scheme, template.workload(shape.num_pes()), 0)
+                            .with_topology(topology);
+                        s.max_cycles = spec.max_cycles;
+                        s.buffer_flits = spec.buffer_flits;
+                        let check = s.check();
+                        prop_assert!(check.is_ok(), "{text:?} parsed but a cell fails the check: {check:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_slo_specs_parse_or_error(pick in any::<usize>(), ops in ops()) {
+        no_panic(&mutate(SLO_SPECS[pick % SLO_SPECS.len()], &ops), SloSpec::parse)?;
+    }
+
+    #[test]
+    fn unparsable_lines_echo_their_trace_tag_or_omit_it(pick in any::<usize>(), ops in ops()) {
+        let seeds: Vec<&str> = REQUESTS.iter().chain(NOT_REQUESTS).copied().collect();
+        let line = mutate(seeds[pick % seeds.len()], &ops);
+        if serde_json::from_str::<Request>(&line).is_ok() {
+            return Ok(());
+        }
+        // The tag a lenient parse of the line finds, if any.
+        let tag = serde_json::from_str::<Value>(&line).ok().and_then(|v| {
+            let (_, t) = v.as_map()?.iter().find(|(k, _)| k == "trace")?.clone();
+            t.as_str().map(str::to_string)
+        });
+        let service = Service::new(&ServeConfig { workers: 1, ..ServeConfig::default() });
+        let out = catch_unwind(AssertUnwindSafe(|| service.process_line(&line, Instant::now())));
+        prop_assert!(out.is_ok(), "salvage panicked on {line:?}");
+        let resp: Response = serde_json::from_str(&out.unwrap()).expect("answer parses");
+        prop_assert!(resp.is_error(), "non-error answer to {line:?}");
+        prop_assert!(resp.trace == tag, "salvaged {:?}, want {tag:?}, from {line:?}", resp.trace);
+    }
 }
 
 #[test]
@@ -169,9 +285,21 @@ fn the_unmutated_inputs_decode() {
     for line in REQUESTS {
         serde_json::from_str::<Request>(line).expect("request parses");
     }
+    for line in NOT_REQUESTS {
+        assert!(serde_json::from_str::<Request>(line).is_err(), "{line}");
+    }
     for row in read("crates/serve/tests/golden/rows.jsonl").lines() {
         serde_json::from_str::<ScenarioReport>(row).expect("row decodes");
     }
     serde_json::from_str::<TrajectoryFile>(&read("BENCH_fig9.json")).expect("fig9 decodes");
     TraceDoc::parse(TRACE).expect("trace parses");
+    for spec in STREAM_SPECS {
+        StreamSpec::parse(spec).expect("stream spec parses");
+    }
+    for spec in TOURNAMENT_SPECS {
+        TournamentSpec::parse(spec).expect("tournament spec parses");
+    }
+    for spec in SLO_SPECS {
+        SloSpec::parse(spec).expect("SLO spec parses");
+    }
 }

@@ -568,6 +568,7 @@ pub fn run_scenario_instrumented(
     scenario: &Scenario,
     opts: &ObsOptions,
 ) -> Result<(ScenarioReport, Telemetry), CampaignError> {
+    scenario.check()?;
     let shape = scenario.shape_obj()?;
     let faults = scenario.fault_set()?;
     let net = scenario.network()?;

@@ -102,6 +102,57 @@ impl Workload {
             Workload::Stream { .. } => "stream",
         }
     }
+
+    /// Checks the numbers the engine and the traffic generators assume:
+    /// every packet carries at least one flit, and every injection
+    /// probability is a finite number in `[0, 1]`. Tokens and specs are
+    /// text, so these arrive unchecked; this turns what would be an engine
+    /// or generator panic into [`ScenarioError::BadSpec`].
+    pub fn check(&self) -> Result<(), ScenarioError> {
+        let flits = |what: &str, n: usize| {
+            if n >= 1 {
+                Ok(())
+            } else {
+                Err(ScenarioError::BadSpec(format!("{what} must be at least 1")))
+            }
+        };
+        // The range excludes NaN and the infinities too.
+        let prob = |what: &str, p: f64| {
+            if (0.0..=1.0).contains(&p) {
+                Ok(())
+            } else {
+                Err(ScenarioError::BadSpec(format!(
+                    "{what} must be a probability in [0, 1], got {p}"
+                )))
+            }
+        };
+        match self {
+            Workload::Mixed {
+                rate,
+                packet_flits,
+                broadcast_rate,
+                ..
+            } => {
+                prob("rate", *rate)?;
+                prob("broadcast_rate", *broadcast_rate)?;
+                flits("packet_flits", *packet_flits)
+            }
+            Workload::BroadcastStorm { flits: n, .. } | Workload::DetourStress { flits: n, .. } => {
+                flits("flits", *n)
+            }
+            Workload::Explicit { specs } => specs.iter().try_for_each(|s| flits("flits", s.flits)),
+            Workload::FaultStorm {
+                rate, packet_flits, ..
+            } => {
+                prob("rate", *rate)?;
+                flits("packet_flits", *packet_flits)
+            }
+            Workload::Stream { spec } => spec.phases.iter().try_for_each(|p| {
+                prob("rate", p.rate)?;
+                flits("flits", p.flits)
+            }),
+        }
+    }
 }
 
 /// Errors turning a scenario into a runnable simulation.
@@ -111,7 +162,8 @@ pub enum ScenarioError {
     BadShape(String),
     /// A fault site references a component outside the shape.
     BadFault(String),
-    /// A streaming workload spec fails validation against the shape.
+    /// A workload's numbers are out of range, or a streaming workload
+    /// spec fails validation against the shape.
     BadSpec(String),
     /// The topology id is unknown or rejects the shape.
     BadTopology(String),
@@ -210,6 +262,17 @@ impl Scenario {
     pub fn with_reconfig(mut self, spec: ReconfigSpec) -> Scenario {
         self.reconfig = Some(spec);
         self
+    }
+
+    /// [`Workload::check`], plus the engine's buffer depth: at least one
+    /// flit.
+    pub fn check(&self) -> Result<(), ScenarioError> {
+        if self.buffer_flits == 0 {
+            return Err(ScenarioError::BadSpec(
+                "buffer_flits must be at least 1".to_string(),
+            ));
+        }
+        self.workload.check()
     }
 
     /// The validated [`Shape`].

@@ -6,7 +6,7 @@
 //! key in the JSON). They must still parse, re-encode byte-identically,
 //! and replay deterministically.
 
-use mdx_campaign::{run_scenario, Scenario};
+use mdx_campaign::{run_scenario, CampaignError, Scenario, ScenarioError, Workload};
 
 /// Tokens minted before the `reconfig` field existed, frozen verbatim.
 /// One per scheme/workload family the campaign grid exercises.
@@ -99,5 +99,41 @@ fn zoo_tokens_reencode_and_replay() {
         let a = run_scenario(&s).expect("zoo scenario runs");
         let b = run_scenario(&s).expect("zoo scenario runs again");
         assert_eq!(a.digest, b.digest, "replay digest must be stable: {token}");
+    }
+}
+
+#[test]
+fn out_of_range_tokens_replay_to_bad_spec_errors() {
+    // Tokens that decode but carry numbers the engine or the generators
+    // cannot run: each once panicked `campaign replay`.
+    let mixed = |packet_flits: usize| Workload::Mixed {
+        pattern: mdx_workloads::TrafficPattern::UniformRandom,
+        rate: 0.02,
+        packet_flits,
+        window: 200,
+        broadcast_rate: 0.002,
+    };
+    let zero_flits = Scenario::new(vec![4, 3], "sr2201", mixed(0), 1);
+    let mut zero_buffer = Scenario::new(vec![4, 3], "sr2201", mixed(12), 1);
+    zero_buffer.buffer_flits = 0;
+    let storm = Workload::FaultStorm {
+        rate: 1.5,
+        packet_flits: 4,
+        window: 100,
+        burst: 2,
+    };
+    let certain_storm = Scenario::new(vec![4, 3], "sr2201", storm, 1);
+    for (scenario, what) in [
+        (zero_flits, "packet_flits must be at least 1"),
+        (zero_buffer, "buffer_flits must be at least 1"),
+        (certain_storm, "rate must be a probability"),
+    ] {
+        let replayed = Scenario::from_token(&scenario.token()).expect("token decodes");
+        match run_scenario(&replayed) {
+            Err(CampaignError::Scenario(ScenarioError::BadSpec(e))) => {
+                assert!(e.contains(what), "{e}")
+            }
+            other => panic!("expected a bad-spec error for {what}, got {other:?}"),
+        }
     }
 }

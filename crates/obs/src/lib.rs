@@ -39,13 +39,14 @@
 //!   profiles* and the run's *critical path* of wait-for edges
 //!   ([`crate::critical`]).
 //!
-//! [`TraceDoc`] is the strict schema for the trace recorder's Chrome-trace
-//! JSON (deny-unknown-fields, per-phase shape checks).
+//! [`TraceDoc`] is the Chrome-trace JSON both Perfetto outputs write: one
+//! [`TraceEvent`] type, one writer ([`TraceDoc::render`]), and a strict
+//! parser (deny-unknown-fields, per-phase shape checks).
 //!
 //! The [`span`] module is a different kind of instrument: request-scoped
 //! tracing for the serving stack — a dependency-light [`Span`] model with
 //! a head-sampling [`SpanCollector`], a JSONL span log, and a Perfetto
-//! exporter validated by the same [`TraceDoc`] schema. It watches the
+//! exporter that writes through the same [`TraceDoc`]. It watches the
 //! *service around* the engine (queue wait, cache tier, serialize) as
 //! well as the engine itself (profile phases, reconfig epochs).
 //!

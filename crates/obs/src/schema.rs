@@ -1,10 +1,11 @@
-//! A strict schema for the Chrome-trace JSON the
-//! [`TraceRecorder`](crate::trace::TraceRecorder) emits.
+//! The Chrome-trace JSON this crate writes: one schema, one writer.
 //!
-//! The trace renderer builds its JSON by string formatting (one
-//! pre-serialized event per line, zero intermediate allocation), so
-//! nothing in the type system keeps its output well-formed. This module is
-//! the counterweight: typed mirror structs that deny unknown fields —
+//! Both Perfetto outputs — the hop-level
+//! [`TraceRecorder`](crate::trace::TraceRecorder) and the span exporter
+//! [`crate::spans_to_perfetto`] — build [`TraceEvent`]s, serialize each
+//! with the derived serializer ([`TraceEvent::to_json`]: keys in field
+//! order, absent fields omitted), and join them with [`TraceDoc::render`].
+//! Reading is just as strict: the same structs deny unknown fields —
 //! every map key must be a known field, every `ph` must be a known phase,
 //! and each phase's required fields must be present. Tests parse rendered
 //! traces through [`TraceDoc::parse`] instead of spot-checking a loose
@@ -12,39 +13,39 @@
 //! key fails loudly.
 
 use serde::de::Error;
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 
-/// The `args` object of a trace event. Exactly the keys the two renderers
-/// (the hop-level [`crate::TraceRecorder`] and the span exporter
+/// The `args` object of a trace event. Exactly the keys the two Perfetto
+/// outputs (the hop-level [`crate::TraceRecorder`] and the span exporter
 /// [`crate::spans_to_perfetto`]) ever write; anything else is a schema
 /// break.
-#[derive(Debug, Clone, PartialEq, Default, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct TraceArgs {
     /// Metadata name (`process_name` / `thread_name` events).
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub name: Option<String>,
     /// Holder label on blocked-slice events (e.g. `pkt3`).
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub holder: Option<String>,
     /// Flit counter value.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub flits: Option<u64>,
     /// Gather-queue depth counter value.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub depth: Option<u64>,
     /// Trace id on root request/row span slices.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<String>,
     /// `MDX1.` scenario token on engine-run span slices.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub token: Option<String>,
 }
 
-/// One Chrome-trace event, restricted to the four phases the renderer
-/// emits: complete slices (`X`), instants (`i`), counters (`C`), and
-/// name metadata (`M`).
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// One Chrome-trace event, restricted to the four phases the writers
+/// emit: complete slices (`X`), instants (`i`), counters (`C`), and
+/// name metadata (`M`). Build one with the phase constructors.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct TraceEvent {
     /// Event name.
@@ -54,23 +55,86 @@ pub struct TraceEvent {
     /// Process id (track group).
     pub pid: u64,
     /// Thread id (track) — absent only on `process_name` metadata.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub tid: Option<u64>,
     /// Timestamp (µs in trace units; simulation cycles here).
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub ts: Option<u64>,
     /// Slice duration (`X` only).
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub dur: Option<u64>,
-    /// Instant scope (`i` only; the renderer always writes `t`).
-    #[serde(default)]
+    /// Instant scope (`i` only; always `t`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub s: Option<String>,
     /// Event arguments.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub args: Option<TraceArgs>,
 }
 
 impl TraceEvent {
+    fn new(ph: &str, pid: u64, tid: Option<u64>, name: impl Into<String>) -> TraceEvent {
+        TraceEvent {
+            name: name.into(),
+            ph: ph.to_string(),
+            pid,
+            tid,
+            ts: None,
+            dur: None,
+            s: None,
+            args: None,
+        }
+    }
+
+    /// A complete slice over `[start, end)` on track `(pid, tid)`, at
+    /// least one tick long (Perfetto hides zero-length slices).
+    pub fn slice(pid: u64, tid: u64, name: impl Into<String>, start: u64, end: u64) -> TraceEvent {
+        TraceEvent {
+            ts: Some(start),
+            dur: Some(end.saturating_sub(start).max(1)),
+            ..TraceEvent::new("X", pid, Some(tid), name)
+        }
+    }
+
+    /// A thread-scoped instant marker on track `(pid, tid)`.
+    pub fn instant(pid: u64, tid: u64, name: impl Into<String>, ts: u64) -> TraceEvent {
+        TraceEvent {
+            ts: Some(ts),
+            s: Some("t".to_string()),
+            ..TraceEvent::new("i", pid, Some(tid), name)
+        }
+    }
+
+    /// A counter sample on track `(pid, 0)`; `args` carries its one value
+    /// (`flits` or `depth`).
+    pub fn counter(pid: u64, name: impl Into<String>, ts: u64, args: TraceArgs) -> TraceEvent {
+        TraceEvent {
+            ts: Some(ts),
+            args: Some(args),
+            ..TraceEvent::new("C", pid, Some(0), name)
+        }
+    }
+
+    /// Names process `pid` (`tid: None`) or thread `tid` of it.
+    pub fn meta(pid: u64, tid: Option<u64>, name: impl Into<String>) -> TraceEvent {
+        let kind = if tid.is_some() {
+            "thread_name"
+        } else {
+            "process_name"
+        };
+        TraceEvent {
+            args: Some(TraceArgs {
+                name: Some(name.into()),
+                ..TraceArgs::default()
+            }),
+            ..TraceEvent::new("M", pid, tid, kind)
+        }
+    }
+
+    /// The event as one line of JSON.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("trace events serialize")
+    }
+
     /// Phase-specific field requirements: each `ph` has a fixed shape and
     /// anything looser is a renderer regression.
     fn validate(&self) -> Result<(), Error> {
@@ -121,7 +185,7 @@ impl TraceEvent {
 
 /// The whole trace document: `traceEvents` plus `displayTimeUnit`, nothing
 /// else.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct TraceDoc {
     /// All events, in emission order.
@@ -133,6 +197,22 @@ pub struct TraceDoc {
 }
 
 impl TraceDoc {
+    /// Writes a trace document around events already serialized with
+    /// [`TraceEvent::to_json`], one event per line — the one writer
+    /// behind both Perfetto outputs.
+    pub fn render<S: AsRef<str>>(events: &[S]) -> String {
+        let mut out = String::from("{\"traceEvents\":[");
+        for (i, e) in events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('\n');
+            out.push_str(e.as_ref());
+        }
+        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+        out
+    }
+
     /// Parses and validates rendered trace JSON: the schema, then every
     /// event's phase-specific shape.
     pub fn parse(json: &str) -> Result<TraceDoc, Error> {
@@ -170,6 +250,13 @@ mod tests {
         assert_eq!(doc.display_time_unit, "ms");
         assert_eq!(doc.events("M").count(), 2);
         assert_eq!(doc.events("X").count(), 2);
+        // The derived serializer and the one writer reproduce the document.
+        let lines: Vec<String> = doc.trace_events.iter().map(TraceEvent::to_json).collect();
+        assert_eq!(TraceDoc::parse(&TraceDoc::render(&lines)).unwrap(), doc);
+        assert_eq!(
+            TraceDoc::parse(&serde_json::to_string(&doc).unwrap()).unwrap(),
+            doc
+        );
     }
 
     #[test]

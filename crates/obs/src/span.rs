@@ -1,6 +1,6 @@
 //! Request-scoped distributed-style tracing: a dependency-light span
 //! model, an in-process collector with head sampling, and two exporters
-//! (Perfetto `trace_event` JSON validated by [`crate::TraceDoc`], and a
+//! (Perfetto `trace_event` JSON written through [`crate::TraceDoc`], and a
 //! JSONL span log).
 //!
 //! A [`Span`] is one timed region: trace id, span id, optional parent,
@@ -28,6 +28,7 @@
 //! request timeline, cycle spans form their own subtree under the engine
 //! run (pid 2 in the Perfetto export).
 
+use crate::schema::{TraceArgs, TraceDoc, TraceEvent};
 use serde::de::{field, Deserialize, Error};
 use serde::ser::Serialize;
 use serde::value::Value;
@@ -491,82 +492,42 @@ pub fn group_traces(spans: Vec<Span>) -> Vec<Vec<Span>> {
 pub fn spans_to_perfetto(traces: &[Vec<Span>]) -> String {
     const PID_WALL: u64 = 1;
     const PID_CYCLES: u64 = 2;
-    let mut events: Vec<Value> = Vec::new();
-    let meta = |name: &str, pid: u64, tid: Option<u64>| {
-        let mut m: Vec<(String, Value)> = vec![
-            (
-                "name".into(),
-                Value::Str(if tid.is_some() {
-                    "thread_name".into()
-                } else {
-                    "process_name".into()
-                }),
-            ),
-            ("ph".into(), Value::Str("M".into())),
-            ("pid".into(), Value::U64(pid)),
-        ];
-        if let Some(t) = tid {
-            m.push(("tid".into(), Value::U64(t)));
-        }
-        m.push((
-            "args".into(),
-            Value::Map(vec![("name".into(), Value::Str(name.into()))]),
-        ));
-        Value::Map(m)
+    let pid_of = |unit: SpanUnit| match unit {
+        SpanUnit::Micros => PID_WALL,
+        SpanUnit::Cycles => PID_CYCLES,
     };
-    let has_wall = traces
-        .iter()
-        .any(|t| t.iter().any(|s| s.unit == SpanUnit::Micros));
-    let has_cycles = traces
-        .iter()
-        .any(|t| t.iter().any(|s| s.unit == SpanUnit::Cycles));
-    if has_wall {
-        events.push(meta("requests (us)", PID_WALL, None));
-    }
-    if has_cycles {
-        events.push(meta("engine (cycles)", PID_CYCLES, None));
+    let has = |trace: &[Span], unit: SpanUnit| trace.iter().any(|s| s.unit == unit);
+    let mut events: Vec<String> = Vec::new();
+    for (unit, name) in [
+        (SpanUnit::Micros, "requests (us)"),
+        (SpanUnit::Cycles, "engine (cycles)"),
+    ] {
+        if traces.iter().any(|t| has(t, unit)) {
+            events.push(TraceEvent::meta(pid_of(unit), None, name).to_json());
+        }
     }
     for (i, trace) in traces.iter().enumerate() {
         let tid = i as u64 + 1;
         let Some(first) = trace.first() else { continue };
-        if trace.iter().any(|s| s.unit == SpanUnit::Micros) {
-            events.push(meta(&first.trace, PID_WALL, Some(tid)));
-        }
-        if trace.iter().any(|s| s.unit == SpanUnit::Cycles) {
-            events.push(meta(&first.trace, PID_CYCLES, Some(tid)));
+        for unit in [SpanUnit::Micros, SpanUnit::Cycles] {
+            if has(trace, unit) {
+                events.push(TraceEvent::meta(pid_of(unit), Some(tid), &first.trace).to_json());
+            }
         }
         for s in trace {
-            let pid = match s.unit {
-                SpanUnit::Micros => PID_WALL,
-                SpanUnit::Cycles => PID_CYCLES,
+            let mut event = TraceEvent::slice(pid_of(s.unit), tid, &s.name, s.start, s.end);
+            let args = TraceArgs {
+                trace: s.parent.is_none().then(|| s.trace.clone()),
+                token: s.attr("token").map(str::to_string),
+                ..TraceArgs::default()
             };
-            let mut m: Vec<(String, Value)> = vec![
-                ("name".into(), Value::Str(s.name.clone())),
-                ("ph".into(), Value::Str("X".into())),
-                ("pid".into(), Value::U64(pid)),
-                ("tid".into(), Value::U64(tid)),
-                ("ts".into(), Value::U64(s.start)),
-                // Perfetto hides zero-length slices; clamp up to 1 tick.
-                ("dur".into(), Value::U64(s.duration().max(1))),
-            ];
-            let mut args: Vec<(String, Value)> = Vec::new();
-            if s.parent.is_none() {
-                args.push(("trace".into(), Value::Str(s.trace.clone())));
+            if args != TraceArgs::default() {
+                event.args = Some(args);
             }
-            if let Some(tok) = s.attr("token") {
-                args.push(("token".into(), Value::Str(tok.to_string())));
-            }
-            if !args.is_empty() {
-                m.push(("args".into(), Value::Map(args)));
-            }
-            events.push(Value::Map(m));
+            events.push(event.to_json());
         }
     }
-    let doc = Value::Map(vec![
-        ("traceEvents".into(), Value::Seq(events)),
-        ("displayTimeUnit".into(), Value::Str("ms".into())),
-    ]);
-    serde_json::to_string(&doc).expect("perfetto doc serializes")
+    TraceDoc::render(&events)
 }
 
 /// Per-name aggregate in a span-log summary.

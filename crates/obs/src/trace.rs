@@ -15,10 +15,11 @@
 //! - **pid 4 — crossbars**: one cumulative-flits counter track per crossbar
 //!   switch, so the hot crossbar is visible at a glance.
 //!
-//! Events are pre-serialized into JSON strings as they happen (the strings
-//! involved are switch/packet names — plain ASCII), so rendering the final
-//! document is a join.
+//! Each event is a [`TraceEvent`] serialized as it happens, so the
+//! recorder holds one string per event and rendering the final document
+//! is [`TraceDoc::render`]'s join.
 
+use crate::schema::{TraceArgs, TraceDoc, TraceEvent};
 use mdx_core::RouteChange;
 use mdx_sim::{DeadlockInfo, InjectSpec, PacketId, SimObserver};
 use mdx_topology::{ChannelId, NetworkGraph, Node};
@@ -26,14 +27,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-const PID_PACKETS: u32 = 1;
-const PID_STALLS: u32 = 2;
-const PID_QUEUES: u32 = 3;
-const PID_XBARS: u32 = 4;
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
+const PID_PACKETS: u64 = 1;
+const PID_STALLS: u64 = 2;
+const PID_QUEUES: u64 = 3;
+const PID_XBARS: u64 = 4;
 
 /// A blocked episode's key: (packet, channel, vc lane).
 type BlockKey = (u32, u32, u8);
@@ -51,52 +48,39 @@ struct State {
 }
 
 impl State {
-    fn slice(&mut self, pid: u32, tid: u32, name: &str, start: u64, end: u64, args: &str) {
-        let dur = (end.saturating_sub(start)).max(1);
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{}{}}}",
-            esc(name),
-            pid,
-            tid,
-            start,
-            dur,
-            args
-        ));
+    fn push(&mut self, event: TraceEvent) {
+        self.events.push(event.to_json());
     }
 
-    fn instant(&mut self, pid: u32, tid: u32, name: &str, ts: u64) {
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"i\",\"pid\":{},\"tid\":{},\"ts\":{},\"s\":\"t\"}}",
-            esc(name),
-            pid,
-            tid,
-            ts
-        ));
+    fn slice(&mut self, tid: u32, name: &str, start: u64, end: u64) {
+        self.push(TraceEvent::slice(PID_PACKETS, tid.into(), name, start, end));
     }
 
-    fn counter(&mut self, pid: u32, name: &str, ts: u64, key: &str, value: u64) {
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"args\":{{\"{}\":{}}}}}",
-            esc(name),
-            pid,
-            ts,
-            key,
-            value
-        ));
+    /// A stall slice on `chan`, naming the holding packet when known.
+    fn blocked(&mut self, tid: u32, chan: usize, start: u64, end: u64, holder: Option<u32>) {
+        let name = format!("blocked: {}", self.chan_desc[chan]);
+        let mut event = TraceEvent::slice(PID_STALLS, tid.into(), name, start, end);
+        event.args = holder.map(|h| TraceArgs {
+            holder: Some(format!("pkt{h}")),
+            ..TraceArgs::default()
+        });
+        self.push(event);
     }
 
-    fn name_meta(&mut self, kind: &str, pid: u32, tid: u32, name: &str) {
-        let tid_field = if kind == "thread_name" {
-            format!(",\"tid\":{tid}")
-        } else {
-            String::new()
+    fn instant(&mut self, tid: u32, name: &str, ts: u64) {
+        self.push(TraceEvent::instant(PID_PACKETS, tid.into(), name, ts));
+    }
+
+    fn depth(&mut self, depth: usize, ts: u64) {
+        let args = TraceArgs {
+            depth: Some(depth as u64),
+            ..TraceArgs::default()
         };
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"M\",\"pid\":{}{},\"args\":{{\"name\":\"{}\"}}}}",
-            kind,
-            pid,
-            tid_field,
-            esc(name)
+        self.push(TraceEvent::counter(
+            PID_QUEUES,
+            "S-XB gather depth",
+            ts,
+            args,
         ));
     }
 }
@@ -144,10 +128,14 @@ impl TraceRecorder {
             open_blocks: HashMap::new(),
             xbar_flits: vec![0; xbar_count],
         };
-        state.name_meta("process_name", PID_PACKETS, 0, "packets");
-        state.name_meta("process_name", PID_STALLS, 0, "stalls");
-        state.name_meta("process_name", PID_QUEUES, 0, "queues");
-        state.name_meta("process_name", PID_XBARS, 0, "crossbars");
+        for (pid, name) in [
+            (PID_PACKETS, "packets"),
+            (PID_STALLS, "stalls"),
+            (PID_QUEUES, "queues"),
+            (PID_XBARS, "crossbars"),
+        ] {
+            state.push(TraceEvent::meta(pid, None, name));
+        }
         let state = Rc::new(RefCell::new(state));
         (
             TraceRecorder {
@@ -162,14 +150,15 @@ impl SimObserver for TraceRecorder {
     fn on_inject(&mut self, id: PacketId, spec: &InjectSpec, _now: u64) {
         let mut s = self.state.borrow_mut();
         let label = format!("pkt{} (from PE{})", id.0, spec.src_pe);
-        s.name_meta("thread_name", PID_PACKETS, id.0, &label);
-        s.name_meta("thread_name", PID_STALLS, id.0, &label);
+        for pid in [PID_PACKETS, PID_STALLS] {
+            s.push(TraceEvent::meta(pid, Some(id.0.into()), label.as_str()));
+        }
     }
 
     fn on_hop(&mut self, id: PacketId, at: Node, _in_channel: Option<ChannelId>, now: u64) {
         let mut s = self.state.borrow_mut();
         if let Some((name, start)) = s.open_hops.remove(&id.0) {
-            s.slice(PID_PACKETS, id.0, &name, start, now, "");
+            s.slice(id.0, &name, start, now);
         }
         s.open_hops.insert(id.0, (at.to_string(), now));
     }
@@ -182,12 +171,9 @@ impl SimObserver for TraceRecorder {
         to: RouteChange,
         now: u64,
     ) {
-        self.state.borrow_mut().instant(
-            PID_PACKETS,
-            id.0,
-            &format!("RC {from:?} -> {to:?} at {at}"),
-            now,
-        );
+        self.state
+            .borrow_mut()
+            .instant(id.0, &format!("RC {from:?} -> {to:?} at {at}"), now);
     }
 
     fn on_blocked(
@@ -207,12 +193,7 @@ impl SimObserver for TraceRecorder {
     fn on_unblocked(&mut self, id: PacketId, channel: ChannelId, vc: u8, _waited: u64, now: u64) {
         let mut s = self.state.borrow_mut();
         if let Some((start, holder)) = s.open_blocks.remove(&(id.0, channel.0, vc)) {
-            let name = format!("blocked: {}", s.chan_desc[channel.idx()]);
-            let args = match holder {
-                Some(h) => format!(",\"args\":{{\"holder\":\"pkt{h}\"}}"),
-                None => String::new(),
-            };
-            s.slice(PID_STALLS, id.0, &name, start, now, &args);
+            s.blocked(id.0, channel.idx(), start, now, holder);
         }
     }
 
@@ -221,46 +202,42 @@ impl SimObserver for TraceRecorder {
         if let Some(x) = s.chan_src_xbar[channel.idx()] {
             s.xbar_flits[x as usize] += 1;
             let name = format!("{} flits", s.xbar_names[x as usize]);
-            let total = s.xbar_flits[x as usize];
-            s.counter(PID_XBARS, &name, now, "flits", total);
+            let args = TraceArgs {
+                flits: Some(s.xbar_flits[x as usize]),
+                ..TraceArgs::default()
+            };
+            s.push(TraceEvent::counter(PID_XBARS, name, now, args));
         }
     }
 
     fn on_gather(&mut self, _id: PacketId, depth: usize, now: u64) {
-        self.state.borrow_mut().counter(
-            PID_QUEUES,
-            "S-XB gather depth",
-            now,
-            "depth",
-            depth as u64,
-        );
+        self.state.borrow_mut().depth(depth, now);
     }
 
     fn on_emission(&mut self, id: PacketId, depth: usize, now: u64) {
         let mut s = self.state.borrow_mut();
-        s.counter(PID_QUEUES, "S-XB gather depth", now, "depth", depth as u64);
-        s.instant(PID_PACKETS, id.0, "S-XB emission", now);
+        s.depth(depth, now);
+        s.instant(id.0, "S-XB emission", now);
     }
 
     fn on_delivery(&mut self, id: PacketId, pe: usize, now: u64) {
         self.state
             .borrow_mut()
-            .instant(PID_PACKETS, id.0, &format!("delivered to PE{pe}"), now);
+            .instant(id.0, &format!("delivered to PE{pe}"), now);
     }
 
     fn on_packet_finished(&mut self, id: PacketId, now: u64) {
         let mut s = self.state.borrow_mut();
         if let Some((name, start)) = s.open_hops.remove(&id.0) {
-            s.slice(PID_PACKETS, id.0, &name, start, now, "");
+            s.slice(id.0, &name, start, now);
         }
-        s.instant(PID_PACKETS, id.0, "finished", now);
+        s.instant(id.0, "finished", now);
     }
 
     fn on_deadlock(&mut self, info: &DeadlockInfo) {
         let mut s = self.state.borrow_mut();
         let packets: Vec<u32> = info.cycle.iter().map(|e| e.waiter.0).collect();
         s.instant(
-            PID_PACKETS,
             packets.first().copied().unwrap_or(0),
             &format!("DEADLOCK ({} packets in cycle)", packets.len()),
             info.detected_at,
@@ -285,29 +262,18 @@ impl TraceHandle {
     /// end of the trace.
     pub fn render(&self, end: u64) -> String {
         let mut s = self.state.borrow_mut();
-        let open_hops: Vec<(u32, (String, u64))> = s.open_hops.drain().collect();
+        // Closed in key order, so one run always renders one document.
+        let mut open_hops: Vec<(u32, (String, u64))> = s.open_hops.drain().collect();
+        open_hops.sort_unstable_by_key(|&(pkt, _)| pkt);
         for (pkt, (name, start)) in open_hops {
-            s.slice(PID_PACKETS, pkt, &name, start, end, "");
+            s.slice(pkt, &name, start, end);
         }
-        let open_blocks: Vec<(BlockKey, BlockOpen)> = s.open_blocks.drain().collect();
+        let mut open_blocks: Vec<(BlockKey, BlockOpen)> = s.open_blocks.drain().collect();
+        open_blocks.sort_unstable_by_key(|&(key, _)| key);
         for ((pkt, chan, _vc), (start, holder)) in open_blocks {
-            let name = format!("blocked: {}", s.chan_desc[chan as usize]);
-            let args = match holder {
-                Some(h) => format!(",\"args\":{{\"holder\":\"pkt{h}\"}}"),
-                None => String::new(),
-            };
-            s.slice(PID_STALLS, pkt, &name, start, end, &args);
+            s.blocked(pkt, chan as usize, start, end, holder);
         }
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, e) in s.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(e);
-        }
-        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        out
+        TraceDoc::render(&s.events)
     }
 }
 

@@ -23,7 +23,6 @@
 //!                [--slo FILE] [--alert-log PATH] [--slo-every SECS]
 //! campaign watch <ADDR> [--interval SECS] [--count N] [--once] [--no-clear]
 //! campaign spans <spans.jsonl> [--top N] [--perfetto PATH]
-//! campaign bench-serve [--tokens N] [--workers N] [--hits N]
 //! ```
 //!
 //! `--timeline CYCLE` turns the fault dimension *live*: instead of wearing
@@ -73,10 +72,10 @@
 //! a resident service speaking the line-oriented JSON protocol
 //! (`mdx-serve`) over stdio or TCP: tokens and specs in, JSONL rows out,
 //! with a digest-keyed result cache answering repeat tokens without
-//! re-simulating. `campaign bench-serve` measures that service in-process
-//! (tokens/sec cold, cache-hit latency hot). Plain `campaign replay`
-//! consults the same disk cache (default `.mdx-cache`; `--force`
-//! re-simulates, `--no-cache` opts out entirely).
+//! re-simulating; the `serve` workload of the repo benchmark
+//! (`benchmark/`) times it. Plain `campaign replay` consults the same
+//! disk cache (default `.mdx-cache`; `--force` re-simulates, `--no-cache`
+//! opts out entirely).
 //!
 //! Production telemetry: `campaign serve --metrics-addr ADDR` exposes the
 //! server's metric registry as Prometheus text over HTTP (per-verb
@@ -124,15 +123,13 @@ use mdx_health::{evaluate_frame, verdict_value, SignalFrame, SloSpec, Status};
 use mdx_obs::{PostmortemReport, DEFAULT_FLIGHT_CAPACITY};
 use mdx_serve::{
     render_watch, row_key, serve_on, serve_stdio, Request, Response, ResultCache, ServeConfig,
-    Server, Service, SharedWriter, WatchFrame,
+    WatchFrame,
 };
 use mdx_tournament::{run_tournament, TournamentCell, TournamentSpec};
 use mdx_workloads::StreamSpec;
 use serde_json::Value;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
@@ -157,8 +154,7 @@ fn usage() -> ! {
          [--span-log PATH] [--span-sample RATE]\n    \
          [--slo FILE] [--alert-log PATH] [--slo-every SECS]\n  \
          campaign watch <ADDR> [--interval SECS] [--count N] [--once] [--no-clear]\n  \
-         campaign spans <spans.jsonl> [--top N] [--perfetto PATH]\n  \
-         campaign bench-serve [--tokens N] [--workers N] [--hits N]"
+         campaign spans <spans.jsonl> [--top N] [--perfetto PATH]"
     );
     std::process::exit(2);
 }
@@ -1118,89 +1114,6 @@ fn cmd_spans(path: &str, args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_bench_serve(args: &[String]) -> ExitCode {
-    let mut tokens = 100usize;
-    let mut hits: Option<usize> = None;
-    let mut cfg = ServeConfig::default();
-    let mut it = args.iter().cloned();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tokens" => tokens = parse_num("--tokens", it.next()),
-            "--hits" => hits = Some(parse_num("--hits", it.next())),
-            "--workers" => cfg.workers = parse_num("--workers", it.next()),
-            _ => usage(),
-        }
-    }
-    let tokens = tokens.max(1);
-    let hits = hits.unwrap_or(tokens);
-
-    let service = Arc::new(Service::new(&cfg));
-    let server = Server::new(service.clone(), cfg.workers);
-    let sink: SharedWriter = Arc::new(Mutex::new(Box::new(std::io::sink())));
-    // Distinct small scenarios: same workload family, distinct seeds, so
-    // every token is a genuine simulation on the cold pass.
-    let lines: Vec<String> = (0..tokens)
-        .map(|i| {
-            let s = Scenario::new(
-                vec![4, 3],
-                "sr2201",
-                Workload::BroadcastStorm {
-                    sources: vec![i % 12],
-                    flits: 4,
-                },
-                i as u64,
-            );
-            serde_json::to_string(&Request::run(&s.token()).with_id(i as u64))
-                .expect("request serializes")
-        })
-        .collect();
-
-    let cold_start = Instant::now();
-    for line in &lines {
-        server.submit(line.clone(), sink.clone());
-    }
-    server.drain();
-    let cold = cold_start.elapsed();
-
-    let hot_start = Instant::now();
-    for line in lines.iter().cycle().take(hits) {
-        server.submit(line.clone(), sink.clone());
-    }
-    server.drain();
-    let hot = hot_start.elapsed();
-
-    let stats = service.stats();
-    server.shutdown();
-
-    println!(
-        "bench-serve: {tokens} token(s), {} worker(s)",
-        stats.workers
-    );
-    println!(
-        "cold: {:.3}s total, {:.1} tokens/s",
-        cold.as_secs_f64(),
-        tokens as f64 / cold.as_secs_f64().max(1e-9)
-    );
-    println!(
-        "hot:  {:.3}s total, {:.1} us/hit ({} cache hit(s))",
-        hot.as_secs_f64(),
-        hot.as_secs_f64() * 1e6 / hits.max(1) as f64,
-        stats.cache_hits
-    );
-    if stats.cache_hits < hits {
-        eprintln!(
-            "error: expected >= {hits} cache hit(s), saw {} (served {}, errors {})",
-            stats.cache_hits, stats.served, stats.errors
-        );
-        return ExitCode::from(1);
-    }
-    if stats.errors > 0 {
-        eprintln!("error: {} request(s) failed", stats.errors);
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -1231,7 +1144,6 @@ fn main() -> ExitCode {
             Some(p) if !p.starts_with("--") => cmd_spans(p, &args[2..]),
             _ => usage(),
         },
-        Some("bench-serve") => cmd_bench_serve(&args[1..]),
         _ => usage(),
     }
 }

@@ -36,7 +36,7 @@
 //! byte-identical to a re-run.
 //!
 //! The crate also owns the `campaign` binary (run / replay / shrink /
-//! diff / stream / tournament / serve / bench-serve), which sits above
+//! diff / stream / tournament / serve / watch / spans), which sits above
 //! `mdx-campaign`, `mdx-tournament`, and this service layer.
 //!
 //! ```

@@ -373,22 +373,6 @@ impl Service {
         self.us(Instant::now())
     }
 
-    /// Parses one request line and dispatches it. Malformed JSON becomes
-    /// an `error` response — echoing any salvageable `trace` tag — never
-    /// a crash.
-    pub fn handle_line(&self, line: &str) -> Response {
-        match serde_json::from_str::<Request>(line) {
-            Ok(req) => self.handle(&req),
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.metrics.error("parse");
-                Response::error(None, format!("bad request: {e}"))
-                    .with_trace(trace_of_line(line))
-                    .with_verdict(self.verdict())
-            }
-        }
-    }
-
     /// Dispatches one parsed request, untraced (spans need the serialize
     /// boundary, so only [`Service::process_line`] emits them). The
     /// client's `trace` tag is still echoed.

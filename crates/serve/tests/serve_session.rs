@@ -746,3 +746,31 @@ fn responses_without_slo_carry_no_health_or_verdict_bytes() {
     assert!(resp.is_error());
     assert!(resp.error.unwrap().contains("--slo"));
 }
+
+#[test]
+fn a_zero_flit_token_gets_an_ordinary_error_line() {
+    // Once a handler panic, answered "internal error: request handler
+    // panicked"; now the runner's workload check names the bad number.
+    let token = Scenario::new(
+        vec![4, 3],
+        "sr2201",
+        Workload::BroadcastStorm {
+            sources: vec![0],
+            flits: 0,
+        },
+        1,
+    )
+    .token();
+    let service = Service::new(&ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let line = serde_json::to_string(&Request::run(&token).with_id(3).with_trace("t-0")).unwrap();
+    let out = service.process_line(&line, std::time::Instant::now());
+    let resp: Response = serde_json::from_str(&out).expect("one response line");
+    assert!(resp.is_error(), "{out}");
+    assert_eq!(resp.id, Some(3));
+    assert_eq!(resp.trace.as_deref(), Some("t-0"));
+    let error = resp.error.expect("error text");
+    assert!(error.contains("flits must be at least 1"), "{error}");
+}

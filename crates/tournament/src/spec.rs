@@ -336,6 +336,11 @@ impl TournamentSpec {
                             ));
                         }
                     }
+                    // The runner's own check, so an out-of-range number
+                    // fails here with its line instead of in a cell.
+                    w.workload(1)
+                        .check()
+                        .map_err(|e| SpecError::new(ln, e.to_string()))?;
                     workloads.push(w);
                 }
                 "seeds" => {

@@ -141,3 +141,21 @@ fn executed_cells_have_sane_reductions() {
     assert!(hx.delivered > 0, "{hx:?}");
     assert_eq!(hx.deadlocks, 0, "{hx:?}");
 }
+
+#[test]
+fn out_of_range_workload_numbers_are_line_numbered_errors() {
+    // Each of these once panicked a cell at run time (a zero-flit packet
+    // in the engine, a probability outside [0, 1] in the generator).
+    for (workload, what) in [
+        ("storm flits=0", "flits must be at least 1"),
+        ("mixed rate=-1", "rate must be a probability"),
+        ("mixed rate=NaN", "rate must be a probability"),
+        ("mixed rate=inf", "rate must be a probability"),
+        ("mixed bc=5", "broadcast_rate must be a probability"),
+    ] {
+        let err =
+            TournamentSpec::parse(&format!("seeds 1\nworkload {workload}\n")).expect_err(workload);
+        assert_eq!(err.line, 2, "{workload}: {err}");
+        assert!(err.message.contains(what), "{workload}: {err}");
+    }
+}
