@@ -40,7 +40,7 @@ clippy:
 
 lint:
 	cargo fmt --check
-	cargo clippy --workspace -- -D warnings
+	cargo clippy --workspace --all-targets -- -D warnings
 
 # The full acceptance sweep: the paper scheme must be deadlock-free, the
 # broken variants must not be.

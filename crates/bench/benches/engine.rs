@@ -102,7 +102,7 @@ fn bench_engine(c: &mut Criterion) {
         let scheme = Arc::new(Sr2201Routing::new(net.clone(), &FaultSet::none()).unwrap());
         let mut sim = Simulator::new(net.graph().clone(), scheme, SimConfig::default());
         if let Some(obs) = observer {
-            sim.set_observer(obs);
+            sim.add_observer(obs);
         }
         for &spec in &specs {
             sim.schedule(spec);

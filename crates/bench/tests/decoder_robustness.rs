@@ -4,7 +4,9 @@
 //! Covered decoders: `Scenario::from_token` (on the pinned `token_compat`
 //! tokens, mutated both as token text and as decoded JSON payload), the
 //! serve `Request` line, campaign `ScenarioReport` rows, `TrajectoryFile`
-//! documents, `TraceDoc::parse`, and the three line grammars:
+//! documents, `TraceDoc::parse`, the JSONL span log (`parse_span_log`,
+//! whose spans must also never end before they start), and the three
+//! line grammars:
 //! `StreamSpec::parse`, `TournamentSpec::parse` and `SloSpec::parse`. A
 //! mutated request line that does not parse must still get exactly one
 //! `error` response line from `Service::process_line`, echoing the line's
@@ -16,7 +18,7 @@
 use mdx_bench::TrajectoryFile;
 use mdx_campaign::{token, Scenario, ScenarioReport, Workload};
 use mdx_health::SloSpec;
-use mdx_obs::TraceDoc;
+use mdx_obs::{parse_span_log, TraceDoc};
 use mdx_serve::{Request, Response, ServeConfig, Service};
 use mdx_topology::Shape;
 use mdx_tournament::TournamentSpec;
@@ -156,6 +158,14 @@ const TRACE: &str = r#"{"traceEvents":[
 {"name":"flits","ph":"C","pid":9,"tid":1,"ts":4,"args":{"flits":7}}
 ],"displayTimeUnit":"ms"}"#;
 
+/// A span log in both time domains, with a root, children (`parent`) and
+/// `attrs`. The `queue` span is short, so a digit inserted into its
+/// `start` pushes it past its `end`.
+const SPAN_LOG: &str = r#"{"trace":"t-1","span":1,"name":"request","start":10,"end":90,"unit":"us","attrs":{"verb":"run","token":"MDX1.x"}}
+{"trace":"t-1","span":2,"parent":1,"name":"queue","start":12,"end":19,"unit":"us"}
+{"trace":"t-1","span":3,"parent":1,"name":"engine","start":0,"end":640,"unit":"cycles","attrs":{"digest":"00ff"}}
+"#;
+
 /// Runs `decode` on `input`, failing the case (with the input) if it
 /// panics. `decode` returns `Result`, so not panicking means `Ok` or a
 /// typed `Err`.
@@ -216,6 +226,17 @@ proptest! {
     #[test]
     fn mutated_traces_parse_or_error(ops in ops()) {
         no_panic(&mutate(TRACE, &ops), TraceDoc::parse)?;
+    }
+
+    #[test]
+    fn mutated_span_logs_parse_or_error(ops in ops()) {
+        let text = mutate(SPAN_LOG, &ops);
+        no_panic(&text, parse_span_log)?;
+        if let Ok(spans) = parse_span_log(&text) {
+            for s in &spans {
+                prop_assert!(s.end >= s.start, "{text:?} parsed {s:?}, which ends before it starts");
+            }
+        }
     }
 
     #[test]
@@ -293,6 +314,12 @@ fn the_unmutated_inputs_decode() {
     }
     serde_json::from_str::<TrajectoryFile>(&read("BENCH_fig9.json")).expect("fig9 decodes");
     TraceDoc::parse(TRACE).expect("trace parses");
+    assert_eq!(parse_span_log(SPAN_LOG).expect("span log parses").len(), 3);
+    let backwards = SPAN_LOG.replace(r#""end":19"#, r#""end":11"#);
+    assert!(
+        parse_span_log(&backwards).is_err(),
+        "a span ending before it starts parsed"
+    );
     for spec in STREAM_SPECS {
         StreamSpec::parse(spec).expect("stream spec parses");
     }

@@ -10,9 +10,8 @@ use crate::scenario::{detour_stress_for, Scenario, ScenarioError, Workload};
 use mdx_core::registry::{build_scheme_for, RegistryError};
 use mdx_fault::{enumerate_single_faults, sample_fault_sets, FaultSet, FaultTimeline};
 use mdx_obs::{
-    AttributionObserver, AttributionReport, FanoutObserver, FlightRecorder, MetricsObserver,
-    MetricsReport, PostmortemReport, StallProbe, StallReport, TraceRecorder, WindowObserver,
-    WindowReport,
+    AttributionObserver, AttributionReport, FlightRecorder, MetricsObserver, MetricsReport,
+    PostmortemReport, StallProbe, StallReport, TraceRecorder, WindowObserver, WindowReport,
 };
 use mdx_reconfig::{drive_reconfig, ReconfigError, ReconfigReport, ReconfigSpec, RecoveryPolicy};
 use mdx_sim::{DeadlockInfo, SimConfig, SimOutcome, SimStats, Simulator};
@@ -592,39 +591,35 @@ pub fn run_scenario_instrumented(
     let mut flight_handle = None;
     let mut attribution_handle = None;
     let mut window_handle = None;
-    if !opts.is_none() {
-        let mut fan = FanoutObserver::new();
-        if opts.metrics {
-            let (obs, handle) = MetricsObserver::new(net.graph().clone());
-            fan.push(Box::new(obs));
-            metrics_handle = Some(handle);
-        }
-        if let Some(interval) = opts.stall_probe {
-            let (probe, handle) = StallProbe::new(interval);
-            fan.push(Box::new(probe));
-            stall_handle = Some(handle);
-        }
-        if opts.trace {
-            let (rec, handle) = TraceRecorder::new(net.graph());
-            fan.push(Box::new(rec));
-            trace_handle = Some(handle);
-        }
-        if let Some(capacity) = opts.flight {
-            let (rec, handle) = FlightRecorder::new(net.graph().clone(), vcs, capacity);
-            fan.push(Box::new(rec));
-            flight_handle = Some(handle);
-        }
-        if opts.attribution {
-            let (obs, handle) = AttributionObserver::new(net.graph().clone());
-            fan.push(Box::new(obs));
-            attribution_handle = Some(handle);
-        }
-        if let Some(width) = opts.windows {
-            let (obs, handle) = WindowObserver::new(width);
-            fan.push(Box::new(obs));
-            window_handle = Some(handle);
-        }
-        sim.set_observer(Box::new(fan));
+    if opts.metrics {
+        let (obs, handle) = MetricsObserver::new(net.graph().clone());
+        sim.add_observer(Box::new(obs));
+        metrics_handle = Some(handle);
+    }
+    if let Some(interval) = opts.stall_probe {
+        let (probe, handle) = StallProbe::new(interval);
+        sim.add_observer(Box::new(probe));
+        stall_handle = Some(handle);
+    }
+    if opts.trace {
+        let (rec, handle) = TraceRecorder::new(net.graph());
+        sim.add_observer(Box::new(rec));
+        trace_handle = Some(handle);
+    }
+    if let Some(capacity) = opts.flight {
+        let (rec, handle) = FlightRecorder::new(net.graph().clone(), vcs, capacity);
+        sim.add_observer(Box::new(rec));
+        flight_handle = Some(handle);
+    }
+    if opts.attribution {
+        let (obs, handle) = AttributionObserver::new(net.graph().clone());
+        sim.add_observer(Box::new(obs));
+        attribution_handle = Some(handle);
+    }
+    if let Some(width) = opts.windows {
+        let (obs, handle) = WindowObserver::new(width);
+        sim.add_observer(Box::new(obs));
+        window_handle = Some(handle);
     }
 
     for &spec in &specs {
@@ -860,22 +855,7 @@ pub fn run_campaign(scenarios: Vec<Scenario>) -> CampaignResult {
 /// [`Telemetry`] payloads (trace documents, raw series) are dropped — use
 /// [`run_scenario_instrumented`] for a single run when those are needed.
 pub fn run_campaign_with(scenarios: Vec<Scenario>, opts: &ObsOptions) -> CampaignResult {
-    run_campaign_metered(scenarios, opts, None)
-}
-
-/// [`run_campaign_with`] with sweep-level telemetry fed into a
-/// [`CampaignMeter`]: per-row run and serialize latency histograms, a
-/// busy-worker gauge sampled at each row start (rayon saturation), rows/s
-/// of the sweep, and every row's engine self-profile folded into the
-/// `mdx_engine_*` lifetime instruments. With `meter: None` this is
-/// byte-identical to [`run_campaign_with`] — the disabled path costs one
-/// branch per row.
-pub fn run_campaign_metered(
-    scenarios: Vec<Scenario>,
-    opts: &ObsOptions,
-    meter: Option<&CampaignMeter>,
-) -> CampaignResult {
-    run_campaign_traced(scenarios, opts, meter, None)
+    run_campaign_traced(scenarios, opts, None, None)
 }
 
 /// Nests the engine-side children under a finished `run` span in `t`:
@@ -930,14 +910,24 @@ pub fn push_engine_spans(
     }
 }
 
-/// [`run_campaign_metered`] with a [`mdx_obs::SpanCollector`] attached:
-/// every row is offered as a trace — a `row` root span tagged with the
-/// scenario's `MDX1.` token, replay digest, and outcome (so a slow span
-/// replays deterministically from the log alone), `run` and `serialize`
-/// children tiling the root, and the engine subtree from
-/// [`push_engine_spans`]. Head sampling is the collector's; abnormal
-/// outcomes (deadlock, cycle-limit, stalled) are always kept. With
-/// `spans: None` this is [`run_campaign_metered`].
+/// [`run_campaign_with`] with sweep-level instruments.
+///
+/// With a [`CampaignMeter`], sweep-level telemetry lands in it: per-row
+/// run and serialize latency histograms, a busy-worker gauge sampled at
+/// each row start (rayon saturation), rows/s of the sweep, and every
+/// row's engine self-profile folded into the `mdx_engine_*` lifetime
+/// instruments.
+///
+/// With a [`mdx_obs::SpanCollector`], every row is offered as a trace — a
+/// `row` root span tagged with the scenario's `MDX1.` token, replay
+/// digest, and outcome (so a slow span replays deterministically from the
+/// log alone), `run` and `serialize` children tiling the root, and the
+/// engine subtree from [`push_engine_spans`]. Head sampling is the
+/// collector's; abnormal outcomes (deadlock, cycle-limit, stalled) are
+/// always kept.
+///
+/// With neither, this is byte-identical to [`run_campaign_with`] — the
+/// disabled path costs one branch per row.
 pub fn run_campaign_traced(
     scenarios: Vec<Scenario>,
     opts: &ObsOptions,

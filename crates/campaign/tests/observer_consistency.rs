@@ -178,7 +178,7 @@ proptest! {
 
         let counts = Rc::new(RefCell::new(EventCounts::default()));
         let mut sim = Simulator::new(net.graph().clone(), scheme, scenario.sim_config());
-        sim.set_observer(Box::new(SharedCounts(counts.clone())));
+        sim.add_observer(Box::new(SharedCounts(counts.clone())));
         for &spec in &specs {
             sim.schedule(spec);
         }
@@ -292,7 +292,7 @@ fn loaded_sim(scenario: &Scenario, probe_every: Option<u64>) -> Option<(Simulato
     let mut sim = Simulator::new(net.graph().clone(), scheme, scenario.sim_config());
     let probes = Probes::default();
     if let Some(every) = probe_every {
-        sim.set_observer(Box::new(ProbeLog {
+        sim.add_observer(Box::new(ProbeLog {
             every,
             seen: probes.clone(),
         }));

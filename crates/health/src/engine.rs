@@ -23,7 +23,7 @@
 //! pass that ages violations out).
 
 use crate::frame::SignalFrame;
-use crate::spec::SloSpec;
+use crate::spec::{Direction, SloSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -231,84 +231,63 @@ impl HealthEngine {
     }
 }
 
-/// An instantaneous (single-sample) verdict for one row or cell: breach
-/// on violation, warn on a `warn=` crossing, pass otherwise — no burn
-/// windows involved. Returns the overall status plus the violated or
-/// warning objectives in spec order.
-pub fn evaluate_frame(spec: &SloSpec, frame: &SignalFrame) -> (Status, Vec<ObjectiveReport>) {
-    let mut worst = Status::Pass;
-    let mut notes = Vec::new();
-    for o in &spec.objectives {
-        let value = frame.get(&o.signal);
-        let (violating, warning) = match value {
-            Some(v) => (o.violates(v), o.warns(v)),
-            None => (false, false),
-        };
-        let status = if violating {
-            Status::Breach
-        } else if warning {
-            Status::Warn
-        } else {
-            Status::Pass
-        };
-        worst = worst.max(status);
-        if status != Status::Pass {
-            notes.push(ObjectiveReport {
-                id: o.id.clone(),
-                signal: o.signal.clone(),
-                value,
-                violating,
-                fast_burn: 0.0,
-                slow_burn: 0.0,
-                budget_remaining: if violating { 0.0 } else { 1.0 },
-                status,
-            });
-        }
-    }
-    (worst, notes)
+/// One objective a [`Verdict`] flags: violated (`severity` breach) or
+/// across its `warn=` threshold (`severity` warn).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Violation {
+    /// The objective's id (from the spec).
+    pub objective: String,
+    /// The signal it watches.
+    pub signal: String,
+    /// The signal's value in the judged frame.
+    pub value: f64,
+    /// The objective's threshold.
+    pub threshold: f64,
+    /// Healthy side of the threshold.
+    pub direction: Direction,
+    /// `breach` for a violation, `warn` for a warn crossing.
+    pub severity: Status,
 }
 
-/// Renders an instantaneous verdict as the JSON value embedded in
-/// `campaign run --slo` / `campaign tournament --slo` output rows:
-/// `{"status": "...", "violations": [{"objective", "signal", "value",
-/// "threshold", "severity"}]}`.
-pub fn verdict_value(spec: &SloSpec, frame: &SignalFrame) -> serde_json::Value {
-    use serde_json::Value;
-    let (status, notes) = evaluate_frame(spec, frame);
-    let violations: Vec<Value> = notes
-        .iter()
-        .map(|n| {
-            let o = spec
-                .objectives
-                .iter()
-                .find(|o| o.id == n.id)
-                .expect("note ids come from the spec");
-            Value::Map(vec![
-                ("objective".to_string(), Value::Str(n.id.clone())),
-                ("signal".to_string(), Value::Str(n.signal.clone())),
-                (
-                    "value".to_string(),
-                    n.value.map(Value::F64).unwrap_or(Value::Null),
-                ),
-                ("threshold".to_string(), Value::F64(o.threshold)),
-                (
-                    "direction".to_string(),
-                    Value::Str(o.direction.as_str().to_string()),
-                ),
-                (
-                    "severity".to_string(),
-                    Value::Str(n.status.as_str().to_string()),
-                ),
-            ])
-        })
-        .collect();
-    Value::Map(vec![
-        (
-            "status".to_string(),
-            Value::Str(status.as_str().to_string()),
-        ),
-        ("violations".to_string(), Value::Seq(violations)),
-    ])
+/// An instantaneous (single-sample) verdict for one row or cell, as
+/// embedded in `campaign run --slo` / `campaign tournament --slo` output
+/// rows under `health`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Verdict {
+    /// Worst severity over all objectives (`pass` when none is flagged).
+    pub status: Status,
+    /// The violated or warning objectives, in spec order.
+    pub violations: Vec<Violation>,
+}
+
+/// Judges one frame instantaneously: breach on violation, warn on a
+/// `warn=` crossing, pass otherwise — no burn windows involved. A signal
+/// missing from the frame flags nothing.
+pub fn evaluate_frame(spec: &SloSpec, frame: &SignalFrame) -> Verdict {
+    let mut status = Status::Pass;
+    let mut violations = Vec::new();
+    for o in &spec.objectives {
+        let Some(value) = frame.get(&o.signal) else {
+            continue;
+        };
+        let severity = if o.violates(value) {
+            Status::Breach
+        } else if o.warns(value) {
+            Status::Warn
+        } else {
+            continue;
+        };
+        status = status.max(severity);
+        violations.push(Violation {
+            objective: o.id.clone(),
+            signal: o.signal.clone(),
+            value,
+            threshold: o.threshold,
+            direction: o.direction,
+            severity,
+        });
+    }
+    Verdict { status, violations }
 }
 
 #[cfg(test)]
@@ -405,9 +384,9 @@ mod tests {
         let r = e.observe(&frame(&[("latency", 90.0)]));
         assert_eq!(r.status, Status::Warn);
         assert!(!r.objectives[0].violating);
-        let (st, notes) = evaluate_frame(e.spec(), &frame(&[("latency", 90.0)]));
-        assert_eq!(st, Status::Warn);
-        assert_eq!(notes.len(), 1);
+        let v = evaluate_frame(e.spec(), &frame(&[("latency", 90.0)]));
+        assert_eq!(v.status, Status::Warn);
+        assert_eq!(v.violations.len(), 1);
     }
 
     #[test]
@@ -460,14 +439,36 @@ mod tests {
     fn instantaneous_verdict_names_the_violated_objective() {
         let s =
             spec("objective no-deadlock deadlock ceiling 0\nobjective del delivery floor 0.9\n");
-        let v = verdict_value(&s, &frame(&[("deadlock", 1.0), ("delivery", 0.99)]));
-        let json = serde_json::to_string(&v).unwrap();
-        assert!(json.contains("\"status\":\"breach\""), "{json}");
-        assert!(json.contains("\"objective\":\"no-deadlock\""), "{json}");
-        assert!(!json.contains("\"objective\":\"del\""), "{json}");
-        let v = verdict_value(&s, &frame(&[("deadlock", 0.0), ("delivery", 0.99)]));
-        assert!(serde_json::to_string(&v)
-            .unwrap()
-            .contains("\"status\":\"pass\""));
+        let v = evaluate_frame(&s, &frame(&[("deadlock", 1.0), ("delivery", 0.99)]));
+        assert_eq!(v.status, Status::Breach);
+        let flagged: Vec<&str> = v.violations.iter().map(|n| n.objective.as_str()).collect();
+        assert_eq!(flagged, ["no-deadlock"]);
+        let v = evaluate_frame(&s, &frame(&[("deadlock", 0.0), ("delivery", 0.99)]));
+        assert_eq!(v.status, Status::Pass);
+        assert!(v.violations.is_empty());
+    }
+
+    /// The `health` section's wire bytes: status, then each flagged
+    /// objective's id, signal, value, threshold, direction and severity.
+    /// A missing signal flags nothing.
+    #[test]
+    fn verdict_serializes_to_the_health_section_bytes() {
+        let s = spec(
+            "objective no-deadlock deadlock_rate ceiling 0\n\
+             objective delivery delivery_ratio floor 0.9 warn=0.95\n\
+             objective latency latency_p99 ceiling 100\n",
+        );
+        let v = evaluate_frame(
+            &s,
+            &frame(&[("deadlock_rate", 1.0), ("delivery_ratio", 0.93)]),
+        );
+        assert_eq!(
+            serde_json::to_string(&v).unwrap(),
+            "{\"status\":\"breach\",\"violations\":[\
+             {\"objective\":\"no-deadlock\",\"signal\":\"deadlock_rate\",\"value\":1.0,\
+             \"threshold\":0.0,\"direction\":\"ceiling\",\"severity\":\"breach\"},\
+             {\"objective\":\"delivery\",\"signal\":\"delivery_ratio\",\"value\":0.93,\
+             \"threshold\":0.9,\"direction\":\"floor\",\"severity\":\"warn\"}]}"
+        );
     }
 }

@@ -1,23 +1,22 @@
 //! Signal frames: the flat `name -> value` view the engine evaluates.
 //!
 //! A [`SignalFrame`] is one evaluation tick's worth of telemetry, reduced
-//! to a sorted map of finite `f64` signals. Adapters flatten the stack's
-//! native telemetry shapes into frames:
+//! to a sorted map of finite `f64` signals. Frames come from two places:
 //!
-//! - [`SignalFrame::from_snapshot`] — an `mdx-metrics` [`Snapshot`]:
-//!   counters sum across series, gauges take the series value, histograms
-//!   expand into `_p50`/`_p95`/`_p99`/`_count`/`_sum`/`_mean` estimates;
-//!   labeled series additionally appear under Prometheus-selector keys
+//! - [`SignalFrame::from_snapshot`] flattens an `mdx-metrics`
+//!   [`Snapshot`] (the resident server's registry): counters sum across
+//!   series, gauges take the series value, histograms expand into
+//!   `_p50`/`_p95`/`_p99`/`_count`/`_sum`/`_mean` estimates; labeled
+//!   series additionally appear under Prometheus-selector keys
 //!   (`name{verb="run"}`).
-//! - [`SignalFrame::from_window_report`] — an `mdx-obs` [`WindowReport`]:
-//!   delivery ratio, backlog, saturation flag, latency totals.
+//! - [`SignalFrame::set`] fills a frame by hand, as the `campaign` CLI
+//!   does with one row's or one tournament cell's statistics.
 //!
 //! Frames are ordered (BTreeMap) and reject non-finite values, so the
 //! same inputs always produce the same frame — the determinism the
 //! replayable health reports lean on.
 
 use mdx_metrics::{SampleValue, Snapshot};
-use mdx_obs::WindowReport;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -73,14 +72,6 @@ impl SignalFrame {
     /// Looks a signal up.
     pub fn get(&self, name: &str) -> Option<f64> {
         self.signals.get(name).copied()
-    }
-
-    /// Copies every signal of `other` into this frame (later wins).
-    pub fn merge(&mut self, other: &SignalFrame) -> &mut Self {
-        for (k, v) in &other.signals {
-            self.signals.insert(k.clone(), *v);
-        }
-        self
     }
 
     /// Flattens a metrics registry snapshot (see module docs for the
@@ -169,28 +160,6 @@ impl SignalFrame {
         }
         f
     }
-
-    /// Flattens a windowed stream report.
-    pub fn from_window_report(tick: u64, rep: &WindowReport) -> SignalFrame {
-        let mut f = SignalFrame::new(tick);
-        f.set("delivery_ratio", rep.delivery_ratio());
-        f.set("injected", rep.totals.injected as f64);
-        f.set("finished", rep.totals.finished as f64);
-        f.set("latency_max", rep.totals.latency_max as f64);
-        f.set("mean_latency", rep.totals.mean_latency()); // NaN dropped
-        f.set(
-            "saturated",
-            if rep.saturated_at.is_some() { 1.0 } else { 0.0 },
-        );
-        f.set("dropped_windows", rep.dropped_windows as f64);
-        let peak = rep.windows.iter().map(|w| w.backlog).max().unwrap_or(0);
-        f.set("peak_backlog", peak as f64);
-        if let Some(last) = rep.windows.last() {
-            f.set("backlog", last.backlog as f64);
-            f.set("window_delivery_fraction", last.delivery_fraction());
-        }
-        f
-    }
 }
 
 fn selector(name: &str, labels: &[(String, String)]) -> String {
@@ -205,7 +174,6 @@ fn selector(name: &str, labels: &[(String, String)]) -> String {
 mod tests {
     use super::*;
     use mdx_metrics::Registry;
-    use mdx_obs::{WindowRow, WindowTotals};
 
     #[test]
     fn quantile_estimator_picks_bucket_upper_bounds() {
@@ -257,42 +225,6 @@ mod tests {
         assert_eq!(f.get("mdx_req_s_count"), Some(10.0));
         assert_eq!(f.get("mdx_req_s_p50"), Some(1.0));
         assert_eq!(f.get("mdx_req_s_p99"), Some(10.0));
-    }
-
-    #[test]
-    fn window_report_flattens_without_nans() {
-        let rep = WindowReport {
-            window: 10,
-            windows: vec![WindowRow {
-                start: 0,
-                injected: 4,
-                finished: 2,
-                latency_sum: 10,
-                backlog: 2,
-            }],
-            dropped_windows: 0,
-            totals: WindowTotals {
-                injected: 4,
-                finished: 2,
-                latency_sum: 10,
-                latency_max: 7,
-            },
-            saturated_at: None,
-        };
-        let f = SignalFrame::from_window_report(1, &rep);
-        assert_eq!(f.get("delivery_ratio"), Some(0.5));
-        assert_eq!(f.get("peak_backlog"), Some(2.0));
-        assert_eq!(f.get("saturated"), Some(0.0));
-        // A report with zero finishes drops the NaN mean rather than
-        // storing it.
-        let empty = WindowReport {
-            totals: WindowTotals::default(),
-            windows: vec![],
-            ..rep
-        };
-        let f = SignalFrame::from_window_report(2, &empty);
-        assert_eq!(f.get("mean_latency"), None);
-        assert_eq!(f.get("delivery_ratio"), Some(1.0));
     }
 
     #[test]

@@ -14,11 +14,14 @@
 //!   expressible as `signal (ceiling|floor) threshold` with an error
 //!   budget.
 //! - [`SignalFrame`] ([`frame`]) — one evaluation tick of telemetry,
-//!   flattened from `mdx-metrics` snapshots, `mdx-obs` window reports, or
-//!   hand-set row statistics into a sorted finite `name -> f64` map.
+//!   flattened from `mdx-metrics` snapshots or hand-set row statistics
+//!   into a sorted finite `name -> f64` map.
 //! - [`HealthEngine`] ([`engine`]) — SRE-style multi-window burn-rate
 //!   evaluation over logical ticks, producing deterministic
-//!   [`HealthReport`]s and transition [`Alert`]s (the JSONL alert log).
+//!   [`HealthReport`]s and transition [`Alert`]s (the JSONL alert log);
+//!   [`evaluate_frame`] judges one frame on its own into the [`Verdict`]
+//!   that `campaign run|tournament --slo` writes under each row's `health`
+//!   key.
 //!
 //! Determinism is the design constraint throughout: no wall clock, no
 //! randomness, ordered maps, spec-ordered evaluation — the same token or
@@ -53,7 +56,7 @@ pub mod frame;
 pub mod spec;
 
 pub use engine::{
-    evaluate_frame, verdict_value, Alert, HealthEngine, HealthReport, ObjectiveReport, Status,
+    evaluate_frame, Alert, HealthEngine, HealthReport, ObjectiveReport, Status, Verdict, Violation,
 };
 pub use frame::{histogram_quantile, SignalFrame};
 pub use spec::{

@@ -38,23 +38,16 @@ pub const DEFAULT_FAST_BURN: f64 = 2.0;
 /// Default slow-window burn-rate threshold.
 pub const DEFAULT_SLOW_BURN: f64 = 1.0;
 
-/// Which side of the threshold is healthy.
+/// Which side of the threshold is healthy. Serialized as the lowercase
+/// word spec files use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Direction {
     /// The signal must stay at or below the threshold.
+    #[serde(rename = "ceiling")]
     Ceiling,
     /// The signal must stay at or above the threshold.
+    #[serde(rename = "floor")]
     Floor,
-}
-
-impl Direction {
-    /// Short lowercase name (as written in spec files).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Direction::Ceiling => "ceiling",
-            Direction::Floor => "floor",
-        }
-    }
 }
 
 /// One declarative objective.

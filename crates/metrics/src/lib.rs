@@ -822,6 +822,20 @@ impl Snapshot {
             })
     }
 
+    /// The sum of every counter series in family `name`, across all label
+    /// values (0 when the family is absent).
+    pub fn counter_total(&self, name: &str) -> u64 {
+        self.family(name).map_or(0, |f| {
+            f.series
+                .iter()
+                .map(|s| match s.value {
+                    SampleValue::Counter(v) => v,
+                    _ => 0,
+                })
+                .sum()
+        })
+    }
+
     /// Convenience: the value of an unlabeled (or first) gauge series.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
         self.family(name)?
@@ -862,6 +876,8 @@ mod tests {
         let snap = reg.snapshot();
         let fam = snap.family("mdx_req_total").unwrap();
         assert_eq!(fam.series.len(), 2);
+        assert_eq!(snap.counter_total("mdx_req_total"), 4);
+        assert_eq!(snap.counter_total("mdx_absent_total"), 0);
         let text = snap.render_prometheus();
         assert!(text.contains("mdx_req_total{verb=\"run\"} 3"));
         assert!(text.contains("mdx_req_total{verb=\"stats\"} 1"));

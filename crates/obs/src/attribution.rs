@@ -156,7 +156,7 @@ impl State {
 
 /// The attachable half of the attribution instrument: implements
 /// [`SimObserver`]; build with [`AttributionObserver::new`], attach with
-/// [`mdx_sim::Simulator::set_observer`], and reduce afterwards through the
+/// [`mdx_sim::Simulator::add_observer`], and reduce afterwards through the
 /// paired [`AttributionHandle`].
 pub struct AttributionObserver {
     state: Rc<RefCell<State>>,

@@ -68,7 +68,7 @@
 //! let scheme = Arc::new(NaiveBroadcast::new(net.clone()));
 //! let mut sim = Simulator::new(net.graph().clone(), scheme, SimConfig::default());
 //! let (obs, metrics) = MetricsObserver::new(net.graph().clone());
-//! sim.set_observer(Box::new(obs));
+//! sim.add_observer(Box::new(obs));
 //! sim.schedule(InjectSpec {
 //!     src_pe: 0,
 //!     header: Header::unicast(shape.coord_of(0), shape.coord_of(11)),
@@ -80,7 +80,8 @@
 //! assert!(report.total_flits > 0);
 //! ```
 //!
-//! To run several observers at once, wrap them in a [`FanoutObserver`].
+//! To run several observers at once, attach each of them: the engine
+//! fires every hook on each attached observer, in attach order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -120,189 +121,3 @@ pub use windows::{
     WindowHandle, WindowObserver, WindowReport, WindowRow, WindowTotals, DEFAULT_MAX_WINDOWS,
     SATURATION_DELIVERY_FRACTION, SATURATION_WINDOWS,
 };
-
-use mdx_sim::{DeadlockInfo, InjectSpec, PacketId, SimObserver, WaitSnapshot};
-use mdx_topology::{ChannelId, Node};
-
-/// Broadcasts every hook to a list of child observers, letting several
-/// independent instruments watch one run.
-///
-/// [`SimObserver::probe_interval`] resolves to the *minimum* interval any
-/// child requests; every child receives every probe (a child that wanted a
-/// coarser period simply sees extra snapshots, which the bundled observers
-/// tolerate).
-#[derive(Default)]
-pub struct FanoutObserver {
-    parts: Vec<Box<dyn SimObserver>>,
-}
-
-impl FanoutObserver {
-    /// An empty fanout (a no-op observer until children are added).
-    pub fn new() -> FanoutObserver {
-        FanoutObserver { parts: Vec::new() }
-    }
-
-    /// Adds a child observer (builder style).
-    pub fn with(mut self, part: Box<dyn SimObserver>) -> FanoutObserver {
-        self.parts.push(part);
-        self
-    }
-
-    /// Adds a child observer.
-    pub fn push(&mut self, part: Box<dyn SimObserver>) {
-        self.parts.push(part);
-    }
-
-    /// Number of child observers.
-    pub fn len(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// True when no children are attached.
-    pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
-    }
-}
-
-impl SimObserver for FanoutObserver {
-    fn on_inject(&mut self, id: PacketId, spec: &InjectSpec, now: u64) {
-        for p in &mut self.parts {
-            p.on_inject(id, spec, now);
-        }
-    }
-
-    fn on_hop(&mut self, id: PacketId, at: Node, in_channel: Option<ChannelId>, now: u64) {
-        for p in &mut self.parts {
-            p.on_hop(id, at, in_channel, now);
-        }
-    }
-
-    fn on_rc_change(
-        &mut self,
-        id: PacketId,
-        at: Node,
-        from: mdx_core::RouteChange,
-        to: mdx_core::RouteChange,
-        now: u64,
-    ) {
-        for p in &mut self.parts {
-            p.on_rc_change(id, at, from, to, now);
-        }
-    }
-
-    fn on_blocked(
-        &mut self,
-        id: PacketId,
-        channel: ChannelId,
-        vc: u8,
-        holder: Option<PacketId>,
-        now: u64,
-    ) {
-        for p in &mut self.parts {
-            p.on_blocked(id, channel, vc, holder, now);
-        }
-    }
-
-    fn on_unblocked(&mut self, id: PacketId, channel: ChannelId, vc: u8, waited: u64, now: u64) {
-        for p in &mut self.parts {
-            p.on_unblocked(id, channel, vc, waited, now);
-        }
-    }
-
-    fn on_flit(&mut self, channel: ChannelId, vc: u8, occupancy: usize, now: u64) {
-        for p in &mut self.parts {
-            p.on_flit(channel, vc, occupancy, now);
-        }
-    }
-
-    fn on_gather(&mut self, id: PacketId, depth: usize, now: u64) {
-        for p in &mut self.parts {
-            p.on_gather(id, depth, now);
-        }
-    }
-
-    fn on_emission(&mut self, id: PacketId, depth: usize, now: u64) {
-        for p in &mut self.parts {
-            p.on_emission(id, depth, now);
-        }
-    }
-
-    fn on_delivery(&mut self, id: PacketId, pe: usize, now: u64) {
-        for p in &mut self.parts {
-            p.on_delivery(id, pe, now);
-        }
-    }
-
-    fn on_packet_finished(&mut self, id: PacketId, now: u64) {
-        for p in &mut self.parts {
-            p.on_packet_finished(id, now);
-        }
-    }
-
-    fn probe_interval(&self) -> Option<u64> {
-        self.parts.iter().filter_map(|p| p.probe_interval()).min()
-    }
-
-    fn on_probe(&mut self, now: u64, waits: &[WaitSnapshot]) {
-        for p in &mut self.parts {
-            p.on_probe(now, waits);
-        }
-    }
-
-    fn on_final_waits(&mut self, now: u64, waits: &[WaitSnapshot]) {
-        for p in &mut self.parts {
-            p.on_final_waits(now, waits);
-        }
-    }
-
-    fn on_deadlock(&mut self, info: &DeadlockInfo) {
-        for p in &mut self.parts {
-            p.on_deadlock(info);
-        }
-    }
-
-    fn on_fault_activated(&mut self, now: u64, victims: &[PacketId]) {
-        for p in &mut self.parts {
-            p.on_fault_activated(now, victims);
-        }
-    }
-
-    fn on_epoch_phase(&mut self, epoch: u32, phase: mdx_sim::EpochPhase, now: u64) {
-        for p in &mut self.parts {
-            p.on_epoch_phase(epoch, phase, now);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mdx_sim::EventCounts;
-
-    #[test]
-    fn fanout_forwards_to_all_children() {
-        // EventCounts children can't be read back through the box, so use the
-        // fanout with metrics handles instead; here we only check interval
-        // resolution and that pushing works.
-        let f = FanoutObserver::new().with(Box::new(EventCounts::default()));
-        assert_eq!(f.len(), 1);
-        assert!(!f.is_empty());
-        assert_eq!(f.probe_interval(), None);
-    }
-
-    struct FixedInterval(u64);
-    impl SimObserver for FixedInterval {
-        fn probe_interval(&self) -> Option<u64> {
-            Some(self.0)
-        }
-    }
-
-    #[test]
-    fn fanout_probe_interval_is_min_of_children() {
-        let f = FanoutObserver::new()
-            .with(Box::new(FixedInterval(64)))
-            .with(Box::new(EventCounts::default()))
-            .with(Box::new(FixedInterval(16)));
-        assert_eq!(f.probe_interval(), Some(16));
-    }
-}

@@ -50,7 +50,7 @@ struct State {
 
 /// The attachable half of the metrics instrument: implements
 /// [`SimObserver`]; build with [`MetricsObserver::new`], attach with
-/// [`mdx_sim::Simulator::set_observer`], and read the results afterwards
+/// [`mdx_sim::Simulator::add_observer`], and read the results afterwards
 /// through the paired [`MetricsHandle`].
 pub struct MetricsObserver {
     state: Rc<RefCell<State>>,

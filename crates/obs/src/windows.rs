@@ -202,9 +202,8 @@ impl State {
 
 /// The attachable half of the windowed instrument; build with
 /// [`WindowObserver::new`], attach with
-/// [`mdx_sim::Simulator::set_observer`] (or a
-/// [`crate::FanoutObserver`]), read back through the paired
-/// [`WindowHandle`].
+/// [`mdx_sim::Simulator::add_observer`] (alongside any other observers),
+/// read back through the paired [`WindowHandle`].
 pub struct WindowObserver {
     state: Rc<RefCell<State>>,
 }

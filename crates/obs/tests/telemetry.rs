@@ -11,8 +11,8 @@
 use mdx_core::{NaiveBroadcast, RouteChange, Scheme, Sr2201Routing};
 use mdx_fault::FaultSet;
 use mdx_obs::{
-    FanoutObserver, FlightRecorder, MetricsObserver, PostmortemReport, StallProbe, TraceDoc,
-    TraceRecorder, DEFAULT_FLIGHT_CAPACITY,
+    FlightRecorder, MetricsObserver, PostmortemReport, StallProbe, TraceDoc, TraceRecorder,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 use mdx_sim::{EventCounts, InjectSpec, SimConfig, SimOutcome, Simulator};
 use mdx_topology::{MdCrossbar, Node, Shape};
@@ -48,7 +48,7 @@ fn fig10_sxb_utilization_dominates_other_x_crossbars() {
 
     let mut sim = Simulator::new(net.graph().clone(), scheme, SimConfig::default());
     let (obs, metrics) = MetricsObserver::new(net.graph().clone());
-    sim.set_observer(Box::new(obs));
+    sim.add_observer(Box::new(obs));
     let specs = fig10_specs(&net, 7);
     assert!(
         specs
@@ -109,7 +109,7 @@ fn naive_broadcast_storm_wait_chain_grows_before_watchdog_fires() {
             },
         );
         let (probe, stall) = StallProbe::new(64);
-        sim.set_observer(Box::new(probe));
+        sim.add_observer(Box::new(probe));
         for &src in &sources {
             let c = shape.coord_of(src);
             sim.schedule(InjectSpec {
@@ -170,7 +170,7 @@ fn naive_broadcast_postmortem_matches_watchdog_witness() {
             },
         );
         let (rec, flight) = FlightRecorder::new(net.graph().clone(), vcs, DEFAULT_FLIGHT_CAPACITY);
-        sim.set_observer(Box::new(rec));
+        sim.add_observer(Box::new(rec));
         for &src in &sources {
             let c = shape.coord_of(src);
             sim.schedule(InjectSpec {
@@ -259,13 +259,11 @@ fn all_three_observers_compose_via_fanout() {
     let (metrics_obs, metrics) = MetricsObserver::new(net.graph().clone());
     let (trace_obs, trace) = TraceRecorder::new(net.graph());
     let (probe, stall) = StallProbe::new(32);
-    sim.set_observer(Box::new(
-        FanoutObserver::new()
-            .with(Box::new(metrics_obs))
-            .with(Box::new(trace_obs))
-            .with(Box::new(probe))
-            .with(Box::new(EventCounts::default())),
-    ));
+    // The engine fans every hook out to all four.
+    sim.add_observer(Box::new(metrics_obs));
+    sim.add_observer(Box::new(trace_obs));
+    sim.add_observer(Box::new(probe));
+    sim.add_observer(Box::new(EventCounts::default()));
 
     for &spec in &fig10_specs(&net, 3) {
         sim.schedule(spec);

@@ -107,7 +107,7 @@ pub fn run_reconfig(
         .map_err(|e| ReconfigError::BuildScheme(e.to_string()))?;
     let mut sim = Simulator::new(net.graph().clone(), scheme, cfg);
     if let Some(obs) = observer {
-        sim.set_observer(obs);
+        sim.add_observer(obs);
     }
     for &s in specs {
         sim.schedule(s);

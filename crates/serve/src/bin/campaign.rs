@@ -108,18 +108,19 @@
 //! transitions as JSONL, and the Prometheus exposition gains
 //! `mdx_health_status` / `mdx_slo_burn_rate` / `mdx_slo_budget_remaining`
 //! gauges. `campaign run --slo FILE` and `campaign tournament --slo FILE`
-//! evaluate the same objectives instantaneously per row/cell and append a
-//! `health` section to each JSONL line (output without the flag is
-//! byte-identical to earlier releases). `campaign watch ADDR` polls a
-//! serving endpoint's `health` + `stats` verbs and renders a one-screen
-//! live view.
+//! judge each row (or executed cell) once against the same objectives,
+//! instantaneously: that one verdict is appended to the row's JSONL line
+//! as its `health` section and counted in the closing `health:` summary
+//! line (output without the flag is byte-identical to earlier releases).
+//! `campaign watch ADDR` polls a serving endpoint's `health` + `stats`
+//! verbs and renders a one-screen live view.
 
 use mdx_campaign::{
-    diff_attribution, enumerate_scenarios, run_campaign_metered, run_scenario_instrumented, shrink,
+    diff_attribution, enumerate_scenarios, run_campaign_traced, run_scenario_instrumented, shrink,
     CampaignConfig, CampaignMeter, ObsOptions, Scenario, ScenarioReport, Workload, WorkloadKind,
     CAMPAIGN_SCHEMES, DEFAULT_DIFF_THRESHOLD,
 };
-use mdx_health::{evaluate_frame, verdict_value, SignalFrame, SloSpec, Status};
+use mdx_health::{evaluate_frame, SignalFrame, SloSpec, Status, Verdict};
 use mdx_obs::{PostmortemReport, DEFAULT_FLIGHT_CAPACITY};
 use mdx_serve::{
     render_watch, row_key, serve_on, serve_stdio, Request, Response, ResultCache, ServeConfig,
@@ -267,32 +268,34 @@ fn cell_frame(c: &TournamentCell) -> SignalFrame {
     f
 }
 
-/// Appends a `health` verdict section to one serialized JSONL row.
-/// Injection happens at the output layer — the row structs themselves
-/// never change, so `--slo`-free output stays byte-identical.
-fn stamp_health(line: &str, spec: &SloSpec, frame: &SignalFrame) -> String {
-    let mut v: Value = serde_json::from_str(line).expect("row round-trips");
+/// One JSONL line: `row` with its verdict appended as a last `health`
+/// key. The row structs never carry the verdict, so `--slo`-free output
+/// stays byte-identical.
+fn health_line(row: &impl serde::Serialize, verdict: &Verdict) -> String {
+    let mut v = serde_json::to_value(row).expect("row serializes");
     if let Value::Map(entries) = &mut v {
-        entries.push(("health".to_string(), verdict_value(spec, frame)));
+        let health = serde_json::to_value(verdict).expect("verdict serializes");
+        entries.push(("health".to_string(), health));
     }
-    serde_json::to_string(&v).expect("row serializes")
+    let mut line = serde_json::to_string(&v).expect("row serializes");
+    line.push('\n');
+    line
 }
 
-/// Counts pass/warn/breach over a set of frames and renders the one-line
-/// summary (breached objective ids included, deduplicated).
-fn health_summary(spec: &SloSpec, frames: impl Iterator<Item = SignalFrame>) -> (String, usize) {
+/// Counts pass/warn/breach over a set of verdicts and renders the
+/// one-line summary (breached objective ids included, deduplicated).
+fn health_summary<'a>(verdicts: impl Iterator<Item = &'a Verdict>) -> String {
     let (mut pass, mut warn, mut breach) = (0usize, 0usize, 0usize);
-    let mut violated: Vec<String> = Vec::new();
-    for frame in frames {
-        let (status, objectives) = evaluate_frame(spec, &frame);
-        match status {
+    let mut violated: Vec<&str> = Vec::new();
+    for v in verdicts {
+        match v.status {
             Status::Pass => pass += 1,
             Status::Warn => warn += 1,
             Status::Breach => breach += 1,
         }
-        for o in objectives.iter().filter(|o| o.status == Status::Breach) {
-            if !violated.contains(&o.id) {
-                violated.push(o.id.clone());
+        for o in v.violations.iter().filter(|o| o.severity == Status::Breach) {
+            if !violated.contains(&o.objective.as_str()) {
+                violated.push(&o.objective);
             }
         }
     }
@@ -301,7 +304,7 @@ fn health_summary(spec: &SloSpec, frames: impl Iterator<Item = SignalFrame>) -> 
         line.push_str(&format!(" (violated: {})", violated.join(", ")));
     }
     line.push('\n');
-    (line, breach)
+    line
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -404,7 +407,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
     // exposition is written once at the end.
     let registry = prom.as_ref().map(|_| mdx_metrics::Registry::new());
     let meter = registry.as_ref().map(CampaignMeter::register);
-    let result = run_campaign_metered(scenarios, &obs, meter.as_ref());
+    let result = run_campaign_traced(scenarios, &obs, meter.as_ref(), None);
+    // With `--slo` each row is judged once, for its JSONL `health` section
+    // and for the summary line.
+    let verdicts: Option<Vec<Verdict>> = slo.as_ref().map(|spec| {
+        result
+            .reports
+            .iter()
+            .map(|r| evaluate_frame(spec, &report_frame(r)))
+            .collect()
+    });
 
     if let (Some(path), Some(registry)) = (&prom, &registry) {
         if let Err(e) = std::fs::write(path, registry.snapshot().render_prometheus()) {
@@ -419,17 +431,14 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if let Some(path) = jsonl {
         // With `--slo` every row line gains a `health` verdict section;
         // without it the payload is exactly `to_jsonl()`, byte for byte.
-        let payload = match &slo {
+        let payload = match &verdicts {
             None => result.to_jsonl(),
-            Some(spec) => {
-                let mut out = String::new();
-                for r in &result.reports {
-                    let line = serde_json::to_string(r).expect("report serializes");
-                    out.push_str(&stamp_health(&line, spec, &report_frame(r)));
-                    out.push('\n');
-                }
-                out
-            }
+            Some(verdicts) => result
+                .reports
+                .iter()
+                .zip(verdicts)
+                .map(|(r, v)| health_line(r, v))
+                .collect(),
         };
         if let Err(e) = std::fs::write(&path, payload) {
             eprintln!("error: cannot write {path}: {e}");
@@ -441,9 +450,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
 
     print!("{}", result.summary());
-    if let Some(spec) = &slo {
-        let (line, _) = health_summary(spec, result.reports.iter().map(report_frame));
-        print!("{line}");
+    if let Some(verdicts) = &verdicts {
+        print!("{}", health_summary(verdicts.iter()));
     }
 
     // With the flight recorder attached, every failed row auto-dumps its
@@ -554,7 +562,10 @@ fn cmd_replay(token: &str, args: &[String]) -> ExitCode {
     // deterministic per token, so a hit is byte-identical to a re-run.
     // Instrumented replays (any observer flag) always re-simulate — the
     // cache stores only the row, not the full telemetry.
-    let cache = (obs.is_none() && !no_cache).then(|| ResultCache::new(1).with_dir(&cache_dir));
+    // The cache counts into a throwaway registry: a one-shot replay has
+    // no exporter to read it.
+    let cache = (obs.is_none() && !no_cache)
+        .then(|| ResultCache::new(1, &mdx_metrics::Registry::new()).with_dir(&cache_dir));
     let key = row_key(token, None);
     if let (Some(cache), false) = (&cache, force) {
         if let Some(row) = cache.get(key) {
@@ -856,25 +867,29 @@ fn cmd_tournament(path: &str, args: &[String]) -> ExitCode {
         }
     };
     let table = run_tournament(&spec);
+    // With `--slo` each executed cell is judged once; skipped cells never
+    // ran, so they get no verdict.
+    let verdicts: Option<Vec<Option<Verdict>>> = slo.as_ref().map(|spec| {
+        table
+            .cells
+            .iter()
+            .map(|c| (c.status == "ok").then(|| evaluate_frame(spec, &cell_frame(c))))
+            .collect()
+    });
     if let Some(p) = &jsonl {
-        // Executed cells gain a `health` verdict section under `--slo`;
-        // skipped cells never ran, so they carry none. Without the flag
+        // Judged cells gain a `health` verdict section. Without the flag
         // the payload is exactly `to_jsonl()`.
-        let payload = match &slo {
+        let payload = match &verdicts {
             None => table.to_jsonl(),
-            Some(spec) => {
-                let mut out = String::new();
-                for c in &table.cells {
-                    let line = serde_json::to_string(c).expect("cell serializes");
-                    if c.status == "ok" {
-                        out.push_str(&stamp_health(&line, spec, &cell_frame(c)));
-                    } else {
-                        out.push_str(&line);
-                    }
-                    out.push('\n');
-                }
-                out
-            }
+            Some(verdicts) => table
+                .cells
+                .iter()
+                .zip(verdicts)
+                .map(|(c, v)| match v {
+                    Some(v) => health_line(c, v),
+                    None => format!("{}\n", serde_json::to_string(c).expect("cell serializes")),
+                })
+                .collect(),
         };
         if let Err(e) = std::fs::write(p, payload) {
             eprintln!("error: cannot write {p}: {e}");
@@ -892,16 +907,8 @@ fn cmd_tournament(path: &str, args: &[String]) -> ExitCode {
     } else {
         print!("{}", table.render());
     }
-    if let Some(spec) = &slo {
-        let (line, _) = health_summary(
-            spec,
-            table
-                .cells
-                .iter()
-                .filter(|c| c.status == "ok")
-                .map(cell_frame),
-        );
-        print!("{line}");
+    if let Some(verdicts) = &verdicts {
+        print!("{}", health_summary(verdicts.iter().flatten()));
     }
     ExitCode::SUCCESS
 }

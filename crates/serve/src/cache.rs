@@ -14,7 +14,6 @@ use mdx_campaign::ScenarioReport;
 use mdx_metrics::{Counter, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// FNV-1a over bytes — the same digest `mdx-campaign` uses for replay
@@ -63,11 +62,9 @@ impl CacheTier {
     }
 }
 
-/// Registry handles a [`ResultCache`] feeds alongside its own atomic
-/// counters, so a resident server's cache behaviour shows up on the
-/// Prometheus endpoint without the cache depending on where it's embedded.
-#[derive(Debug, Clone)]
-pub struct CacheMetrics {
+/// The cache's counters (`mdx_serve_cache_*`), registered on the registry
+/// the cache is built with — the only place a cache event is counted.
+struct CacheMetrics {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -76,8 +73,7 @@ pub struct CacheMetrics {
 }
 
 impl CacheMetrics {
-    /// Registers the cache metric family (`mdx_serve_cache_*`) on `reg`.
-    pub fn register(reg: &Registry) -> CacheMetrics {
+    fn register(reg: &Registry) -> CacheMetrics {
         CacheMetrics {
             hits: reg.counter(
                 "mdx_serve_cache_hits_total",
@@ -110,15 +106,14 @@ struct Mem {
 pub struct ResultCache {
     mem: Mutex<Mem>,
     dir: Option<PathBuf>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    evictions: AtomicUsize,
-    metrics: Option<CacheMetrics>,
+    metrics: CacheMetrics,
 }
 
 impl ResultCache {
-    /// An in-memory cache holding at most `capacity` rows (FIFO eviction).
-    pub fn new(capacity: usize) -> ResultCache {
+    /// An in-memory cache holding at most `capacity` rows (FIFO eviction),
+    /// counting its hits, misses, evictions and disk traffic into `reg`
+    /// (the `mdx_serve_cache_*` family).
+    pub fn new(capacity: usize, reg: &Registry) -> ResultCache {
         ResultCache {
             mem: Mutex::new(Mem {
                 rows: HashMap::new(),
@@ -126,10 +121,7 @@ impl ResultCache {
                 capacity: capacity.max(1),
             }),
             dir: None,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            metrics: None,
+            metrics: CacheMetrics::register(reg),
         }
     }
 
@@ -138,15 +130,6 @@ impl ResultCache {
     #[must_use]
     pub fn with_dir(mut self, dir: impl Into<PathBuf>) -> ResultCache {
         self.dir = Some(dir.into());
-        self
-    }
-
-    /// Mirrors the cache's counters into registry instruments (see
-    /// [`CacheMetrics::register`]). Without this the cache costs nothing
-    /// beyond its own atomics.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: CacheMetrics) -> ResultCache {
-        self.metrics = Some(metrics);
         self
     }
 
@@ -166,29 +149,20 @@ impl ResultCache {
     /// hit, for span attribution.
     pub fn get_tiered(&self, key: u64) -> Option<(ScenarioReport, CacheTier)> {
         if let Some(row) = self.mem.lock().expect("cache lock").rows.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.hits.inc();
-            }
+            self.metrics.hits.inc();
             return Some((row.clone(), CacheTier::Memory));
         }
         if let Some(path) = self.disk_path(key) {
             if let Ok(body) = std::fs::read_to_string(&path) {
                 if let Ok(row) = serde_json::from_str::<ScenarioReport>(&body) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = &self.metrics {
-                        m.hits.inc();
-                        m.disk_hits.inc();
-                    }
+                    self.metrics.hits.inc();
+                    self.metrics.disk_hits.inc();
                     self.insert_mem(key, row.clone());
                     return Some((row, CacheTier::Disk));
                 }
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.misses.inc();
-        }
+        self.metrics.misses.inc();
         None
     }
 
@@ -200,10 +174,7 @@ impl ResultCache {
         while mem.order.len() > mem.capacity {
             if let Some(old) = mem.order.pop_front() {
                 mem.rows.remove(&old);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.evictions.inc();
-                }
+                self.metrics.evictions.inc();
             }
         }
     }
@@ -221,9 +192,7 @@ impl ResultCache {
                     std::fs::write(&path, serde_json::to_string(row).expect("row serializes"))
                 });
             if wrote.is_ok() {
-                if let Some(m) = &self.metrics {
-                    m.disk_writes.inc();
-                }
+                self.metrics.disk_writes.inc();
             }
         }
         self.insert_mem(key, row.clone());
@@ -237,19 +206,6 @@ impl ResultCache {
     /// True when the memory tier is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Lifetime (hits, misses) counters.
-    pub fn counters(&self) -> (usize, usize) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Rows evicted from the in-memory tier over the cache's lifetime.
-    pub fn eviction_count(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// The disk tier's directory, when one is configured.
@@ -278,7 +234,8 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_but_serves_hits() {
-        let cache = ResultCache::new(2);
+        let reg = Registry::new();
+        let cache = ResultCache::new(2, &reg);
         let rows: Vec<_> = (0..3).map(tiny_row).collect();
         for (i, r) in rows.iter().enumerate() {
             cache.put(row_key(&r.token, None), r);
@@ -290,8 +247,11 @@ mod tests {
             cache.get(row_key(&rows[2].token, None)).unwrap().digest,
             rows[2].digest
         );
-        let (hits, misses) = cache.counters();
-        assert_eq!((hits, misses), (1, 1));
+        let snap = reg.snapshot();
+        let count = |name| snap.counter_value(name);
+        assert_eq!(count("mdx_serve_cache_hits_total"), Some(1));
+        assert_eq!(count("mdx_serve_cache_misses_total"), Some(1));
+        assert_eq!(count("mdx_serve_cache_evictions_total"), Some(1));
     }
 
     #[test]
@@ -305,10 +265,11 @@ mod tests {
         let row = tiny_row(9);
         let key = row_key(&row.token, Some(64));
 
-        let cache = ResultCache::new(4).with_dir(&dir);
+        let reg = Registry::new();
+        let cache = ResultCache::new(4, &reg).with_dir(&dir);
         cache.put(key, &row);
 
-        let fresh = ResultCache::new(4).with_dir(&dir);
+        let fresh = ResultCache::new(4, &reg).with_dir(&dir);
         let (got, tier) = fresh.get_tiered(key).expect("disk hit");
         assert_eq!(tier, CacheTier::Disk);
         assert_eq!(got.digest, row.digest);
@@ -323,6 +284,17 @@ mod tests {
         );
         // Window width is part of the key.
         assert!(fresh.get(row_key(&row.token, Some(128))).is_none());
+        // Both caches count into the one registry.
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.counter_value("mdx_serve_cache_disk_writes_total"),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter_value("mdx_serve_cache_disk_hits_total"),
+            Some(1)
+        );
+        assert_eq!(snap.counter_value("mdx_serve_cache_hits_total"), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

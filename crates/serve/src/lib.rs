@@ -10,9 +10,9 @@
 //!
 //! The protocol runs over stdio (`campaign serve`) or TCP
 //! (`campaign serve --tcp ADDR`). Abnormal rows keep their
-//! flight-recorder post-mortems fetchable by digest; `stats` exposes the
-//! service counters; `metrics` returns the full registry snapshot as
-//! JSON; `spans` returns the span collector's ledger; `shutdown` stops
+//! flight-recorder post-mortems fetchable by digest; `stats` reads the
+//! service counters off the metric registry, their only store; `metrics`
+//! returns the full registry snapshot as JSON; `spans` returns the span collector's ledger; `shutdown` stops
 //! the server after draining. With `--metrics-addr` the same registry is
 //! scrapeable as Prometheus text over HTTP ([`metrics`]): per-verb
 //! request latency, queue wait, cache hit/miss/eviction counters, and
@@ -69,7 +69,7 @@ pub mod protocol;
 pub mod server;
 pub mod watch;
 
-pub use cache::{fnv1a64, row_key, CacheMetrics, CacheTier, ResultCache, DEFAULT_CACHE_CAPACITY};
+pub use cache::{fnv1a64, row_key, CacheTier, ResultCache, DEFAULT_CACHE_CAPACITY};
 pub use metrics::{spawn_metrics_listener, spawn_snapshot_writer, ServeMetrics, VerbMeter};
 pub use protocol::{Request, Response, ServeStats};
 pub use server::{

@@ -18,13 +18,15 @@ use std::time::{Duration, Instant};
 
 /// Protocol verbs with pre-registered per-verb series; unknown verbs land
 /// on the `other` series so a typo can't mint unbounded label values.
-const VERBS: [&str; 8] = [
+const VERBS: [&str; 10] = [
     "run",
     "spec",
     "postmortem",
+    "tournament",
     "stats",
     "metrics",
     "spans",
+    "health",
     "shutdown",
     "other",
 ];

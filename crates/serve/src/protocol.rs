@@ -123,18 +123,24 @@ impl Request {
     }
 }
 
-/// Service counters, returned by the `stats` verb.
+/// Service counters, returned by the `stats` verb. The counts are read
+/// from the metric registry's `mdx_serve_*` series, so they always agree
+/// with a Prometheus scrape.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServeStats {
-    /// Rows served (cache hits included).
+    /// Rows served (cache hits included): `mdx_serve_rows_total`.
     pub served: usize,
-    /// Rows answered straight from the result cache.
+    /// Rows answered straight from the result cache:
+    /// `mdx_serve_cache_hits_total`.
     pub cache_hits: usize,
-    /// Cache lookups that missed and fell through to simulation.
+    /// Cache lookups that missed and fell through to simulation:
+    /// `mdx_serve_cache_misses_total`.
     pub cache_misses: usize,
-    /// Rows evicted from the in-memory cache tier (FIFO cap).
+    /// Rows evicted from the in-memory cache tier (FIFO cap):
+    /// `mdx_serve_cache_evictions_total`.
     pub cache_evictions: usize,
-    /// Requests that returned an error.
+    /// Error responses of every class — parse errors, unknown verbs,
+    /// failed requests and handler panics: `mdx_serve_errors_total`.
     pub errors: usize,
     /// Rows currently resident in the in-memory cache.
     pub cached_rows: usize,

@@ -20,7 +20,7 @@
 //! and `serialize` phases, offered to a [`mdx_obs::SpanCollector`] and
 //! echoed on the response via its `trace` id.
 
-use crate::cache::{row_key, CacheMetrics, ResultCache, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{row_key, ResultCache, DEFAULT_CACHE_CAPACITY};
 use crate::metrics::{spawn_metrics_listener, spawn_snapshot_writer, ServeMetrics};
 use crate::protocol::{Request, Response, ServeStats};
 use mdx_campaign::{push_engine_spans, run_scenario_instrumented, ObsOptions, Scenario, Workload};
@@ -132,9 +132,8 @@ pub struct Service {
     cache: ResultCache,
     postmortems: Mutex<(HashMap<String, PostmortemReport>, Vec<String>)>,
     tournaments: Mutex<(HashMap<String, TournamentResult>, Vec<String>)>,
-    served: AtomicUsize,
-    cache_hits: AtomicUsize,
-    errors: AtomicUsize,
+    /// The service's only counter store: every exporter view and
+    /// [`Service::stats`] read it.
     registry: Registry,
     metrics: ServeMetrics,
     spans: Option<Arc<SpanCollector>>,
@@ -150,8 +149,7 @@ impl Service {
     pub fn new(cfg: &ServeConfig) -> Service {
         let registry = Registry::new();
         let metrics = ServeMetrics::register(&registry);
-        let mut cache =
-            ResultCache::new(cfg.cache_capacity).with_metrics(CacheMetrics::register(&registry));
+        let mut cache = ResultCache::new(cfg.cache_capacity, &registry);
         if let Some(dir) = &cfg.cache_dir {
             cache = cache.with_dir(dir);
         }
@@ -204,9 +202,6 @@ impl Service {
             cache,
             postmortems: Mutex::new((HashMap::new(), Vec::new())),
             tournaments: Mutex::new((HashMap::new(), Vec::new())),
-            served: AtomicUsize::new(0),
-            cache_hits: AtomicUsize::new(0),
-            errors: AtomicUsize::new(0),
             registry,
             metrics,
             spans,
@@ -258,10 +253,10 @@ impl Service {
             let errors = f.get("mdx_serve_errors_total").unwrap_or(0.0);
             f.set("error_rate", errors / requests);
         }
-        let stats = self.stats();
-        let lookups = stats.cache_hits + stats.cache_misses;
-        if lookups > 0 {
-            f.set("cache_hit_rate", stats.cache_hits as f64 / lookups as f64);
+        let hits = f.get("mdx_serve_cache_hits_total").unwrap_or(0.0);
+        let lookups = hits + f.get("mdx_serve_cache_misses_total").unwrap_or(0.0);
+        if lookups > 0.0 {
+            f.set("cache_hit_rate", hits / lookups);
         }
         for (alias, src) in [
             ("latency_p50", "mdx_serve_request_seconds_p50"),
@@ -401,7 +396,6 @@ impl Service {
                 (resp.with_trace(trace), tr)
             }
             Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
                 self.metrics.error("parse");
                 let resp = Response::error(None, format!("bad request: {e}"))
                     .with_trace(trace_of_line(line));
@@ -492,7 +486,6 @@ impl Service {
         }
         self.metrics.inflight.dec();
         if resp.is_error() {
-            self.errors.fetch_add(1, Ordering::Relaxed);
             let class = match req.cmd.as_str() {
                 "run" | "spec" | "postmortem" | "tournament" | "stats" | "metrics" | "spans"
                 | "health" | "shutdown" => "request",
@@ -586,8 +579,6 @@ impl Service {
                 tr.last = c1;
             }
             if let Some((row, _)) = hit {
-                self.served.fetch_add(1, Ordering::Relaxed);
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 self.count_row_outcome(&row.outcome);
                 return Response::row(req.id, true, row);
             }
@@ -630,7 +621,6 @@ impl Service {
                     tr.last = r1;
                 }
                 self.cache.put(key, &row);
-                self.served.fetch_add(1, Ordering::Relaxed);
                 self.count_row_outcome(&row.outcome);
                 Response::row(req.id, false, row)
             }
@@ -693,15 +683,17 @@ impl Service {
         Response::tournament(req.id, false, table)
     }
 
-    /// Current service counters.
+    /// Current service counters, each read from the registry series that
+    /// counts the event.
     pub fn stats(&self) -> ServeStats {
-        let (_, cache_misses) = self.cache.counters();
+        let snap = self.registry.snapshot();
+        let total = |name| snap.counter_total(name) as usize;
         ServeStats {
-            served: self.served.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses,
-            cache_evictions: self.cache.eviction_count(),
-            errors: self.errors.load(Ordering::Relaxed),
+            served: total("mdx_serve_rows_total"),
+            cache_hits: total("mdx_serve_cache_hits_total"),
+            cache_misses: total("mdx_serve_cache_misses_total"),
+            cache_evictions: total("mdx_serve_cache_evictions_total"),
+            errors: total("mdx_serve_errors_total"),
             cached_rows: self.cache.len(),
             postmortems: self.postmortems.lock().expect("postmortem lock").1.len(),
             workers: self.workers,

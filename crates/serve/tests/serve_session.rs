@@ -263,6 +263,11 @@ fn stats_verb_tracks_cache_hits_misses_and_evictions() {
     let wire = resp.stats.expect("stats body");
     assert_eq!(wire.cache_misses, 4);
     assert_eq!(wire.cache_evictions, 2);
+
+    // `errors` is read off `mdx_serve_errors_total`, so the worker pool's
+    // handler-panic class counts too.
+    service.metrics().error("panic");
+    assert_eq!(service.stats().errors, 1);
 }
 
 /// The `metrics` verb returns the registry snapshot as JSON, and the same
@@ -320,6 +325,43 @@ fn metrics_verb_snapshots_the_registry() {
     // One simulated row fed the engine family.
     assert!(text.contains("mdx_engine_cycles_total"), "{text}");
     assert!(text.contains("mdx_engine_active_packets_bucket"), "{text}");
+}
+
+/// `tournament` and `health` are metered under their own verb series,
+/// not lumped into `other` with mistyped verbs.
+#[test]
+fn tournament_and_health_requests_are_metered_under_their_own_verbs() {
+    use mdx_health::SloSpec;
+    use std::time::Instant;
+
+    let cfg = ServeConfig {
+        slo: Some(SloSpec::parse("objective no-deadlock deadlock_rate ceiling 0\n").unwrap()),
+        ..ServeConfig::default()
+    };
+    let service = Service::new(&cfg);
+    let tournament = serde_json::to_string(&Request {
+        cmd: "tournament".to_string(),
+        spec: Some("scheme sr2201\ntopology mdx:3x3\nworkload storm flits=4\nseeds 1\n".into()),
+        ..Request::default()
+    })
+    .unwrap();
+    for line in [tournament.as_str(), r#"{"cmd":"health"}"#] {
+        let resp: Response =
+            serde_json::from_str(&service.process_line(line, Instant::now())).unwrap();
+        assert!(!resp.is_error(), "{line}: {:?}", resp.error);
+    }
+
+    let text = service.registry().snapshot().render_prometheus();
+    for series in [
+        "mdx_serve_requests_total{verb=\"tournament\"} 1",
+        "mdx_serve_requests_total{verb=\"health\"} 1",
+        "mdx_serve_requests_total{verb=\"other\"} 0",
+        "mdx_serve_request_seconds_count{verb=\"tournament\"} 1",
+        "mdx_serve_request_seconds_count{verb=\"health\"} 1",
+        "mdx_serve_request_seconds_count{verb=\"other\"} 0",
+    ] {
+        assert!(text.contains(series), "missing `{series}` in {text}");
+    }
 }
 
 /// End-to-end scrape: a service's registry served over the HTTP endpoint

@@ -354,7 +354,8 @@ pub struct Simulator {
     /// the profiler buckets each tick.
     started_packets: usize,
     prof: Profiler,
-    observer: Option<Box<dyn SimObserver>>,
+    /// Attached observers; every hook fires on each, in attach order.
+    observers: Vec<Box<dyn SimObserver>>,
     /// Invariant violations recorded instead of panicking (see
     /// [`EngineDiagnostic`]); copied into [`SimResult::diagnostics`].
     diagnostics: Vec<EngineDiagnostic>,
@@ -419,7 +420,7 @@ impl Simulator {
             finished_packets: 0,
             started_packets: 0,
             prof: Profiler::default(),
-            observer: None,
+            observers: Vec::new(),
             diagnostics: Vec::new(),
             injection_open: true,
             dead_nodes: Vec::new(),
@@ -431,17 +432,13 @@ impl Simulator {
         }
     }
 
-    /// Attaches an event observer (replacing any previous one). The engine
-    /// calls its hooks at packet-lifecycle transitions; see
-    /// [`SimObserver`].
-    pub fn set_observer(&mut self, observer: Box<dyn SimObserver>) {
-        self.observer = Some(observer);
-    }
-
-    /// Detaches and returns the current observer, if any — typically after
-    /// [`Simulator::run`], to read back what it accumulated.
-    pub fn take_observer(&mut self) -> Option<Box<dyn SimObserver>> {
-        self.observer.take()
+    /// Attaches an event observer. The engine calls its hooks at
+    /// packet-lifecycle transitions (see [`SimObserver`]); with several
+    /// attached, each hook fires on every observer in attach order, and
+    /// probes run at the smallest [`SimObserver::probe_interval`] any of
+    /// them asks for.
+    pub fn add_observer(&mut self, observer: Box<dyn SimObserver>) {
+        self.observers.push(observer);
     }
 
     /// Enables per-phase wall-clock timing in the self-profile
@@ -741,7 +738,7 @@ impl Simulator {
             self.packets[packet as usize].route.push((at.0, self.now));
         }
         let action = self.scheme.decide(at_node, from_node, &header);
-        if self.observer.is_some() {
+        if !self.observers.is_empty() {
             let in_channel = in_port.map(|p| ChannelId(p / self.vcs as u32));
             let rc_change = match &action {
                 Action::Forward(branches) => branches
@@ -750,9 +747,11 @@ impl Simulator {
                     .find(|&rc| rc != header.rc),
                 _ => None,
             };
-            if let Some(obs) = self.observer.as_deref_mut() {
+            for obs in &mut self.observers {
                 obs.on_hop(PacketId(packet), at_node, in_channel, self.now);
-                if let Some(to) = rc_change {
+            }
+            if let Some(to) = rc_change {
+                for obs in &mut self.observers {
                     obs.on_rc_change(PacketId(packet), at_node, header.rc, to, self.now);
                 }
             }
@@ -853,7 +852,7 @@ impl Simulator {
                 self.started_packets += 1;
                 self.finished_packets += 1;
                 self.log_victim(pidx);
-                if let Some(obs) = self.observer.as_deref_mut() {
+                for obs in &mut self.observers {
                     obs.on_packet_finished(PacketId(pidx), self.now);
                 }
                 progress = true;
@@ -861,7 +860,7 @@ impl Simulator {
             }
             self.packets[pidx as usize].started = true;
             self.started_packets += 1;
-            if let Some(obs) = self.observer.as_deref_mut() {
+            for obs in &mut self.observers {
                 obs.on_inject(PacketId(pidx), &spec, self.now);
             }
             self.create_visit(pidx, at, None, None, None, spec.header);
@@ -929,17 +928,21 @@ impl Simulator {
                         None => bad = true,
                     }
                 }
-                if self.observer.is_some() {
+                if !self.observers.is_empty() {
                     let at = self.graph.node(serial);
                     let depth = self.serial_queue.len();
                     let rc_change = states
                         .iter()
                         .map(|b| b.header.rc)
                         .find(|&rc| rc != header.rc);
-                    if let Some(obs) = self.observer.as_deref_mut() {
+                    for obs in &mut self.observers {
                         obs.on_emission(PacketId(pidx), depth, self.now);
+                    }
+                    for obs in &mut self.observers {
                         obs.on_hop(PacketId(pidx), at, None, self.now);
-                        if let Some(to) = rc_change {
+                    }
+                    if let Some(to) = rc_change {
+                        for obs in &mut self.observers {
                             obs.on_rc_change(PacketId(pidx), at, header.rc, to, self.now);
                         }
                     }
@@ -1034,16 +1037,18 @@ impl Simulator {
                     if flipped {
                         self.join_moving(vidx);
                     }
-                    if let (Some(since), Some(obs)) = (was_blocked, self.observer.as_deref_mut()) {
+                    if let Some(since) = was_blocked {
                         let ch = ChannelId((pu / self.vcs) as u32);
                         let vc = (pu % self.vcs) as u8;
-                        obs.on_unblocked(PacketId(packet), ch, vc, self.now - since, self.now);
+                        for obs in &mut self.observers {
+                            obs.on_unblocked(PacketId(packet), ch, vc, self.now - since, self.now);
+                        }
                     }
                 }
             }
             // Requests still queued after arbitration transition to
             // *blocked* (once per episode) — observer bookkeeping only.
-            if self.observer.is_some() && !self.chan_requests[pu].is_empty() {
+            if !self.observers.is_empty() && !self.chan_requests[pu].is_empty() {
                 let holder =
                     self.chan_owner[pu].map(|(ovi, _)| PacketId(self.visits[ovi as usize].packet));
                 for i in 0..self.chan_requests[pu].len() {
@@ -1059,9 +1064,9 @@ impl Simulator {
                     }
                     if newly {
                         changed = true;
-                        if let Some(obs) = self.observer.as_deref_mut() {
-                            let ch = ChannelId((pu / self.vcs) as u32);
-                            let vc = (pu % self.vcs) as u8;
+                        let ch = ChannelId((pu / self.vcs) as u32);
+                        let vc = (pu % self.vcs) as u8;
+                        for obs in &mut self.observers {
                             obs.on_blocked(PacketId(packet), ch, vc, holder, self.now);
                         }
                     }
@@ -1162,7 +1167,7 @@ impl Simulator {
             self.chan_flits[ch.idx()] += 1;
             self.port_flits[port] += 1;
             self.flit_hops += 1;
-            if let Some(obs) = self.observer.as_deref_mut() {
+            for obs in &mut self.observers {
                 obs.on_flit(ch, vc, self.buffered[port] as usize, self.now);
             }
             s.moved.push(vi);
@@ -1196,7 +1201,7 @@ impl Simulator {
                             self.packets[packet as usize]
                                 .deliveries
                                 .push((pe, self.now));
-                            if let Some(obs) = self.observer.as_deref_mut() {
+                            for obs in &mut self.observers {
                                 obs.on_delivery(PacketId(packet), pe, self.now);
                             }
                         }
@@ -1206,7 +1211,7 @@ impl Simulator {
                             let header = v.header;
                             self.serial_queue.push_back((packet, header));
                             let depth = self.serial_queue.len();
-                            if let Some(obs) = self.observer.as_deref_mut() {
+                            for obs in &mut self.observers {
                                 obs.on_gather(PacketId(packet), depth, self.now);
                             }
                         }
@@ -1354,7 +1359,7 @@ impl Simulator {
         if p.open == 0 && p.started && p.finished_at.is_none() {
             p.finished_at = Some(self.now);
             self.finished_packets += 1;
-            if let Some(obs) = self.observer.as_deref_mut() {
+            for obs in &mut self.observers {
                 obs.on_packet_finished(PacketId(packet), self.now);
             }
         }
@@ -1534,9 +1539,10 @@ impl Simulator {
 
     fn run_phase_inner(&mut self, stop_at: Option<u64>, drain: bool) -> PhaseEnd {
         let probe_every = self
-            .observer
-            .as_deref()
-            .and_then(|o| o.probe_interval())
+            .observers
+            .iter()
+            .filter_map(|o| o.probe_interval())
+            .min()
             .filter(|&iv| iv > 0);
         let timing = self.prof.timing;
 
@@ -1580,7 +1586,7 @@ impl Simulator {
                 if self.now.is_multiple_of(iv) {
                     let t = timing.then(Instant::now);
                     let waits = self.wait_snapshot();
-                    if let Some(obs) = self.observer.as_deref_mut() {
+                    for obs in &mut self.observers {
                         obs.on_probe(self.now, &waits);
                     }
                     if let Some(t) = t {
@@ -1676,18 +1682,18 @@ impl Simulator {
             PhaseEnd::Deadlock(info) => SimOutcome::Deadlock(info),
             PhaseEnd::Stalled | PhaseEnd::Drained => SimOutcome::Stalled,
         };
-        // Abnormal endings drain the terminal wait graph to the observer
+        // Abnormal endings drain the terminal wait graph to the observers
         // (the flight-recorder/post-mortem hook), then — for deadlocks —
         // hand over the extracted cycle. See the firing-order contract in
         // [`crate::observer`].
-        if self.observer.is_some() && !matches!(outcome, SimOutcome::Completed) {
+        if !self.observers.is_empty() && !matches!(outcome, SimOutcome::Completed) {
             let waits = self.wait_snapshot();
-            if let Some(obs) = self.observer.as_deref_mut() {
+            for obs in &mut self.observers {
                 obs.on_final_waits(self.now, &waits);
             }
         }
         if let SimOutcome::Deadlock(info) = &outcome {
-            if let Some(obs) = self.observer.as_deref_mut() {
+            for obs in &mut self.observers {
                 obs.on_deadlock(info);
             }
         }
@@ -1788,11 +1794,11 @@ impl Simulator {
         self.packets[id.0 as usize].deliveries.len()
     }
 
-    /// Forwards an epoch-phase transition to the attached observer (the
-    /// controller owns the protocol but the engine owns the observer).
+    /// Forwards an epoch-phase transition to the attached observers (the
+    /// controller owns the protocol but the engine owns the observers).
     pub fn notify_epoch_phase(&mut self, epoch: u32, phase: crate::observer::EpochPhase) {
         let now = self.now;
-        if let Some(obs) = self.observer.as_deref_mut() {
+        for obs in &mut self.observers {
             obs.on_epoch_phase(epoch, phase, now);
         }
     }
@@ -1891,7 +1897,7 @@ impl Simulator {
             self.log_victim(p.0);
         }
         let now = self.now;
-        if let Some(obs) = self.observer.as_deref_mut() {
+        for obs in &mut self.observers {
             obs.on_fault_activated(now, &out);
         }
         out
@@ -2008,7 +2014,7 @@ impl Simulator {
         if p.started && p.finished_at.is_none() {
             p.finished_at = Some(self.now);
             self.finished_packets += 1;
-            if let Some(obs) = self.observer.as_deref_mut() {
+            for obs in &mut self.observers {
                 obs.on_packet_finished(PacketId(pid), self.now);
             }
         }
@@ -2065,8 +2071,8 @@ impl Simulator {
                     self.graph.node(info.src)
                 });
                 let action = self.scheme.decide(at_node, from_node, &header);
-                if let Some(obs) = self.observer.as_deref_mut() {
-                    let in_channel = in_port.map(|p| ChannelId(p / self.vcs as u32));
+                let in_channel = in_port.map(|p| ChannelId(p / self.vcs as u32));
+                for obs in &mut self.observers {
                     obs.on_hop(PacketId(packet), at_node, in_channel, self.now);
                 }
                 let kind = self.action_to_kind(at, action);

@@ -3,9 +3,16 @@
 //! A [`SimObserver`] lets instrumentation (campaign runners, trace
 //! collectors, live dashboards) watch a run without the engine allocating
 //! anything on their behalf: every method defaults to a no-op, every call
-//! site in the engine is guarded by a single branch on `Option::is_some`,
-//! and nothing below the packet-lifecycle/hop granularity is materialized
-//! unless an observer is attached.
+//! site in the engine is a loop over the attached observers (empty by
+//! default), and nothing below the packet-lifecycle/hop granularity is
+//! materialized unless an observer is attached.
+//!
+//! Any number of observers can watch one run: attach each with
+//! [`crate::Simulator::add_observer`]. Every hook fires on each observer
+//! in attach order before the engine moves on to the next hook, and
+//! probes run at the smallest [`SimObserver::probe_interval`] any of them
+//! asks for (an observer that wanted a coarser period simply sees extra
+//! snapshots).
 //!
 //! ## Hook firing order
 //!
@@ -120,7 +127,7 @@
 //! let shape = net.shape().clone();
 //! let scheme = Arc::new(NaiveBroadcast::new(net.clone()));
 //! let mut sim = Simulator::new(net.graph().clone(), scheme, SimConfig::default());
-//! sim.set_observer(Box::new(PairingCheck::default()));
+//! sim.add_observer(Box::new(PairingCheck::default()));
 //! for src in [0usize, 7] {
 //!     sim.schedule(InjectSpec {
 //!         src_pe: src,
@@ -197,7 +204,7 @@ impl std::fmt::Display for EpochPhase {
 /// Callbacks fired by [`crate::Simulator`] as packets move through their
 /// lifecycle and across individual channels. All methods have empty
 /// defaults; implement only what you need. Attach with
-/// [`crate::Simulator::set_observer`]. See the [module docs](self) for the
+/// [`crate::Simulator::add_observer`]. See the [module docs](self) for the
 /// exact per-cycle firing order.
 pub trait SimObserver {
     /// A packet entered the network (its header left the source NIA).
@@ -268,8 +275,9 @@ pub trait SimObserver {
     fn on_packet_finished(&mut self, _id: PacketId, _now: u64) {}
 
     /// Cycle period at which the engine should take [`WaitSnapshot`]s and
-    /// call [`SimObserver::on_probe`]. `None` (the default) disables
-    /// probing entirely — the engine then never materializes snapshots.
+    /// call [`SimObserver::on_probe`]. `None` (the default) asks for no
+    /// probes; when no attached observer asks, the engine never
+    /// materializes snapshots.
     fn probe_interval(&self) -> Option<u64> {
         None
     }

@@ -39,7 +39,7 @@ fn main() {
 
     let mut sim = Simulator::new(net.graph().clone(), scheme, scenario.sim_config());
     let (obs, attribution) = AttributionObserver::new(net.graph().clone());
-    sim.set_observer(Box::new(obs));
+    sim.add_observer(Box::new(obs));
     for &spec in &scenario.specs(&shape, &faults) {
         sim.schedule(spec);
     }

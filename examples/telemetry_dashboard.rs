@@ -2,9 +2,8 @@
 //!
 //! 1. Fig. 10 mixed traffic (unicasts + serialized broadcasts) under the
 //!    paper's scheme, with the metrics observer, the stall probe, and the
-//!    Chrome/Perfetto trace recorder all attached through one
-//!    [`FanoutObserver`] — prints the channel/crossbar heatmap showing the
-//!    S-XB as the hottest X crossbar.
+//!    Chrome/Perfetto trace recorder all attached to one run — prints the
+//!    channel/crossbar heatmap showing the S-XB as the hottest X crossbar.
 //! 2. The Fig. 5 naive broadcast storm with the stall probe attached —
 //!    prints the wait-chain timeline *growing* probe over probe until the
 //!    watchdog confirms the deadlock.
@@ -17,7 +16,7 @@
 //! at <https://ui.perfetto.dev> (or chrome://tracing) to see per-packet
 //! switch-residency slices, blocked episodes, and the S-XB gather queue.
 
-use sr2201::obs::{FanoutObserver, MetricsObserver, StallProbe, TraceRecorder};
+use sr2201::obs::{MetricsObserver, StallProbe, TraceRecorder};
 use sr2201::prelude::*;
 use sr2201::workloads::{mixed_schedule, OpenLoop, TrafficPattern};
 use std::sync::Arc;
@@ -37,12 +36,9 @@ fn main() {
     let (metrics_obs, metrics) = MetricsObserver::new(net.graph().clone());
     let (trace_obs, trace) = TraceRecorder::new(net.graph());
     let (probe_obs, probe) = StallProbe::new(32);
-    sim.set_observer(Box::new(
-        FanoutObserver::new()
-            .with(Box::new(metrics_obs))
-            .with(Box::new(trace_obs))
-            .with(Box::new(probe_obs)),
-    ));
+    sim.add_observer(Box::new(metrics_obs));
+    sim.add_observer(Box::new(trace_obs));
+    sim.add_observer(Box::new(probe_obs));
 
     let specs = mixed_schedule(
         &shape,
@@ -107,7 +103,7 @@ fn main() {
             },
         );
         let (probe_obs, probe) = StallProbe::new(64);
-        sim.set_observer(Box::new(probe_obs));
+        sim.add_observer(Box::new(probe_obs));
         for &src in &sources {
             let c = shape.coord_of(src);
             sim.schedule(InjectSpec {
