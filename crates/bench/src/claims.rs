@@ -273,7 +273,6 @@ pub fn scale_2048() -> Vec<Table> {
             "mean latency",
             "p99",
             "sim cycles",
-            "wall time (s)",
         ],
     );
     for (label, site) in [
@@ -309,9 +308,7 @@ pub fn scale_2048() -> Vec<Table> {
             flits: PACKET_FLITS,
             inject_at: 150,
         });
-        let start = std::time::Instant::now();
         let r = run_schedule(net.graph(), scheme, &specs, SimConfig::default());
-        let wall = start.elapsed().as_secs_f64();
         let (lat, p99, _thr, done) = summarize(&r);
         t.row(vec![
             label.to_string(),
@@ -320,7 +317,6 @@ pub fn scale_2048() -> Vec<Table> {
             lat,
             p99,
             r.stats.cycles.to_string(),
-            f3(wall),
         ]);
     }
     t.note("broadcasts deliver to all 2048 PEs (2047 under the router fault)");

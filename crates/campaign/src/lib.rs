@@ -49,9 +49,9 @@ pub use diff::{
 };
 pub use meter::{CampaignMeter, EngineMeter, RowProfile};
 pub use runner::{
-    enumerate_fault_sets, enumerate_scenarios, push_engine_spans, run_campaign,
+    enumerate_fault_sets, enumerate_scenarios, fnv1a64, push_engine_spans, run_campaign,
     run_campaign_traced, run_campaign_with, run_scenario, run_scenario_instrumented,
-    CampaignConfig, CampaignError, CampaignResult, ObsOptions, RowAttribution, RowStream,
+    CampaignConfig, CampaignError, CampaignResult, Fnv1a, ObsOptions, RowAttribution, RowStream,
     RowTelemetry, ScenarioReport, Telemetry, WorkloadKind, CAMPAIGN_SCHEMES,
 };
 pub use scenario::{detour_stress_for, Scenario, ScenarioError, Workload};

@@ -14,11 +14,12 @@ use mdx_obs::{
     PostmortemReport, StallProbe, StallReport, TraceRecorder, WindowObserver, WindowReport,
 };
 use mdx_reconfig::{drive_reconfig, ReconfigError, ReconfigReport, ReconfigSpec, RecoveryPolicy};
-use mdx_sim::{DeadlockInfo, SimConfig, SimOutcome, SimStats, Simulator};
-use mdx_topology::{ChannelId, MdCrossbar, Shape};
+use mdx_sim::{DeadlockInfo, SimConfig, SimOutcome, SimResult, SimStats, Simulator};
+use mdx_topology::{ChannelId, MdCrossbar, Network, NetworkGraph, Shape};
 use mdx_workloads::TrafficPattern;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// The scheme ids a default campaign sweeps: the paper's deadlock-free
 /// scheme and its two broken foils.
@@ -237,15 +238,86 @@ impl From<ReconfigError> for CampaignError {
     }
 }
 
-/// FNV-1a over bytes — the digest used to compare replays bit-for-bit.
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// 64-bit FNV-1a as a [`std::fmt::Write`] sink: the digest that compares
+/// replays bit for bit. A row's digest is the hash of its result's compact
+/// JSON, streamed in as the JSON writer emits it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of no bytes (the FNV-1a offset basis).
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn update(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a over bytes.
+pub fn fnv1a64(data: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.update(data);
+    h.finish()
+}
+
+/// The row digest: FNV-1a of `result`'s compact JSON, as 16 hex digits.
+fn digest_of(result: &SimResult) -> String {
+    let mut h = Fnv1a::new();
+    let mut json = serde_json::Serializer::new(&mut h);
+    result.serialize(&mut json);
+    json.into_inner().expect("hashing never fails");
+    format!("{:016x}", h.finish())
+}
+
+/// The busiest channels of a run as `(description, flits crossed)`: by
+/// flits descending, then description, at most [`HOT_CHANNELS`] of them.
+/// Only channels whose count reaches the fifth-largest nonzero count are
+/// named, so a run names a handful of channels, not all of them.
+fn hot_channels(graph: &NetworkGraph, flits: &[u64]) -> Vec<(String, u64)> {
+    let mut counts: Vec<u64> = flits.iter().copied().filter(|&f| f > 0).collect();
+    let floor = if counts.len() > HOT_CHANNELS {
+        *counts
+            .select_nth_unstable_by(HOT_CHANNELS - 1, |a, b| b.cmp(a))
+            .1
+    } else {
+        1
+    };
+    let mut hot: Vec<(String, u64)> = flits
+        .iter()
+        .enumerate()
+        .filter(|(_, &f)| f >= floor)
+        .map(|(i, &f)| (graph.describe_channel(ChannelId(i as u32)), f))
+        .collect();
+    hot.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    hot.truncate(HOT_CHANNELS);
+    hot
+}
+
+/// Channels listed in [`ScenarioReport::hot_channels`].
+const HOT_CHANNELS: usize = 5;
 
 /// Which telemetry instruments to attach when running a scenario (see
 /// [`run_scenario_instrumented`]). The default attaches none — the
@@ -567,11 +639,29 @@ pub fn run_scenario_instrumented(
     scenario: &Scenario,
     opts: &ObsOptions,
 ) -> Result<(ScenarioReport, Telemetry), CampaignError> {
+    let (shape, faults) = validate(scenario)?;
+    run_on(scenario, &scenario.network()?, shape, faults, opts)
+}
+
+/// The checks a scenario passes before its network is needed, in the order
+/// their errors take precedence: the workload, the shape, then the faults.
+fn validate(scenario: &Scenario) -> Result<(Shape, FaultSet), ScenarioError> {
     scenario.check()?;
     let shape = scenario.shape_obj()?;
     let faults = scenario.fault_set()?;
-    let net = scenario.network()?;
-    let scheme = build_scheme_for(&scenario.scheme, &net, &faults)?;
+    Ok((shape, faults))
+}
+
+/// Runs a [`validate`]d scenario on `net`, the network its topology and
+/// shape name.
+fn run_on(
+    scenario: &Scenario,
+    net: &Network,
+    shape: Shape,
+    faults: FaultSet,
+    opts: &ObsOptions,
+) -> Result<(ScenarioReport, Telemetry), CampaignError> {
+    let scheme = build_scheme_for(&scenario.scheme, net, &faults)?;
     let sxb_name = scheme.serializing_node().map(|n| n.to_string());
     let dxb_name = scheme.detour_node().map(|n| n.to_string());
     // Lane count, so the flight recorder's channel names match the
@@ -653,24 +743,8 @@ pub fn run_scenario_instrumented(
         specs.len()
     };
 
-    let mut hot: Vec<(String, u64)> = sim
-        .channel_flits()
-        .iter()
-        .enumerate()
-        .filter(|(_, &f)| f > 0)
-        .map(|(i, &f)| (net.graph().describe_channel(ChannelId(i as u32)), f))
-        .collect();
-    hot.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    hot.truncate(5);
-
-    let digest = format!(
-        "{:016x}",
-        fnv1a64(
-            serde_json::to_string(&result)
-                .expect("sim result serializes")
-                .as_bytes()
-        )
-    );
+    let hot = hot_channels(net.graph(), sim.channel_flits());
+    let digest = digest_of(&result);
     let deadlock = match &result.outcome {
         SimOutcome::Deadlock(info) => Some(info.clone()),
         _ => None,
@@ -935,8 +1009,27 @@ pub fn run_campaign_traced(
     spans: Option<&mdx_obs::SpanCollector>,
 ) -> CampaignResult {
     let sweep_start = std::time::Instant::now();
-    let outcomes: Vec<(Scenario, Result<ScenarioReport, CampaignError>)> = scenarios
-        .into_par_iter()
+    // One network per (topology, shape), built before the rows fan out and
+    // shared by every row on it: a network is immutable, and handing its
+    // graph to a simulator or an observer is a reference-count bump. Only
+    // a row that passes validation builds one, so a row keeps the error a
+    // lone run of it would report.
+    let mut nets: BTreeMap<(&str, &[u16]), Result<Network, ScenarioError>> = BTreeMap::new();
+    for s in &scenarios {
+        let key = (s.topology.as_str(), s.shape.as_slice());
+        if !nets.contains_key(&key) && validate(s).is_ok() {
+            nets.insert(key, s.network());
+        }
+    }
+    let run_row = |s: &Scenario| -> Result<ScenarioReport, CampaignError> {
+        let (shape, faults) = validate(s)?;
+        let net = nets[&(s.topology.as_str(), s.shape.as_slice())]
+            .as_ref()
+            .map_err(Clone::clone)?;
+        run_on(s, net, shape, faults, opts).map(|(report, _)| report)
+    };
+    let outcomes: Vec<Result<ScenarioReport, CampaignError>> = scenarios
+        .par_iter()
         .map(|s| {
             // Head-sample at row start; the keep decision is revisited at
             // the end only to force-keep abnormal outcomes.
@@ -947,7 +1040,7 @@ pub fn run_campaign_traced(
             }
             let row_start = std::time::Instant::now();
             let row_start_us = sweep_start.elapsed().as_micros() as u64;
-            let r = run_scenario_instrumented(&s, opts).map(|(report, _)| report);
+            let r = run_row(s);
             let run_end_us = sweep_start.elapsed().as_micros() as u64;
             if let Some(m) = meter {
                 m.row_run_seconds.observe_duration(row_start.elapsed());
@@ -1013,12 +1106,12 @@ pub fn run_campaign_traced(
                     }
                 }
             }
-            (s, r)
+            r
         })
         .collect();
     let mut reports = Vec::new();
     let mut skipped = Vec::new();
-    for (scenario, outcome) in outcomes {
+    for (scenario, outcome) in scenarios.into_iter().zip(outcomes) {
         match outcome {
             Ok(report) => reports.push(report),
             Err(CampaignError::Registry(e)) => skipped.push((scenario, e.to_string())),
@@ -1123,6 +1216,127 @@ mod tests {
             }
         }
         assert!(bad_deadlocks > 0, "fig9 variant never deadlocked");
+    }
+
+    /// One batch over several networks, with rows that fail before, at and
+    /// after the network build: every row must match a lone run of it byte
+    /// for byte, and `skipped` must carry the same reasons in batch order.
+    #[test]
+    fn batch_rows_match_lone_runs_across_networks_and_errors() {
+        let storm = |sources: Vec<usize>| Workload::BroadcastStorm { sources, flits: 12 };
+        let mixed = Workload::Mixed {
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.05,
+            packet_flits: 6,
+            window: 60,
+            broadcast_rate: 0.01,
+        };
+        let mdx_43 =
+            |scheme: &str, seed: u64| Scenario::new(vec![4, 3], scheme, mixed.clone(), seed);
+        let batch = vec![
+            mdx_43("sr2201", 1),
+            Scenario::new(vec![3, 3, 2], "sr2201", storm(vec![0, 9, 17]), 2),
+            Scenario::new(vec![4, 4], "hyperx-ft", mixed.clone(), 3).with_topology("hyperx"),
+            mdx_43("naive-broadcast", 4).with_faults([FaultSite::Router(5)]),
+            // The hypercube needs every extent to be 2: the build fails.
+            Scenario::new(vec![3, 2, 2], "hypercube-avoid", mixed.clone(), 5)
+                .with_topology("hypercube"),
+            Scenario::new(vec![2, 2, 2, 2], "hypercube-avoid", mixed.clone(), 6)
+                .with_topology("hypercube"),
+            // Out of range: the fault error precedes the network's.
+            Scenario::new(vec![3, 2, 2], "hypercube-avoid", mixed.clone(), 7)
+                .with_topology("hypercube")
+                .with_faults([FaultSite::Router(99)]),
+            mdx_43("separate-dxb", 8).with_faults([FaultSite::Router(12)]),
+            // A scheme pinned to another topology.
+            Scenario::new(vec![4, 4], "sr2201", mixed.clone(), 9).with_topology("hyperx"),
+            Scenario::new(vec![3, 3, 2], "separate-dxb", mixed.clone(), 10)
+                .with_faults([FaultSite::Xbar(mdx_topology::XbarRef { dim: 2, line: 3 })]),
+            mdx_43("separate-dxb", 11).with_faults([FaultSite::Pe(7)]),
+            Scenario::new(vec![4, 4], "hyperx-ft", storm(vec![0, 5]), 12).with_topology("hyperx"),
+        ];
+        let batched = run_campaign(batch.clone());
+        let mut rows = Vec::new();
+        let mut skipped = Vec::new();
+        for s in &batch {
+            match run_scenario(s) {
+                Ok(r) => rows.push(serde_json::to_string(&r).unwrap()),
+                Err(e) => skipped.push((s.clone(), e.to_string())),
+            }
+        }
+        let batched_rows: Vec<String> = batched
+            .reports
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap())
+            .collect();
+        assert_eq!(batched_rows, rows);
+        assert_eq!(batched.skipped, skipped);
+        let reasons: Vec<&str> = skipped.iter().map(|(_, e)| e.as_str()).collect();
+        assert_eq!(reasons.len(), 4, "{reasons:?}");
+        assert!(reasons[0].contains("topology"), "{}", reasons[0]);
+        assert!(reasons[1].contains("does not exist"), "{}", reasons[1]);
+        assert!(reasons[2].contains("does not exist"), "{}", reasons[2]);
+        assert!(reasons[3].contains("hyperx"), "{}", reasons[3]);
+        assert_eq!(batched.reports.len(), batch.len() - 4);
+    }
+
+    /// Describe every busy channel, sort, keep five: the reference the
+    /// thresholded [`hot_channels`] must reproduce.
+    fn hot_channels_reference(graph: &NetworkGraph, flits: &[u64]) -> Vec<(String, u64)> {
+        let mut hot: Vec<(String, u64)> = flits
+            .iter()
+            .enumerate()
+            .filter(|(_, &f)| f > 0)
+            .map(|(i, &f)| (graph.describe_channel(ChannelId(i as u32)), f))
+            .collect();
+        hot.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        hot.truncate(5);
+        hot
+    }
+
+    #[test]
+    fn hot_channels_break_ties_at_the_fifth_count_by_name() {
+        let net = MdCrossbar::build(Shape::fig2());
+        let g = net.graph();
+        let n = g.num_channels();
+        // Three clear leaders, then nine channels tied at the fifth-largest
+        // count, scattered so that channel order differs from name order.
+        let mut flits = vec![0u64; n];
+        flits[3] = 90;
+        flits[40] = 80;
+        flits[11] = 80;
+        for i in [70, 2, 55, 17, 33, 64, 8, 49, 26] {
+            flits[i] = 20;
+        }
+        flits[5] = 7;
+        flits[60] = 1;
+        let hot = hot_channels(g, &flits);
+        assert_eq!(hot.len(), 5);
+        assert_eq!(hot, hot_channels_reference(g, &flits));
+        // Fewer busy channels than slots, and none at all.
+        let mut sparse = vec![0u64; n];
+        sparse[9] = 4;
+        sparse[1] = 4;
+        sparse[30] = 2;
+        assert_eq!(hot_channels(g, &sparse), hot_channels_reference(g, &sparse));
+        assert_eq!(hot_channels(g, &sparse).len(), 3);
+        assert!(hot_channels(g, &vec![0; n]).is_empty());
+        // Every count distinct.
+        let ramp: Vec<u64> = (0..n as u64).map(|i| (i * 37) % 101).collect();
+        assert_eq!(hot_channels(g, &ramp), hot_channels_reference(g, &ramp));
+    }
+
+    #[test]
+    fn fnv_sink_matches_the_byte_hash() {
+        use std::fmt::Write as _;
+        let mut h = Fnv1a::new();
+        let seed = 42;
+        write!(h, "MDX1-{seed}").unwrap();
+        assert_eq!(h.finish(), fnv1a64(b"MDX1-42"));
+        // The published FNV-1a test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use crate::schema::{TraceArgs, TraceDoc, TraceEvent};
 use serde::de::{field, Deserialize, Error};
-use serde::ser::Serialize;
+use serde::ser::{Serialize, Serializer};
 use serde::value::Value;
 use std::collections::VecDeque;
 use std::io::Write;
@@ -102,30 +102,34 @@ impl Span {
 }
 
 impl Serialize for Span {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("trace".into(), Value::Str(self.trace.clone())),
-            ("span".into(), Value::U64(self.id)),
-        ];
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.begin_map();
+        s.key("trace");
+        s.str(&self.trace);
+        s.key("span");
+        s.u64(self.id);
         if let Some(p) = self.parent {
-            m.push(("parent".into(), Value::U64(p)));
+            s.key("parent");
+            s.u64(p);
         }
-        m.push(("name".into(), Value::Str(self.name.clone())));
-        m.push(("start".into(), Value::U64(self.start)));
-        m.push(("end".into(), Value::U64(self.end)));
-        m.push(("unit".into(), Value::Str(self.unit.as_str().into())));
+        s.key("name");
+        s.str(&self.name);
+        s.key("start");
+        s.u64(self.start);
+        s.key("end");
+        s.u64(self.end);
+        s.key("unit");
+        s.str(self.unit.as_str());
         if !self.attrs.is_empty() {
-            m.push((
-                "attrs".into(),
-                Value::Map(
-                    self.attrs
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                        .collect(),
-                ),
-            ));
+            s.key("attrs");
+            s.begin_map();
+            for (k, v) in &self.attrs {
+                s.key(k);
+                s.str(v);
+            }
+            s.end_map();
         }
-        Value::Map(m)
+        s.end_map();
     }
 }
 

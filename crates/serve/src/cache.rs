@@ -10,24 +10,14 @@
 //! re-simulation across processes — holds one small JSON file per row and
 //! is only bounded by the directory the operator points it at.
 
-use mdx_campaign::ScenarioReport;
+use mdx_campaign::{fnv1a64, ScenarioReport};
 use mdx_metrics::{Counter, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// FNV-1a over bytes — the same digest `mdx-campaign` uses for replay
-/// comparison, here keying cache entries by token.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The cache key for a row: token digest mixed with the options that
+/// The cache key for a row: the FNV-1a digest `mdx-campaign` compares
+/// replays with, taken over the token and mixed with the options that
 /// change the row's shape (window telemetry width). Two requests for the
 /// same token with different windows are different rows.
 pub fn row_key(token: &str, windows: Option<u64>) -> u64 {

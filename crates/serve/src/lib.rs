@@ -69,7 +69,7 @@ pub mod protocol;
 pub mod server;
 pub mod watch;
 
-pub use cache::{fnv1a64, row_key, CacheTier, ResultCache, DEFAULT_CACHE_CAPACITY};
+pub use cache::{row_key, CacheTier, ResultCache, DEFAULT_CACHE_CAPACITY};
 pub use metrics::{spawn_metrics_listener, spawn_snapshot_writer, ServeMetrics, VerbMeter};
 pub use protocol::{Request, Response, ServeStats};
 pub use server::{

@@ -816,3 +816,23 @@ fn a_zero_flit_token_gets_an_ordinary_error_line() {
     let error = resp.error.expect("error text");
     assert!(error.contains("flits must be at least 1"), "{error}");
 }
+
+#[test]
+fn a_lone_high_surrogate_gets_an_ordinary_error_line() {
+    // A high surrogate once paired with whatever `\u` escape followed it:
+    // `\ud800\u0041` overflowed a subtraction (a panic in debug builds)
+    // and `\ud800\ud800` decoded to a bogus scalar.
+    let service = Service::new(&ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let template = serde_json::to_string(&Request::run("TOKEN").with_id(5)).unwrap();
+    for escape in [r"\ud800\u0041", r"\ud800\ud800"] {
+        let line = template.replace("TOKEN", escape);
+        let out = service.process_line(&line, std::time::Instant::now());
+        let resp: Response = serde_json::from_str(&out).expect("one response line");
+        assert!(resp.is_error(), "{out}");
+        let error = resp.error.expect("error text");
+        assert!(error.contains("unpaired surrogate"), "{error}");
+    }
+}

@@ -7,7 +7,7 @@
 
 use crate::coord::Coord;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Reference to one crossbar switch: the `line`-th crossbar of dimension
 /// `dim`.
@@ -88,48 +88,102 @@ pub struct ChannelInfo {
 
 /// A directed graph of switches and channels.
 ///
-/// Construction is append-only (via [`GraphBuilder`]); all queries are O(1)
-/// or O(degree). Node payloads ([`Node`]) and the optional lattice coordinate
-/// of PE/router nodes are stored densely.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NetworkGraph {
+/// Construction is append-only (via [`GraphBuilder`]). The graph is an
+/// immutable body behind an [`Arc`], so `clone` is a reference-count bump:
+/// the simulator and every observer of a run share one body, and so do
+/// all the rows a campaign runs on one network.
+///
+/// Lookups are dense: [`NetworkGraph::id_of`] indexes per-kind tables (PE
+/// and router ids by PE index, crossbar ids by dimension and line), and
+/// [`NetworkGraph::channel_between`] scans the source's outgoing channels
+/// (a switch has at most a few dozen). Node payloads ([`Node`]) and the
+/// optional lattice coordinate of PE/router nodes are stored densely too.
+#[derive(Debug, Clone)]
+pub struct NetworkGraph(Arc<GraphBody>);
+
+#[derive(Debug)]
+struct GraphBody {
     nodes: Vec<Node>,
     coords: Vec<Option<Coord>>,
     channels: Vec<ChannelInfo>,
     out: Vec<Vec<ChannelId>>,
     inp: Vec<Vec<ChannelId>>,
-    node_index: HashMap<Node, NodeId>,
-    chan_index: HashMap<(NodeId, NodeId), ChannelId>,
+    ids: NodeTables,
+}
+
+/// Marks an index with no node in a [`NodeTables`] column.
+const ABSENT: u32 = u32::MAX;
+
+/// Dense node-id tables, one column per node kind: PE and router ids by PE
+/// index, crossbar ids by dimension and then line.
+#[derive(Debug, Default)]
+struct NodeTables {
+    pe: Vec<u32>,
+    router: Vec<u32>,
+    xbar: Vec<Vec<u32>>,
+}
+
+impl NodeTables {
+    fn get(&self, node: Node) -> Option<NodeId> {
+        let slot = match node {
+            Node::Pe(p) => self.pe.get(p),
+            Node::Router(p) => self.router.get(p),
+            Node::Xbar(x) => self
+                .xbar
+                .get(x.dim as usize)
+                .and_then(|lines| lines.get(x.line as usize)),
+        };
+        slot.copied().filter(|&id| id != ABSENT).map(NodeId)
+    }
+
+    fn insert(&mut self, node: Node, id: NodeId) {
+        let (column, at) = match node {
+            Node::Pe(p) => (&mut self.pe, p),
+            Node::Router(p) => (&mut self.router, p),
+            Node::Xbar(x) => {
+                let dim = x.dim as usize;
+                if self.xbar.len() <= dim {
+                    self.xbar.resize_with(dim + 1, Vec::new);
+                }
+                (&mut self.xbar[dim], x.line as usize)
+            }
+        };
+        if column.len() <= at {
+            column.resize(at + 1, ABSENT);
+        }
+        column[at] = id.0;
+    }
 }
 
 impl NetworkGraph {
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.0.nodes.len()
     }
 
     /// Number of directed channels.
     #[inline]
     pub fn num_channels(&self) -> usize {
-        self.channels.len()
+        self.0.channels.len()
     }
 
     /// Node payload of `id`.
     #[inline]
     pub fn node(&self, id: NodeId) -> Node {
-        self.nodes[id.0 as usize]
+        self.0.nodes[id.0 as usize]
     }
 
     /// Lattice coordinate of a PE or router node, if it has one.
     #[inline]
     pub fn coord(&self, id: NodeId) -> Option<Coord> {
-        self.coords[id.0 as usize]
+        self.0.coords[id.0 as usize]
     }
 
     /// Dense id of a node payload.
+    #[inline]
     pub fn id_of(&self, node: Node) -> Option<NodeId> {
-        self.node_index.get(&node).copied()
+        self.0.ids.get(node)
     }
 
     /// Dense id of a node payload, panicking if absent.
@@ -145,47 +199,49 @@ impl NetworkGraph {
     /// Channel metadata.
     #[inline]
     pub fn channel(&self, id: ChannelId) -> ChannelInfo {
-        self.channels[id.0 as usize]
+        self.0.channels[id.0 as usize]
     }
 
     /// The unique channel from `src` to `dst`, if the switches are adjacent.
+    #[inline]
     pub fn channel_between(&self, src: NodeId, dst: NodeId) -> Option<ChannelId> {
-        self.chan_index.get(&(src, dst)).copied()
+        self.outgoing(src)
+            .iter()
+            .copied()
+            .find(|&c| self.0.channels[c.idx()].dst == dst)
     }
 
     /// Outgoing channels of a node.
     #[inline]
     pub fn outgoing(&self, id: NodeId) -> &[ChannelId] {
-        &self.out[id.0 as usize]
+        &self.0.out[id.0 as usize]
     }
 
     /// Incoming channels of a node.
     #[inline]
     pub fn incoming(&self, id: NodeId) -> &[ChannelId] {
-        &self.inp[id.0 as usize]
+        &self.0.inp[id.0 as usize]
     }
 
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.0.nodes.len() as u32).map(NodeId)
     }
 
     /// Iterates over all channel ids.
     pub fn channel_ids(&self) -> impl Iterator<Item = ChannelId> {
-        (0..self.channels.len() as u32).map(ChannelId)
+        (0..self.0.channels.len() as u32).map(ChannelId)
     }
 
     /// All PE node ids, in PE-index order.
     pub fn pe_ids(&self) -> Vec<NodeId> {
-        let mut pes: Vec<(usize, NodeId)> = self
-            .node_ids()
-            .filter_map(|id| match self.node(id) {
-                Node::Pe(p) => Some((p, id)),
-                _ => None,
-            })
-            .collect();
-        pes.sort_unstable();
-        pes.into_iter().map(|(_, id)| id).collect()
+        self.0
+            .ids
+            .pe
+            .iter()
+            .filter(|&&id| id != ABSENT)
+            .map(|&id| NodeId(id))
+            .collect()
     }
 
     /// Human-readable description of a channel (e.g. `R3 -> Y1-XB`).
@@ -201,7 +257,7 @@ pub struct GraphBuilder {
     nodes: Vec<Node>,
     coords: Vec<Option<Coord>>,
     channels: Vec<ChannelInfo>,
-    node_index: HashMap<Node, NodeId>,
+    ids: NodeTables,
 }
 
 impl GraphBuilder {
@@ -212,13 +268,13 @@ impl GraphBuilder {
 
     /// Adds a node (idempotent: re-adding returns the existing id).
     pub fn add_node(&mut self, node: Node, coord: Option<Coord>) -> NodeId {
-        if let Some(&id) = self.node_index.get(&node) {
+        if let Some(id) = self.ids.get(node) {
             return id;
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
         self.coords.push(coord);
-        self.node_index.insert(node, id);
+        self.ids.insert(node, id);
         id
     }
 
@@ -246,28 +302,34 @@ impl GraphBuilder {
     pub fn build(self) -> NetworkGraph {
         let mut out = vec![Vec::new(); self.nodes.len()];
         let mut inp = vec![Vec::new(); self.nodes.len()];
-        let mut chan_index = HashMap::with_capacity(self.channels.len());
         for (i, info) in self.channels.iter().enumerate() {
             let id = ChannelId(i as u32);
             out[info.src.0 as usize].push(id);
             inp[info.dst.0 as usize].push(id);
-            let prev = chan_index.insert((info.src, info.dst), id);
-            assert!(
-                prev.is_none(),
-                "duplicate channel between {:?} and {:?}",
-                self.nodes[info.src.0 as usize],
-                self.nodes[info.dst.0 as usize]
-            );
         }
-        NetworkGraph {
+        // `linked_from[dst]` is the last source seen wiring to `dst`; a
+        // repeat while scanning one source's channels is a duplicate.
+        let mut linked_from = vec![ABSENT; self.nodes.len()];
+        for (src, chans) in out.iter().enumerate() {
+            for c in chans {
+                let dst = self.channels[c.idx()].dst.0 as usize;
+                assert!(
+                    linked_from[dst] != src as u32,
+                    "duplicate channel between {:?} and {:?}",
+                    self.nodes[src],
+                    self.nodes[dst]
+                );
+                linked_from[dst] = src as u32;
+            }
+        }
+        NetworkGraph(Arc::new(GraphBody {
             nodes: self.nodes,
             coords: self.coords,
             channels: self.channels,
             out,
             inp,
-            node_index: self.node_index,
-            chan_index,
-        }
+            ids: self.ids,
+        }))
     }
 }
 
@@ -292,6 +354,34 @@ mod tests {
         assert_eq!(g.incoming(pe), &[down]);
         assert_eq!(g.id_of(Node::Pe(0)), Some(pe));
         assert_eq!(g.id_of(Node::Pe(1)), None);
+    }
+
+    #[test]
+    fn clone_shares_one_body() {
+        let g = crate::MdCrossbar::build(crate::Shape::fig2())
+            .graph()
+            .clone();
+        let h = g.clone();
+        assert!(Arc::ptr_eq(&g.0, &h.0));
+    }
+
+    #[test]
+    fn dense_lookups_cover_every_node_and_channel() {
+        let shape = crate::Shape::new(&[4, 3, 2]).unwrap();
+        let g = crate::MdCrossbar::build(shape).graph().clone();
+        for id in g.node_ids() {
+            assert_eq!(g.id_of(g.node(id)), Some(id));
+        }
+        for c in g.channel_ids() {
+            let info = g.channel(c);
+            assert_eq!(g.channel_between(info.src, info.dst), Some(c));
+        }
+        assert_eq!(g.id_of(Node::Pe(24)), None);
+        assert_eq!(g.id_of(Node::Xbar(XbarRef { dim: 3, line: 0 })), None);
+        assert_eq!(g.id_of(Node::Xbar(XbarRef { dim: 0, line: 6 })), None);
+        let (pe0, pe1) = (g.expect_id(Node::Pe(0)), g.expect_id(Node::Pe(1)));
+        assert_eq!(g.channel_between(pe0, pe1), None);
+        assert_eq!(g.pe_ids().len(), 24);
     }
 
     #[test]

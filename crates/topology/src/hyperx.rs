@@ -18,12 +18,11 @@
 
 use crate::coord::{Coord, Shape};
 use crate::graph::{GraphBuilder, NetworkGraph, Node, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A HyperX (per-dimension cliques) or full-mesh (one global clique) direct
 /// network: one router per PE, PE <-> router links, and direct router <->
 /// router links per the clique rule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HyperX {
     shape: Shape,
     /// Global clique (full mesh) instead of per-dimension cliques.

@@ -2,7 +2,6 @@
 
 use crate::coord::{Coord, Shape};
 use crate::graph::{ChannelId, GraphBuilder, NetworkGraph, Node, NodeId, XbarRef};
-use serde::{Deserialize, Serialize};
 
 /// The multi-dimensional crossbar network of the SR2201 (paper Sec. 3.1).
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// * a crossbar of dimension `i` therefore has `n_i` bidirectional ports, one
 ///   per router on its line, and routers have `d + 1` ports (the paper's
 ///   `(d+1) x (d+1)` relay switch: `d` crossbars plus the PE itself).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MdCrossbar {
     shape: Shape,
     graph: NetworkGraph,

@@ -22,7 +22,7 @@ pub enum Wrap {
 
 /// A k-ary d-dimensional direct network: each PE's router connects to the
 /// routers of the lattice neighbors (plus wrap-around links for a torus).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DirectNetwork {
     shape: Shape,
     wrap: Wrap,

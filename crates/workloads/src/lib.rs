@@ -169,6 +169,12 @@ impl OpenLoop {
     }
 }
 
+/// Whether each PE can source and sink traffic under `faults`, by PE
+/// index: one fault-set lookup per PE instead of one per PE per cycle.
+fn usable_mask(shape: &Shape, faults: &FaultSet) -> Vec<bool> {
+    (0..shape.num_pes()).map(|p| faults.pe_usable(p)).collect()
+}
+
 /// Generates an open-loop unicast schedule under `pattern`, skipping PEs
 /// that `faults` has taken out of service.
 pub fn unicast_schedule(
@@ -177,17 +183,27 @@ pub fn unicast_schedule(
     cfg: OpenLoop,
     faults: &FaultSet,
 ) -> Vec<InjectSpec> {
+    unicast_masked(shape, pattern, cfg, &usable_mask(shape, faults))
+}
+
+/// [`unicast_schedule`] over a [`usable_mask`].
+fn unicast_masked(
+    shape: &Shape,
+    pattern: TrafficPattern,
+    cfg: OpenLoop,
+    usable: &[bool],
+) -> Vec<InjectSpec> {
     let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed);
     let mut specs = Vec::new();
     for cycle in 0..cfg.window {
-        for src in 0..shape.num_pes() {
-            if !faults.pe_usable(src) || !rng.gen_bool(cfg.rate) {
+        for (src, &ok) in usable.iter().enumerate() {
+            if !ok || !rng.gen_bool(cfg.rate) {
                 continue;
             }
             let Some(dst) = pattern.destination(shape, src, &mut rng) else {
                 continue;
             };
-            if !faults.pe_usable(dst) {
+            if !usable[dst] {
                 continue;
             }
             specs.push(InjectSpec {
@@ -210,11 +226,12 @@ pub fn mixed_schedule(
     broadcast_rate: f64,
     faults: &FaultSet,
 ) -> Vec<InjectSpec> {
-    let mut specs = unicast_schedule(shape, pattern, cfg, faults);
+    let usable = usable_mask(shape, faults);
+    let mut specs = unicast_masked(shape, pattern, cfg, &usable);
     let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed ^ 0xB0C4_57F0);
     for cycle in 0..cfg.window {
-        for src in 0..shape.num_pes() {
-            if faults.pe_usable(src) && rng.gen_bool(broadcast_rate) {
+        for (src, &ok) in usable.iter().enumerate() {
+            if ok && rng.gen_bool(broadcast_rate) {
                 specs.push(InjectSpec {
                     src_pe: src,
                     header: Header::broadcast_request(shape.coord_of(src)),
@@ -273,7 +290,8 @@ pub fn fault_storm_schedule(
     burst: usize,
     faults: &FaultSet,
 ) -> Vec<InjectSpec> {
-    let mut specs = unicast_schedule(shape, TrafficPattern::UniformRandom, cfg, faults);
+    let usable = usable_mask(shape, faults);
+    let mut specs = unicast_masked(shape, TrafficPattern::UniformRandom, cfg, &usable);
     let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed ^ 0xFA17_5702);
     let n = shape.num_pes();
     for (bi, &at) in burst_at.iter().enumerate() {
@@ -286,13 +304,13 @@ pub fn fault_storm_schedule(
                 break;
             }
             let src = (start + step) % n;
-            if !faults.pe_usable(src) {
+            if !usable[src] {
                 continue;
             }
             let Some(dst) = TrafficPattern::UniformRandom.destination(shape, src, &mut rng) else {
                 continue;
             };
-            if !faults.pe_usable(dst) {
+            if !usable[dst] {
                 continue;
             }
             specs.push(InjectSpec {

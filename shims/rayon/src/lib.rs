@@ -1,11 +1,15 @@
 //! Offline shim for the `rayon` crate: data parallelism on
 //! `std::thread::scope`.
 //!
-//! Each combinator (`map`, `filter`, `for_each`) is evaluated eagerly across
-//! OS threads in contiguous chunks, preserving input order. That keeps the
+//! Each combinator (`map`, `filter`, `for_each`) is evaluated eagerly
+//! across OS threads. Workers claim items one at a time from a shared
+//! queue, so a slow item holds up only its own worker while the others
+//! drain the rest, and results come back in input order. That keeps the
 //! implementation tiny while still using every core for the
-//! coarse-grained work (whole simulation runs) this workspace parallelizes.
-//! See `shims/README.md`.
+//! coarse-grained, uneven work (whole simulation runs) this workspace
+//! parallelizes. See `shims/README.md`.
+
+use std::sync::Mutex;
 
 /// Number of worker threads to fan out over.
 fn num_threads() -> usize {
@@ -15,6 +19,10 @@ fn num_threads() -> usize {
 }
 
 /// Applies `f` to every item in parallel, preserving order.
+///
+/// One worker per core (at most one per item) claims the next unclaimed
+/// item, runs it, and claims again until none is left. A panic in `f`
+/// surfaces as `rayon shim worker panicked` once every worker has stopped.
 fn par_apply<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -22,32 +30,37 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    let threads = num_threads().min(n);
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut it = items.into_iter();
-    loop {
-        let c: Vec<T> = it.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
-        }
-        chunks.push(c);
-    }
-    let f = &f;
-    let mut out: Vec<R> = Vec::with_capacity(n);
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let claim = || {
+        queue
+            .lock()
+            .expect("no worker panics while claiming")
+            .next()
+    };
+    let (f, claim) = (&f, &claim);
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| s.spawn(move || c.into_iter().map(f).collect::<Vec<R>>()))
+        let handles: Vec<_> = (0..num_threads().min(n))
+            .map(|_| {
+                s.spawn(move || {
+                    let mut done = Vec::new();
+                    while let Some((i, item)) = claim() {
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
             .collect();
         for h in handles {
-            out.extend(h.join().expect("rayon shim worker panicked"));
+            for (i, r) in h.join().expect("rayon shim worker panicked") {
+                slots[i] = Some(r);
+            }
         }
     });
-    out
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item ran"))
+        .collect()
 }
 
 /// An eagerly materialized "parallel iterator": holds the items and runs
@@ -216,5 +229,82 @@ mod tests {
     fn empty_input() {
         let out: Vec<u32> = Vec::<u32>::new().into_par_iter().map(|x| x).collect();
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn uneven_items_keep_order_and_run_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let runs: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
+        let out: Vec<usize> = (0usize..97)
+            .into_par_iter()
+            .map(|i| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
+                // Uneven cost: every seventh item is far slower.
+                if i % 7 == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+                i * 3
+            })
+            .collect();
+        assert_eq!(out, (0..97).map(|i| i * 3).collect::<Vec<_>>());
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(
+                r.load(Ordering::SeqCst),
+                1,
+                "item {i} ran more or less than once"
+            );
+        }
+    }
+
+    #[test]
+    fn worker_panic_surfaces() {
+        let err = std::panic::catch_unwind(|| {
+            (0u32..8).into_par_iter().for_each(|i| {
+                if i == 5 {
+                    panic!("item five fails");
+                }
+            })
+        })
+        .expect_err("a panicking item fails the whole call");
+        let msg = err
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("rayon shim worker panicked"), "got {msg:?}");
+    }
+
+    /// Item 0 blocks until every other item has run. With items claimed
+    /// one at a time another worker takes all of them; with one
+    /// contiguous chunk per worker, item 1 would wait behind item 0 and
+    /// the wait would time out.
+    #[test]
+    fn idle_workers_claim_the_rest() {
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return;
+        }
+        let n = 16usize;
+        let others_done = Mutex::new(0usize);
+        let cv = Condvar::new();
+        let waited: Vec<bool> = (0..n)
+            .into_par_iter()
+            .map(|i| {
+                let mut done = others_done.lock().unwrap();
+                if i == 0 {
+                    let (done, timeout) = cv
+                        .wait_timeout_while(done, Duration::from_secs(10), |d| *d < n - 1)
+                        .unwrap();
+                    drop(done);
+                    !timeout.timed_out()
+                } else {
+                    *done += 1;
+                    cv.notify_all();
+                    true
+                }
+            })
+            .collect();
+        assert!(waited[0], "items behind item 0 never ran on another worker");
     }
 }

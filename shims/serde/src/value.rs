@@ -1,5 +1,6 @@
-//! The in-memory data model every shimmed `Serialize`/`Deserialize` impl
-//! goes through (the shim's analogue of `serde_json::Value`).
+//! The in-memory data model: the tree every `Deserialize` impl reads, and
+//! what `Serialize::to_value` builds (the shim's analogue of
+//! `serde_json::Value`).
 
 use std::cmp::Ordering;
 

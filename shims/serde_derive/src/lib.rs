@@ -17,8 +17,10 @@
 //! Any other key is a compile-time panic naming it, so no attribute is
 //! silently ignored.
 //!
-//! Generated code targets the `serde` shim's `Value`-based traits:
-//! `Serialize::to_value` / `Deserialize::from_value`.
+//! Generated code targets the `serde` shim's traits: `Serialize::serialize`
+//! feeds the value to a `Serializer` as events (the one method a derived
+//! `Serialize` defines), and `Deserialize::from_value` reads it back out of
+//! a `Value` tree.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::iter::Peekable;
@@ -335,43 +337,69 @@ fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// A `Value::Map` of the written fields. `access(f)` is an expression of
-/// type `&FieldType` for field `f`.
-fn gen_named_to_map(fields: &[Field], access: impl Fn(&str) -> String) -> String {
-    let written: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-    let mut b = format!(
-        "{{ let mut __m: Vec<(String, ::serde::value::Value)> = Vec::with_capacity({});",
-        written.len()
-    );
-    for f in written {
+/// `::serde::ser::Serializer::{method}(__s{args})`.
+fn call(method: &str, args: &str) -> String {
+    format!("::serde::ser::Serializer::{method}(__s{args});")
+}
+
+/// `::serde::Serialize::serialize({val}, __s);`
+fn ser(val: &str) -> String {
+    format!("::serde::Serialize::serialize({val}, __s);")
+}
+
+/// The map key `k`.
+fn key(k: &str) -> String {
+    let mut lit = String::new();
+    push_str_lit(&mut lit, k);
+    call("key", &format!(", {lit}"))
+}
+
+/// A map of the written fields. `access(f)` is an expression of type
+/// `&FieldType` for field `f`.
+fn gen_named_map(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut b = call("begin_map", "");
+    for f in fields.iter().filter(|f| !f.skip) {
         let val = access(&f.name);
-        let mut push = String::from("__m.push((String::from(");
-        push_str_lit(&mut push, &f.key);
-        push.push_str(&format!("), ::serde::Serialize::to_value({val})));"));
+        let entry = format!("{}{}", key(&f.key), ser(&val));
         match &f.skip_serializing_if {
-            Some(pred) => b.push_str(&format!("if !{pred}({val}) {{ {push} }}")),
-            None => b.push_str(&push),
+            Some(pred) => b.push_str(&format!("if !{pred}({val}) {{ {entry} }}")),
+            None => b.push_str(&entry),
         }
     }
-    b.push_str("::serde::value::Value::Map(__m) }");
+    b.push_str(&call("end_map", ""));
     b
+}
+
+/// A sequence of the given element expressions.
+fn gen_seq(vals: &[String]) -> String {
+    let mut b = call("begin_seq", "");
+    for v in vals {
+        b.push_str(&ser(v));
+    }
+    b.push_str(&call("end_seq", ""));
+    b
+}
+
+/// An externally tagged variant: a one-entry map from `tag` to `inner`.
+fn gen_tagged(tag: &str, inner: &str) -> String {
+    format!(
+        "{}{}{inner}{}",
+        call("begin_map", ""),
+        key(tag),
+        call("end_map", "")
+    )
 }
 
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
         Item::Struct { name, fields, .. } => {
             let body = match fields {
-                Fields::Unit => "::serde::value::Value::Null".to_string(),
-                Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+                Fields::Unit => call("null", ""),
+                Fields::Tuple(1) => ser("&self.0"),
                 Fields::Tuple(n) => {
-                    let mut b = String::from("::serde::value::Value::Seq(vec![");
-                    for i in 0..*n {
-                        b.push_str(&format!("::serde::Serialize::to_value(&self.{i}),"));
-                    }
-                    b.push_str("])");
-                    b
+                    gen_seq(&(0..*n).map(|i| format!("&self.{i}")).collect::<Vec<_>>())
                 }
-                Fields::Named(fields) => gen_named_to_map(fields, |f| format!("&self.{f}")),
+                Fields::Named(fields) => gen_named_map(fields, |f| format!("&self.{f}")),
             };
             (name, body)
         }
@@ -381,36 +409,34 @@ fn gen_serialize(item: &Item) -> String {
                 let vn = &v.name;
                 match &v.fields {
                     Fields::Unit => {
-                        b.push_str(&format!("{name}::{vn} => ::serde::value::Value::Str("));
-                        b.push_str("String::from(");
-                        push_str_lit(&mut b, &v.tag);
-                        b.push_str(")),");
+                        let mut tag = String::new();
+                        push_str_lit(&mut tag, &v.tag);
+                        b.push_str(&format!(
+                            "{name}::{vn} => {{ {} }}",
+                            call("str", &format!(", {tag}"))
+                        ));
                     }
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        b.push_str(&format!("{name}::{vn}({}) => ", binds.join(",")));
-                        b.push_str("::serde::value::Value::Map(vec![(String::from(");
-                        push_str_lit(&mut b, &v.tag);
-                        b.push_str("), ");
-                        if *n == 1 {
-                            b.push_str("::serde::Serialize::to_value(__f0)");
+                        let inner = if *n == 1 {
+                            ser("__f0")
                         } else {
-                            b.push_str("::serde::value::Value::Seq(vec![");
-                            for bind in &binds {
-                                b.push_str(&format!("::serde::Serialize::to_value({bind}),"));
-                            }
-                            b.push_str("])");
-                        }
-                        b.push_str(")]),");
+                            gen_seq(&binds)
+                        };
+                        b.push_str(&format!(
+                            "{name}::{vn}({}) => {{ {} }}",
+                            binds.join(","),
+                            gen_tagged(&v.tag, &inner)
+                        ));
                     }
                     Fields::Named(fields) => {
                         let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        b.push_str(&format!("{name}::{vn} {{ {} }} => ", binds.join(",")));
-                        b.push_str("::serde::value::Value::Map(vec![(String::from(");
-                        push_str_lit(&mut b, &v.tag);
-                        b.push_str("), ");
-                        b.push_str(&gen_named_to_map(fields, str::to_string));
-                        b.push_str(")]),");
+                        let inner = gen_named_map(fields, str::to_string);
+                        b.push_str(&format!(
+                            "{name}::{vn} {{ {} }} => {{ {} }}",
+                            binds.join(","),
+                            gen_tagged(&v.tag, &inner)
+                        ));
                     }
                 }
             }
@@ -421,7 +447,7 @@ fn gen_serialize(item: &Item) -> String {
     format!(
         "#[automatically_derived] #[allow(unused, clippy::all)] \
          impl ::serde::Serialize for {name} {{ \
-           fn to_value(&self) -> ::serde::value::Value {{ {body} }} \
+           fn serialize<__S: ::serde::ser::Serializer>(&self, __s: &mut __S) {{ {body} }} \
          }}"
     )
 }

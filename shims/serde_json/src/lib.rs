@@ -1,11 +1,16 @@
-//! Offline shim for the `serde_json` crate: renders and parses the `serde`
-//! shim's [`Value`] data model as JSON. See `shims/README.md`.
+//! Offline shim for the `serde_json` crate. Serialization writes JSON
+//! straight from the `serde` shim's event stream into any [`fmt::Write`]
+//! ([`Serializer`]); no [`Value`] tree is built unless [`to_value`] asks for
+//! one. Parsing reads text into a [`Value`], which `Deserialize` then takes
+//! apart. See `shims/README.md`.
 //!
 //! Encoding notes (self-consistent, shared with the real crate where it
 //! matters): maps keep insertion order, non-finite floats render as `null`,
-//! integral floats render with a trailing `.0` so they parse back as floats.
+//! integral floats below 1e15 render with a trailing `.0` so they parse back
+//! as floats.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 pub use serde::value::Value;
 
@@ -36,16 +41,16 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
 
 /// Serializes to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    let mut ser = Serializer::new(String::new());
+    value.serialize(&mut ser);
+    ser.into_inner()
 }
 
 /// Serializes to human-readable JSON (two-space indentation).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    let mut ser = Serializer::pretty(String::new());
+    value.serialize(&mut ser);
+    ser.into_inner()
 }
 
 /// Deserializes any value from JSON text.
@@ -54,90 +59,236 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&v).map_err(|e| Error::new(e.to_string()))
 }
 
-fn write_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
+/// Spaces for pretty indentation, written a slice at a time.
+const SPACES: &str = "                                ";
+
+/// The JSON backend of [`serde::Serializer`]: writes compact or pretty JSON
+/// into any [`fmt::Write`] as the events arrive.
+///
+/// ```
+/// use serde::Serialize;
+/// let mut ser = serde_json::Serializer::new(String::new());
+/// vec![1u8, 2].serialize(&mut ser);
+/// assert_eq!(ser.into_inner().unwrap(), "[1,2]");
+/// ```
+#[derive(Debug)]
+pub struct Serializer<W> {
+    out: W,
+    pretty: bool,
+    /// Containers open around the next value.
+    depth: usize,
+    /// No value has been written in the innermost container yet.
+    first: bool,
+    /// The next value belongs to the map key just written.
+    after_key: bool,
+    /// The first write error, if any; later writes are skipped.
+    result: fmt::Result,
+}
+
+impl<W: fmt::Write> Serializer<W> {
+    /// A compact-JSON writer into `out`.
+    pub fn new(out: W) -> Serializer<W> {
+        Serializer {
+            out,
+            pretty: false,
+            depth: 0,
+            first: true,
+            after_key: false,
+            result: Ok(()),
         }
+    }
+
+    /// A pretty-JSON writer (two-space indentation) into `out`.
+    pub fn pretty(out: W) -> Serializer<W> {
+        Serializer {
+            pretty: true,
+            ..Serializer::new(out)
+        }
+    }
+
+    /// The writer, or the error that a write into it returned.
+    pub fn into_inner(self) -> Result<W, Error> {
+        self.result
+            .map(|()| self.out)
+            .map_err(|_| Error::new("writing JSON failed"))
+    }
+
+    fn put(&mut self, s: &str) {
+        if self.result.is_ok() {
+            self.result = self.out.write_str(s);
+        }
+    }
+
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>) {
+        if self.result.is_ok() {
+            self.result = self.out.write_fmt(args);
+        }
+    }
+
+    /// A line break and indentation to `level`, in pretty mode only.
+    fn newline(&mut self, level: usize) {
+        if self.pretty {
+            self.put("\n");
+            let mut left = 2 * level;
+            while left > 0 {
+                let n = left.min(SPACES.len());
+                self.put(&SPACES[..n]);
+                left -= n;
+            }
+        }
+    }
+
+    /// Writes what precedes a value: nothing after a map key or at the top
+    /// level, else the separator and indentation of a sequence element.
+    fn value_start(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            if !self.first {
+                self.put(",");
+            }
+            self.first = false;
+            self.newline(self.depth);
+        }
+    }
+
+    fn open(&mut self, bracket: &str) {
+        self.value_start();
+        self.put(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self, bracket: &str) {
+        self.depth -= 1;
+        if !self.first {
+            self.newline(self.depth);
+        }
+        self.put(bracket);
+        self.first = false;
+    }
+
+    /// Decimal digits of `v`, with a leading `-` when `negative`.
+    fn put_integer(&mut self, mut v: u64, negative: bool) {
+        let mut buf = [0u8; 21];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        if negative {
+            at -= 1;
+            buf[at] = b'-';
+        }
+        self.put(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+    }
+
+    fn put_escaped(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.put("\"");
+        let bytes = s.as_bytes();
+        let mut run = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x08 => "\\b",
+                0x0C => "\\f",
+                0..=0x1F => "",
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so `run..i` ends on a char
+            // boundary.
+            self.put(&s[run..i]);
+            run = i + 1;
+            if escape.is_empty() {
+                let hex = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[(b >> 4) as usize],
+                    HEX[(b & 0xF) as usize],
+                ];
+                self.put(std::str::from_utf8(&hex).expect("ASCII escape"));
+            } else {
+                self.put(escape);
+            }
+        }
+        self.put(&s[run..]);
+        self.put("\"");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+impl<W: fmt::Write> serde::Serializer for Serializer<W> {
+    fn null(&mut self) {
+        self.value_start();
+        self.put("null");
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.value_start();
+        self.put(if v { "true" } else { "false" });
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.value_start();
+        self.put_integer(v.unsigned_abs(), v < 0);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.value_start();
+        self.put_integer(v, false);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.value_start();
+        if !v.is_finite() {
+            self.put("null");
+        } else if v == v.trunc() && v.abs() < 1e15 {
+            self.put_fmt(format_args!("{v:.1}"));
+        } else {
+            self.put_fmt(format_args!("{v}"));
         }
     }
-    out.push('"');
-}
 
-fn write_f64(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        out.push_str(&format!("{v:.1}"));
-    } else {
-        out.push_str(&format!("{v}"));
+    fn str(&mut self, v: &str) {
+        self.value_start();
+        self.put_escaped(v);
     }
-}
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::F64(f) => write_f64(out, *f),
-        Value::Str(s) => write_escaped(out, s),
-        Value::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_indent(out, indent, level + 1);
-                write_value(out, item, indent, level + 1);
-            }
-            write_indent(out, indent, level);
-            out.push(']');
+    fn begin_seq(&mut self) {
+        self.open("[");
+    }
+
+    fn end_seq(&mut self) {
+        self.close("]");
+    }
+
+    fn begin_map(&mut self) {
+        self.open("{");
+    }
+
+    fn key(&mut self, k: &str) {
+        if !self.first {
+            self.put(",");
         }
-        Value::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_indent(out, indent, level + 1);
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, level + 1);
-            }
-            write_indent(out, indent, level);
-            out.push('}');
-        }
+        self.first = false;
+        self.newline(self.depth);
+        self.put_escaped(k);
+        self.put(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+    }
+
+    fn end_map(&mut self) {
+        self.close("}");
     }
 }
 
@@ -335,14 +486,17 @@ impl Parser<'_> {
                             self.pos += 1;
                             let hi = self.hex4()?;
                             let cp = if (0xD800..0xDC00).contains(&hi) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.eat(b'u')?;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi as u32 - 0xD800) << 10) + (lo as u32 - 0xDC00)
+                                // Only a low surrogate completes the pair.
+                                let lo = if self.bytes[self.pos..].starts_with(b"\\u") {
+                                    self.pos += 2;
+                                    self.hex4()?
                                 } else {
+                                    0
+                                };
+                                if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(Error::new("unpaired surrogate"));
                                 }
+                                0x10000 + ((hi as u32 - 0xD800) << 10) + (lo as u32 - 0xDC00)
                             } else {
                                 hi as u32
                             };
@@ -448,6 +602,23 @@ mod tests {
     fn unicode_escapes() {
         let s: String = from_str("\"\\u0041\\u00e9\\ud83d\\ude00\"").unwrap();
         assert_eq!(s, "Aé😀");
+    }
+
+    #[test]
+    fn high_surrogate_needs_a_low_one() {
+        for text in [
+            "\"\\ud800\\u0041\"",
+            "\"\\ud800\\ud800\"",
+            "\"\\udbff\\ue000\"",
+            "\"\\ud800x\"",
+            "\"\\ud800\\n\"",
+            "\"\\ud800\"",
+        ] {
+            let err = from_str::<String>(text).unwrap_err();
+            assert_eq!(err.to_string(), "unpaired surrogate", "{text}");
+        }
+        let s: String = from_str("\"\\udbff\\udfff\"").unwrap();
+        assert_eq!(s, "\u{10FFFF}");
     }
 
     #[test]
