@@ -1,6 +1,6 @@
 # Convenience targets for the SR2201 reproduction.
 
-.PHONY: test experiments trajectory sentinel bench examples doc clippy lint campaign campaign-smoke metrics-demo metrics-serve-demo reconfig-demo reconfig-smoke attribution-smoke serve-smoke tournament-smoke health-smoke spans-demo all
+.PHONY: test experiments trajectory sentinel bench examples doc clippy lint campaign campaign-smoke sweep-gate metrics-demo metrics-serve-demo reconfig-demo reconfig-smoke attribution-smoke serve-smoke tournament-smoke health-smoke spans-demo all
 
 test:
 	cargo test --workspace
@@ -46,6 +46,15 @@ lint:
 # broken variants must not be.
 campaign:
 	cargo run --release -p mdx-serve -- run --scheme all --max-faults 1 --seeds 32
+
+# Byte gate on the baseline sweep: every scheme under every single fault
+# of 4x3 at 16 seeds (4,608 rows) must hash to the committed SHA-256. Any
+# change to a row's bytes (engine, traffic, serialization) fails it. The
+# sweep is written under target/.
+sweep-gate:
+	cargo run --release -p mdx-serve -- run --scheme all --max-faults 1 --seeds 16 \
+		--jsonl target/baseline-sweep.jsonl --quiet
+	sha256sum -c crates/campaign/tests/golden/baseline-sweep.sha256
 
 # Small deterministic campaign gating the paper scheme on zero deadlocks.
 # The flight recorder rides along: any failure auto-dumps a post-mortem.

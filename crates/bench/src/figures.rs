@@ -618,7 +618,7 @@ pub fn fig10_deadlock_free() -> Vec<Table> {
         "static wait-graph certification (unicast + broadcast, every single fault)",
         &["scheme", "fault", "instances", "verdict"],
     );
-    for site in sites.iter().take(8) {
+    for site in &sites {
         let faults = site.map(FaultSet::single).unwrap_or_default();
         let s = Sr2201Routing::new(net.clone(), &faults).unwrap();
         let verdict = verify_scheme(&net, &s, &faults, TrafficFamily::all());

@@ -21,7 +21,19 @@
 //! * store-and-forward and recorded routes, which tokens do not carry, as
 //!   the engine's own `SimResult` JSON.
 //!
-//! The golden is never regenerated. On a mismatch the actual bytes are
+//! A second corpus, `tests/golden/engine_rows_8x8.jsonl`, runs the
+//! benchmark's `load` row scale, where a step holds hundreds of live
+//! visits and several complete at once:
+//!
+//! * the `load` row (sr2201 on 8x8 under heavy mixed traffic), fault-free
+//!   and under a router fault and a crossbar fault;
+//! * a live 8x8 crossbar fault under `reroute`, so paused visits sit among
+//!   the live ones while others finish;
+//! * `hyperx-ft` on 4x4 at the same load, whose two lanes apply the moves
+//!   of visits that complete together out of id order;
+//! * one 8x8 row with every observer attached, which pins hook order.
+//!
+//! The goldens are never regenerated. On a mismatch the actual bytes are
 //! written to the test's scratch directory for inspection, and the engine
 //! has to be fixed instead.
 
@@ -39,8 +51,6 @@ use mdx_topology::{MdCrossbar, Network, Shape, XbarRef};
 use mdx_workloads::{StreamSpec, TrafficPattern};
 use std::path::Path;
 use std::sync::Arc;
-
-const GOLDEN: &str = "engine_rows.jsonl";
 
 /// Stands in for the runner's observer fan-out when counting steps: any
 /// attached observer makes the engine mark blocked requests (which can
@@ -340,16 +350,64 @@ fn build_corpus() -> Corpus {
     corpus
 }
 
-#[test]
-fn engine_rows_match_golden() {
-    let corpus = build_corpus();
+/// The benchmark's `load` traffic, heavy mixed uniform traffic, injected
+/// for `window` cycles (400 in the benchmark).
+fn load(window: u64) -> Workload {
+    Workload::Mixed {
+        pattern: TrafficPattern::UniformRandom,
+        rate: 0.05,
+        packet_flits: 12,
+        window,
+        broadcast_rate: 0.002,
+    }
+}
+
+fn build_corpus_8x8() -> Corpus {
+    let mut corpus = Corpus::default();
+    let plain = ObsOptions::default();
+    let row = |faults: Vec<FaultSite>| {
+        Scenario::new(vec![8, 8], "sr2201", load(400), 11).with_faults(faults)
+    };
+    let xbar = FaultSite::Xbar(XbarRef { dim: 1, line: 5 });
+    corpus.row("load/faults0", &row(vec![]), &plain);
+    corpus.row("load/router27", &row(vec![FaultSite::Router(27)]), &plain);
+    corpus.row("load/xbar1:5", &row(vec![xbar]), &plain);
+
+    let live = FaultSite::Xbar(XbarRef { dim: 0, line: 2 });
+    let timeline = FaultTimeline::new().inject(live, 150).repair(live, 900);
+    let s = Scenario::new(vec![8, 8], "sr2201", load(400), 12)
+        .with_reconfig(ReconfigSpec::new(timeline).with_policy(RecoveryPolicy::Reroute));
+    let (row, _) = corpus.row("live/reroute", &s, &plain);
+    let epoch = &row.reconfig.expect("timelines report").epochs[0];
+    assert!(epoch.rerouted > 0, "the fault must pause traffic in place");
+
+    let s = Scenario::new(vec![4, 4], "hyperx-ft", load(400), 13).with_topology("hyperx");
+    corpus.row("zoo/hyperx-ft", &s, &plain);
+
+    let all = ObsOptions {
+        metrics: true,
+        stall_probe: Some(16),
+        flight: Some(DEFAULT_FLIGHT_CAPACITY),
+        attribution: true,
+        windows: Some(50),
+        ..ObsOptions::default()
+    };
+    // A shorter window keeps the per-packet reports small.
+    let s = Scenario::new(vec![8, 8], "sr2201", load(100), 14).with_faults([FaultSite::Router(9)]);
+    corpus.row("instrumented/load/router9", &s, &all);
+    corpus
+}
+
+/// Compares `corpus` with the golden file `golden`, writing the actual
+/// bytes to the test's scratch directory on a mismatch.
+fn assert_golden(corpus: &Corpus, golden: &str) {
     let actual = corpus.text();
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(GOLDEN);
+        .join(golden);
     let expected = std::fs::read_to_string(&path).unwrap_or_default();
     if expected != actual {
-        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(GOLDEN);
+        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(golden);
         std::fs::write(&out, &actual).expect("write actual output");
         let first = expected
             .lines()
@@ -363,8 +421,18 @@ fn engine_rows_match_golden() {
                 },
             );
         panic!(
-            "{GOLDEN} differs at {first}; actual output written to {}",
+            "{golden} differs at {first}; actual output written to {}",
             out.display()
         );
     }
+}
+
+#[test]
+fn engine_rows_match_golden() {
+    assert_golden(&build_corpus(), "engine_rows.jsonl");
+}
+
+#[test]
+fn engine_rows_8x8_match_golden() {
+    assert_golden(&build_corpus_8x8(), "engine_rows_8x8.jsonl");
 }

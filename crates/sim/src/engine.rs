@@ -20,8 +20,8 @@
 //! ## Work per step
 //!
 //! A step does work where something changed, not everywhere something
-//! exists. Four worklists and one counter are kept up to date at the events
-//! that change them, and each worklist is walked in ascending id order, the
+//! exists. The lists and counters below are kept up to date at the events
+//! that change them, and each list is walked in ascending id order, the
 //! order a full scan would visit:
 //!
 //! * **Arbitration** — a port is arbitrated only after a request is queued
@@ -29,14 +29,24 @@
 //!   still held.
 //! * **Moving visits** — only live, unpaused sinks and streaming forwards
 //!   can move. A forward joins at the grant that completes its port set.
-//!   Completion checks look only at the visits that moved.
+//!   Collecting moves is the one pass over this list.
+//! * **Completions** — a visit completes at the move of its last flit: the
+//!   sink's last consumed flit, or the tail of the fan's last branch. That
+//!   move lists it, so no pass re-checks the visits that moved.
 //! * **Heads** — a buffer's front header can become visible only when it
 //!   crosses or when the run ahead of it retires. Retirement looks only at
 //!   the input ports of visits that just completed.
 //! * **Buffer credits** — each port counts the flits in its downstream
 //!   buffer: one in per flit crossing, one out per flit its front consumer
-//!   drains. Debug builds check every list and counter against a full
-//!   recount at the end of each step.
+//!   drains.
+//! * **Live visits** — the list the deadlock analysis, wait snapshots,
+//!   fault activation and [`Simulator::idle`] walk keeps completed entries
+//!   until they outnumber the live ones, then drops them in one pass; its
+//!   readers skip them. A step with completions does not scan every live
+//!   visit.
+//!
+//! Debug builds check every list and counter against a full recount at the
+//! end of each step.
 
 use crate::observer::{SimObserver, WaitSnapshot};
 use crate::result::{
@@ -279,8 +289,8 @@ struct StepScratch {
     /// Lane winners when a link carries more than one lane.
     lane_winners: Vec<BranchMove>,
     sink_moves: Vec<u32>,
-    /// Visits that moved this step, the only completion candidates.
-    moved: Vec<u32>,
+    /// Visits whose last flit moved this step, listed at that move.
+    done: Vec<u32>,
     /// Input ports of the visits that completed this step.
     retire: Vec<u32>,
 }
@@ -305,7 +315,13 @@ pub struct Simulator {
     source_next: Option<u64>,
 
     visits: Vec<Visit>,
+    /// Ids of every live visit in ascending order, plus completed ones not
+    /// yet compacted away; readers skip the completed entries.
     active: Vec<u32>,
+    /// Completed entries in `active`. A step compacts `active` once they
+    /// outnumber the live entries, so it stays within twice the live
+    /// visits.
+    active_done: usize,
     /// Virtual channel lanes per physical channel (from the scheme).
     vcs: usize,
     /// Current writer of each port (lane) — the owner until its tail
@@ -399,6 +415,7 @@ impl Simulator {
             source_next: None,
             visits: Vec::new(),
             active: Vec::new(),
+            active_done: 0,
             vcs,
             chan_owner: vec![None; ports],
             chan_requests: vec![VecDeque::new(); ports],
@@ -1155,7 +1172,11 @@ impl Simulator {
                 self.head_ports.push(port as u32);
             }
             if old + 1 == total {
-                // Tail crossed: the output port frees (cut-through).
+                // Tail crossed: the output port frees (cut-through), and
+                // the fan completes if this was its last branch.
+                if branches.iter().all(|b| b.crossed == total) {
+                    s.done.push(vi);
+                }
                 debug_assert_eq!(self.chan_owner[port], Some((vi, bi)));
                 self.chan_owner[port] = None;
                 self.arb_ports.push(port as u32);
@@ -1170,31 +1191,31 @@ impl Simulator {
             for obs in &mut self.observers {
                 obs.on_flit(ch, vc, self.buffered[port] as usize, self.now);
             }
-            s.moved.push(vi);
             progress = true;
         }
         for &vi in &s.sink_moves {
             let v = &mut self.visits[vi as usize];
             if let VKind::Sink { consumed, .. } = &mut v.kind {
                 *consumed += 1;
+                if *consumed == v.total {
+                    s.done.push(vi);
+                }
             }
             if let Some(q) = v.in_port {
                 self.buffered[q as usize] -= 1;
             }
-            s.moved.push(vi);
             progress = true;
         }
 
-        // 7. Completions. A visit finishes only by moving, so only this
-        //    step's movers are checked, in ascending id order.
-        let mut finished = false;
-        s.moved.sort_unstable();
-        s.moved.dedup();
-        for &vi in &s.moved {
+        // 7. Completions, in ascending id order. Step 6 listed each visit
+        //    at the move of its last flit; with several lanes it applies
+        //    moves in (channel, lane) order, hence the sort.
+        s.done.sort_unstable();
+        for &vi in &s.done {
             let v = &self.visits[vi as usize];
             let in_port = v.in_port;
             match &v.kind {
-                VKind::Sink { consumed, sink } if *consumed == v.total => {
+                VKind::Sink { sink, .. } => {
                     let packet = v.packet;
                     match sink.clone() {
                         SinkKind::Deliver(pe) => {
@@ -1223,19 +1244,14 @@ impl Simulator {
                         }
                     }
                 }
-                VKind::Forward { branches, .. }
-                    if branches.iter().all(|b| b.crossed == v.total) =>
-                {
+                VKind::Forward { .. } => {
                     if self.emission_active == Some(vi) {
                         self.emission_active = None;
                     }
                 }
-                _ => continue,
             }
             self.complete_visit(vi);
             s.retire.extend(in_port);
-            finished = true;
-            progress = true;
         }
 
         // 8. Retire the front runs the completed visits drained, so the
@@ -1257,16 +1273,21 @@ impl Simulator {
             self.dec_open(self.visits[run.0 as usize].packet);
         }
 
-        if finished {
+        if !s.done.is_empty() {
             let visits = &self.visits;
-            self.active.retain(|&vi| !visits[vi as usize].complete);
             self.moving.retain(|&vi| !visits[vi as usize].complete);
+            // Completed entries stay in `active` until they outnumber the
+            // live ones, so a compaction scans fewer than two entries per
+            // completion it drops.
+            if 2 * self.active_done > self.active.len() {
+                self.compact_active();
+            }
         }
 
         s.branch_moves.clear();
         s.lane_winners.clear();
         s.sink_moves.clear();
-        s.moved.clear();
+        s.done.clear();
         s.retire.clear();
         self.scratch = s;
         #[cfg(debug_assertions)]
@@ -1322,6 +1343,34 @@ impl Simulator {
             self.moving.windows(2).all(|w| w[0] < w[1]),
             "moving visits out of order"
         );
+        assert!(
+            self.active.windows(2).all(|w| w[0] < w[1]),
+            "active visits out of order"
+        );
+        let done = self
+            .active
+            .iter()
+            .filter(|&&vi| self.visits[vi as usize].complete)
+            .count();
+        let live = self.visits.iter().filter(|v| !v.complete).count();
+        assert_eq!(self.active.len() - done, live, "active misses a live visit");
+        assert_eq!(self.active_done, done, "completed-entry count drifted");
+        assert!(
+            2 * done <= self.active.len(),
+            "active was not compacted: {done} of {} entries completed",
+            self.active.len()
+        );
+        for &vi in &self.moving {
+            let v = &self.visits[vi as usize];
+            let finished = match &v.kind {
+                VKind::Forward { branches, .. } => branches.iter().all(|b| b.crossed == v.total),
+                VKind::Sink { consumed, .. } => *consumed == v.total,
+            };
+            assert!(
+                v.complete || !finished,
+                "visit {vi} moved its last flit but did not complete"
+            );
+        }
         let movers = self.active.iter().copied().filter(|&vi| {
             let v = &self.visits[vi as usize];
             !v.complete
@@ -1350,7 +1399,15 @@ impl Simulator {
         }
         v.complete = true;
         let packet = v.packet;
+        self.active_done += 1;
         self.dec_open(packet);
+    }
+
+    /// Drops the completed entries from `active`.
+    fn compact_active(&mut self) {
+        let visits = &self.visits;
+        self.active.retain(|&vi| !visits[vi as usize].complete);
+        self.active_done = 0;
     }
 
     fn dec_open(&mut self, packet: u32) {
@@ -1375,7 +1432,7 @@ impl Simulator {
         let mut adj: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
         for &vi in &self.active {
             let v = &self.visits[vi as usize];
-            if v.paused {
+            if v.complete || v.paused {
                 continue; // paused visits request nothing
             }
             if let VKind::Forward { branches, .. } = &v.kind {
@@ -1462,7 +1519,7 @@ impl Simulator {
         let mut waits = Vec::new();
         for &vi in &self.active {
             let v = &self.visits[vi as usize];
-            if v.paused {
+            if v.complete || v.paused {
                 continue; // paused visits request nothing
             }
             if let VKind::Forward { branches, .. } = &v.kind {
@@ -1503,10 +1560,10 @@ impl Simulator {
     pub fn idle(&self) -> bool {
         self.serial_queue.is_empty()
             && self.emission_active.is_none()
-            && self
-                .active
-                .iter()
-                .all(|&vi| self.visits[vi as usize].paused)
+            && self.active.iter().all(|&vi| {
+                let v = &self.visits[vi as usize];
+                v.complete || v.paused
+            })
     }
 
     /// Advances the simulation until a stopping condition.
@@ -1957,7 +2014,7 @@ impl Simulator {
             }
         }
         let mut closed_visits = 0u32;
-        // `active` holds every visit that is not complete, in id order.
+        // `active` holds every live visit, in id order; skip the rest.
         for i in 0..self.active.len() {
             let vi = self.active[i];
             if self.visits[vi as usize].packet != pid || self.visits[vi as usize].complete {
@@ -2018,8 +2075,8 @@ impl Simulator {
                 obs.on_packet_finished(PacketId(pid), self.now);
             }
         }
+        self.compact_active();
         let visits = &self.visits;
-        self.active.retain(|&vi| !visits[vi as usize].complete);
         self.moving.retain(|&vi| !visits[vi as usize].complete);
     }
 
