@@ -82,8 +82,11 @@ pub enum Workload {
     /// [`StreamSpec`] (phases, bursts, fault storms). Unlike the batch
     /// workloads above it is *not* materialized into a schedule up front:
     /// the runner feeds the engine incrementally through
-    /// [`mdx_sim::TrafficSource`], so arbitrarily long horizons cost
-    /// memory proportional to in-flight traffic, not offered traffic.
+    /// [`mdx_sim::TrafficSource`]. Over a long horizon the engine's
+    /// per-hop state follows the visits alive at once, not the offered
+    /// traffic; the per-packet records (the engine's record of each packet
+    /// and [`mdx_sim::SimResult::packets`]) still grow with every packet
+    /// offered.
     Stream {
         /// The parsed workload specification.
         spec: StreamSpec,

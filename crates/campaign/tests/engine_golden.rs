@@ -30,7 +30,7 @@
 //! * a live 8x8 crossbar fault under `reroute`, so paused visits sit among
 //!   the live ones while others finish;
 //! * `hyperx-ft` on 4x4 at the same load, whose two lanes apply the moves
-//!   of visits that complete together out of id order;
+//!   of visits that complete together out of creation order;
 //! * one 8x8 row with every observer attached, which pins hook order.
 //!
 //! The goldens are never regenerated. On a mismatch the actual bytes are

@@ -2,9 +2,17 @@
 //! on a 4×4×4 machine, activated mid-run under the `reinject` policy, must
 //! complete with no transition-safety violations and no lost packets, and
 //! each row's epoch evidence must replay byte-identically from its token.
+//! A timeline whose next event falls inside an epoch's drain must still
+//! return.
 
-use mdx_campaign::{enumerate_scenarios, run_campaign, run_scenario, CampaignConfig, WorkloadKind};
-use mdx_reconfig::RecoveryPolicy;
+use mdx_campaign::{
+    enumerate_scenarios, run_campaign, run_scenario, CampaignConfig, Scenario, Workload,
+    WorkloadKind,
+};
+use mdx_fault::{FaultSite, FaultTimeline};
+use mdx_reconfig::{ReconfigSpec, RecoveryPolicy};
+use mdx_topology::XbarRef;
+use mdx_workloads::TrafficPattern;
 
 fn acceptance_config() -> CampaignConfig {
     CampaignConfig {
@@ -91,8 +99,8 @@ fn timeline_rows_replay_byte_identically() {
     for s in scenarios.iter().step_by(41) {
         let token = s.token();
         let a = run_scenario(s).expect("row runs");
-        let b = run_scenario(&mdx_campaign::Scenario::from_token(&token).unwrap())
-            .expect("row replays from token");
+        let b =
+            run_scenario(&Scenario::from_token(&token).unwrap()).expect("row replays from token");
         assert_eq!(a.digest, b.digest, "engine result must replay: {token}");
         let ra = serde_json::to_string(&a.reconfig).unwrap();
         let rb = serde_json::to_string(&b.reconfig).unwrap();
@@ -101,4 +109,40 @@ fn timeline_rows_replay_byte_identically() {
             "reconfig report must replay byte-identically: {token}"
         );
     }
+}
+
+/// An epoch whose drain and reprogram end after the next timeline event:
+/// the `load` row on 8x8 with X2-XB injected at 150 and repaired at 420
+/// under `reroute`. Epoch 1 drains for hundreds of cycles and resumes past
+/// 420, so the watch window must end at once and the repair apply late
+/// instead of waiting for a cycle that has already gone by.
+#[test]
+fn an_event_inside_the_previous_epoch_applies_late() {
+    let site = FaultSite::Xbar(XbarRef { dim: 0, line: 2 });
+    let timeline = FaultTimeline::new().inject(site, 150).repair(site, 420);
+    let workload = Workload::Mixed {
+        pattern: TrafficPattern::UniformRandom,
+        rate: 0.05,
+        packet_flits: 12,
+        window: 400,
+        broadcast_rate: 0.002,
+    };
+    let s = Scenario::new(vec![8, 8], "sr2201", workload, 12)
+        .with_reconfig(ReconfigSpec::new(timeline).with_policy(RecoveryPolicy::Reroute));
+    let row = run_scenario(&s).expect("row runs");
+    assert_eq!(row.outcome, "completed", "{}", row.token);
+    let report = row.reconfig.as_ref().expect("timeline rows report");
+    assert_eq!(
+        report.epochs.len(),
+        2,
+        "the inject and the repair each run an epoch"
+    );
+    assert!(
+        report.epochs[0].resumed_at > 420,
+        "the first epoch must end past the repair for this row to test anything: {:?}",
+        report.epochs[0]
+    );
+    assert_eq!(report.epochs[1].event_at, report.epochs[0].resumed_at);
+    let replay = run_scenario(&Scenario::from_token(&row.token).unwrap()).expect("row replays");
+    assert_eq!(row.digest, replay.digest, "{}", row.token);
 }

@@ -284,7 +284,9 @@ pub fn drive_reconfig(
 
         // Watch window: sample the wait graph while old-epoch holds drain
         // out alongside new-epoch traffic — where a transition deadlock
-        // would show up.
+        // would show up. The window ends at the next event, or at once
+        // after one sample when this epoch's drain and reprogram ran past
+        // it; the next epoch then starts at the current cycle.
         let watch_until = resumed_at + spec.watch_window;
         while sim.now() < watch_until {
             let stop = (sim.now() + spec.sample_every.max(1))
@@ -293,7 +295,7 @@ pub fn drive_reconfig(
             match sim.run_phase(Some(stop), false) {
                 PhaseEnd::ReachedCycle => {
                     checker.observe(sim.now(), &to_epoch_waits(&sim.wait_snapshot()));
-                    if next_event == Some(sim.now()) {
+                    if next_event.is_some_and(|at| at <= sim.now()) {
                         break;
                     }
                 }

@@ -21,8 +21,8 @@
 //!
 //! A step does work where something changed, not everywhere something
 //! exists. The lists and counters below are kept up to date at the events
-//! that change them, and each list is walked in ascending id order, the
-//! order a full scan would visit:
+//! that change them, and each list is walked in creation order (see
+//! *Storage*), the order a full scan would visit:
 //!
 //! * **Arbitration** — a port is arbitrated only after a request is queued
 //!   on it or its owner leaves; every other port with queued requests is
@@ -45,8 +45,27 @@
 //!   readers skip them. A step with completions does not scan every live
 //!   visit.
 //!
+//! ## Storage
+//!
+//! Per-hop state follows live traffic, as a cut-through switch holds a
+//! packet's state only while its flits pass: a visit lives in a slot that
+//! is released once three things hold — the visit is complete, none of its
+//! runs is still resident in a downstream buffer (runs are counted at the
+//! grant and dropped at the last retire, pause or abort flush), and the
+//! live-visit list no longer lists it. The next visit reuses the slot, and
+//! forward decisions reuse the branch lists of overwritten forward slots,
+//! so a warmed-up engine allocates no per-hop storage.
+//!
+//! Slot numbers therefore say nothing about age. Every order the engine
+//! exposes — the live and moving lists, a step's completions, and through
+//! them deliveries, S-XB gather order, hook order, wait snapshots and
+//! deadlock witnesses — follows each visit's creation sequence, kept in a
+//! dense array beside the slots. A FIFO window over creation order would
+//! not do: one slow packet pins the window's front, so the window grows
+//! with the traffic offered behind it.
+//!
 //! Debug builds check every list and counter against a full recount at the
-//! end of each step.
+//! end of each step, and every slot reference against the free list.
 
 use crate::observer::{SimObserver, WaitSnapshot};
 use crate::result::{
@@ -230,6 +249,10 @@ struct Visit {
     /// A paused visit holds its input buffer but requests no ports and
     /// never streams or completes.
     paused: bool,
+    /// This visit's runs still resident in downstream buffers.
+    runs: u32,
+    /// Listed in `active`.
+    listed: bool,
 }
 
 /// The engine's always-on self-profiling counters (see [`EngineProfile`]).
@@ -314,8 +337,18 @@ pub struct Simulator {
     /// source.
     source_next: Option<u64>,
 
+    /// Visit slots, live and released (see *Storage* in the module docs).
     visits: Vec<Visit>,
-    /// Ids of every live visit in ascending order, plus completed ones not
+    /// Creation sequence of each slot's visit: the engine's one visit order.
+    seq: Vec<u64>,
+    /// Sequence number of the next visit.
+    next_seq: u64,
+    /// Released slots, reused last-in first-out.
+    free: Vec<u32>,
+    /// Cleared branch lists of overwritten forward slots, for the next
+    /// forward decisions.
+    spare_branches: Vec<Vec<BranchState>>,
+    /// Slots of every live visit in creation order, plus completed ones not
     /// yet compacted away; readers skip the completed entries.
     active: Vec<u32>,
     /// Completed entries in `active`. A step compacts `active` once they
@@ -344,8 +377,8 @@ pub struct Simulator {
     /// Ports whose front run's header may have become visible: it crossed,
     /// or the run ahead of it retired.
     head_ports: Vec<u32>,
-    /// Ids of the live, unpaused sinks and streaming forwards — the only
-    /// visits that can move — in ascending order.
+    /// Slots of the live, unpaused sinks and streaming forwards — the only
+    /// visits that can move — in creation order.
     moving: Vec<u32>,
     scratch: StepScratch,
     /// Per physical channel: the lane served last cycle (round-robin share
@@ -414,6 +447,10 @@ impl Simulator {
             source: None,
             source_next: None,
             visits: Vec::new(),
+            seq: Vec::new(),
+            next_seq: 0,
+            free: Vec::new(),
+            spare_branches: Vec::new(),
             active: Vec::new(),
             active_done: 0,
             vcs,
@@ -681,7 +718,7 @@ impl Simulator {
                 self.mk_drop(DropReason::ProtocolViolation)
             }
             Action::Forward(branches) => {
-                let mut states = Vec::with_capacity(branches.len());
+                let mut states = self.branch_list(branches.len());
                 let mut bad = false;
                 for b in &branches {
                     if b.vc as usize >= self.vcs {
@@ -710,6 +747,14 @@ impl Simulator {
                 }
             }
         }
+    }
+
+    /// An empty branch list with room for `n` branches, reusing spare
+    /// storage when there is some.
+    fn branch_list(&mut self, n: usize) -> Vec<BranchState> {
+        let mut list = self.spare_branches.pop().unwrap_or_default();
+        list.reserve_exact(n);
+        list
     }
 
     /// Whether a forward kind routes into a currently-dead channel.
@@ -809,7 +854,7 @@ impl Simulator {
         paused: bool,
     ) -> u32 {
         let total = self.packets[packet as usize].spec.flits;
-        let idx = self.visits.len() as u32;
+        let idx = self.free.pop().unwrap_or(self.visits.len() as u32);
         if !paused {
             match &kind {
                 VKind::Forward { branches, .. } => {
@@ -819,11 +864,11 @@ impl Simulator {
                         self.arb_ports.push(port as u32);
                     }
                 }
-                // The newest id: `moving` stays ascending.
+                // The newest visit: `moving` stays in creation order.
                 VKind::Sink { .. } => self.moving.push(idx),
             }
         }
-        self.visits.push(Visit {
+        let visit = Visit {
             packet,
             at,
             in_port,
@@ -834,7 +879,28 @@ impl Simulator {
             complete: false,
             epoch: self.current_epoch,
             paused,
-        });
+            runs: 0,
+            listed: true,
+        };
+        match self.visits.get_mut(idx as usize) {
+            Some(slot) => {
+                let old = std::mem::replace(slot, visit);
+                self.seq[idx as usize] = self.next_seq;
+                // An overwritten forward's branch list serves a later
+                // forward decision.
+                if let VKind::Forward { mut branches, .. } = old.kind {
+                    if branches.capacity() > 0 {
+                        branches.clear();
+                        self.spare_branches.push(branches);
+                    }
+                }
+            }
+            None => {
+                self.visits.push(visit);
+                self.seq.push(self.next_seq);
+            }
+        }
+        self.next_seq += 1;
         self.active.push(idx);
         if let Some(port) = in_port {
             debug_assert!(self.chan_downstream[port as usize].is_none());
@@ -926,7 +992,7 @@ impl Simulator {
             {
                 self.serial_queue.pop_front();
                 let branches = self.scheme.emission(&header);
-                let mut states = Vec::with_capacity(branches.len());
+                let mut states = self.branch_list(branches.len());
                 let mut bad = branches.is_empty();
                 for b in &branches {
                     if b.vc as usize >= self.vcs {
@@ -1029,11 +1095,14 @@ impl Simulator {
                     };
                     self.chan_owner[pu] = Some((vidx, bidx));
                     self.chan_resident[pu].push_back((vidx, bidx));
-                    // The run holds the packet open until it drains out of
-                    // the downstream buffer (step 8), so a packet can never
-                    // look finished while flits are queued behind another
-                    // packet's resident run.
-                    let packet = self.visits[vidx as usize].packet;
+                    // The run holds the packet open, and the visit's slot
+                    // in use, until it drains out of the downstream buffer
+                    // (step 8), so a packet can never look finished while
+                    // flits are queued behind another packet's resident
+                    // run.
+                    let v = &mut self.visits[vidx as usize];
+                    v.runs += 1;
+                    let packet = v.packet;
                     self.packets[packet as usize].open += 1;
                     let mut was_blocked = None;
                     let mut flipped = false;
@@ -1207,10 +1276,11 @@ impl Simulator {
             progress = true;
         }
 
-        // 7. Completions, in ascending id order. Step 6 listed each visit
-        //    at the move of its last flit; with several lanes it applies
-        //    moves in (channel, lane) order, hence the sort.
-        s.done.sort_unstable();
+        // 7. Completions, in creation order. Step 6 listed each visit at
+        //    the move of its last flit, forwards before sinks and, with
+        //    several lanes, in (channel, lane) order, hence the sort.
+        let seq = &self.seq;
+        s.done.sort_unstable_by_key(|&vi| seq[vi as usize]);
         for &vi in &s.done {
             let v = &self.visits[vi as usize];
             let in_port = v.in_port;
@@ -1271,6 +1341,7 @@ impl Simulator {
                 self.head_ports.push(port);
             }
             self.dec_open(self.visits[run.0 as usize].packet);
+            self.drop_run(run.0);
         }
 
         if !s.done.is_empty() {
@@ -1339,14 +1410,16 @@ impl Simulator {
                 self.describe_port(port)
             );
         }
+        let seq = |vi: &u32| self.seq[*vi as usize];
         assert!(
-            self.moving.windows(2).all(|w| w[0] < w[1]),
-            "moving visits out of order"
+            self.moving.windows(2).all(|w| seq(&w[0]) < seq(&w[1])),
+            "moving visits out of creation order"
         );
         assert!(
-            self.active.windows(2).all(|w| w[0] < w[1]),
-            "active visits out of order"
+            self.active.windows(2).all(|w| seq(&w[0]) < seq(&w[1])),
+            "active visits out of creation order"
         );
+        self.check_slots();
         let done = self
             .active
             .iter()
@@ -1386,9 +1459,80 @@ impl Simulator {
         );
     }
 
-    /// Adds a visit that can now move to `moving`, keeping it ascending.
+    /// Debug builds: checks slot lifetimes. A slot is free exactly when its
+    /// visit is complete, holds no resident run and is not listed in
+    /// `active`, and nothing the engine still reads reaches a free slot.
+    #[cfg(debug_assertions)]
+    fn check_slots(&self) {
+        let mut free = vec![false; self.visits.len()];
+        for &vi in &self.free {
+            assert!(
+                !std::mem::replace(&mut free[vi as usize], true),
+                "slot {vi} released twice"
+            );
+        }
+        let in_use = |vi: u32, what: &str| {
+            assert!(!free[vi as usize], "{what} reaches released slot {vi}");
+        };
+        let mut runs = vec![0u32; self.visits.len()];
+        for port in 0..self.chan_owner.len() {
+            if let Some((vi, _)) = self.chan_owner[port] {
+                in_use(vi, "a port owner");
+            }
+            for &(vi, _, _) in &self.chan_requests[port] {
+                in_use(vi, "a port request");
+            }
+            for &(vi, _) in &self.chan_resident[port] {
+                in_use(vi, "a resident run");
+                runs[vi as usize] += 1;
+            }
+            if let Some(vi) = self.chan_downstream[port] {
+                in_use(vi, "a buffer's consumer");
+            }
+        }
+        for &vi in self
+            .active
+            .iter()
+            .chain(&self.moving)
+            .chain(&self.emission_active)
+        {
+            in_use(vi, "a visit list");
+        }
+        let mut listed = 0;
+        for (vi, v) in self.visits.iter().enumerate() {
+            if !v.complete {
+                if let Some((up, _)) = v.up_run {
+                    in_use(up, "a live visit's input run");
+                }
+            }
+            assert_eq!(v.runs, runs[vi], "resident runs of visit {vi} drifted");
+            listed += usize::from(v.listed);
+            assert_eq!(
+                free[vi],
+                v.complete && v.runs == 0 && !v.listed,
+                "slot {vi} is {} but its visit is complete: {}, holds {} run(s), listed: {}",
+                if free[vi] { "released" } else { "in use" },
+                v.complete,
+                v.runs,
+                v.listed
+            );
+        }
+        assert!(
+            listed == self.active.len()
+                && self
+                    .active
+                    .iter()
+                    .all(|&vi| self.visits[vi as usize].listed),
+            "listed flags differ from active"
+        );
+    }
+
+    /// Adds a visit that can now move to `moving`, keeping creation order.
     fn join_moving(&mut self, vi: u32) {
-        let pos = self.moving.partition_point(|&m| m < vi);
+        let seq = &self.seq;
+        let pos = self
+            .moving
+            .partition_point(|&m| seq[m as usize] < seq[vi as usize]);
         self.moving.insert(pos, vi);
     }
 
@@ -1403,11 +1547,32 @@ impl Simulator {
         self.dec_open(packet);
     }
 
-    /// Drops the completed entries from `active`.
+    /// Drops the completed entries from `active`, releasing the slots that
+    /// hold no resident run.
     fn compact_active(&mut self) {
-        let visits = &self.visits;
-        self.active.retain(|&vi| !visits[vi as usize].complete);
+        let (visits, free) = (&mut self.visits, &mut self.free);
+        self.active.retain(|&vi| {
+            let v = &mut visits[vi as usize];
+            if !v.complete {
+                return true;
+            }
+            v.listed = false;
+            if v.runs == 0 {
+                free.push(vi);
+            }
+            false
+        });
         self.active_done = 0;
+    }
+
+    /// Drops one of the visit's resident runs, releasing its slot if that
+    /// was the last and `active` no longer lists the completed visit.
+    fn drop_run(&mut self, vi: u32) {
+        let v = &mut self.visits[vi as usize];
+        v.runs -= 1;
+        if v.runs == 0 && v.complete && !v.listed {
+            self.free.push(vi);
+        }
     }
 
     fn dec_open(&mut self, packet: u32) {
@@ -1986,7 +2151,11 @@ impl Simulator {
             released_runs += (before - self.chan_resident[port].len()) as u32;
         }
         self.packets[packet as usize].open -= released_runs;
-        if let Ok(pos) = self.moving.binary_search(&vi) {
+        let seq = &self.seq;
+        if let Ok(pos) = self
+            .moving
+            .binary_search_by_key(&seq[vi as usize], |&m| seq[m as usize])
+        {
             self.moving.remove(pos);
         }
         let v = &mut self.visits[vi as usize];
@@ -1995,6 +2164,8 @@ impl Simulator {
             streaming: false,
         };
         v.paused = true;
+        // Live, so the slot stays in use.
+        v.runs -= released_runs;
     }
 
     /// Evacuates a wounded packet: flushes its flits from every buffer,
@@ -2014,7 +2185,7 @@ impl Simulator {
             }
         }
         let mut closed_visits = 0u32;
-        // `active` holds every live visit, in id order; skip the rest.
+        // `active` holds every live visit, in creation order; skip the rest.
         for i in 0..self.active.len() {
             let vi = self.active[i];
             if self.visits[vi as usize].packet != pid || self.visits[vi as usize].complete {
@@ -2045,12 +2216,24 @@ impl Simulator {
             v.paused = false;
             closed_visits += 1;
         }
-        // Flush resident runs (buffered flits) of the packet everywhere.
+        // Flush resident runs (buffered flits) of the packet everywhere,
+        // releasing the slots of completed visits that `active` no longer
+        // lists as their last run goes; compaction below releases the rest.
         let mut flushed_runs = 0u32;
-        let visits = &self.visits;
+        let (visits, free) = (&mut self.visits, &mut self.free);
         for runs in &mut self.chan_resident {
             let before = runs.len();
-            runs.retain(|&(v, _)| visits[v as usize].packet != pid);
+            runs.retain(|&(vi, _)| {
+                let v = &mut visits[vi as usize];
+                if v.packet != pid {
+                    return true;
+                }
+                v.runs -= 1;
+                if v.runs == 0 && v.complete && !v.listed {
+                    free.push(vi);
+                }
+                false
+            });
             flushed_runs += (before - runs.len()) as u32;
         }
         let expected = closed_visits + flushed_runs + removed_slots;
