@@ -33,7 +33,7 @@ examples:
 	cargo run --release --example attribution_report
 
 doc:
-	cargo doc --workspace --no-deps
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 clippy:
 	cargo clippy --workspace --all-targets

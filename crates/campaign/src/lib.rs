@@ -12,10 +12,10 @@
 //! * [`runner`] — grid enumeration (schemes × fault sets × workloads ×
 //!   seeds), rayon-parallel execution on [`mdx_sim`], and aggregation into
 //!   JSONL rows plus a per-scheme summary table.
-//! * [`shrink`] — a delta-debugging minimizer that reduces a deadlocking
-//!   scenario (fewer packets, shorter packets, fewer faults, smaller
-//!   shape) while preserving the deadlock, yielding a minimal witness with
-//!   its wait-for-graph cycle.
+//! * [`shrink`](mod@shrink) — a delta-debugging minimizer that reduces a
+//!   deadlocking scenario (fewer packets, shorter packets, fewer faults,
+//!   smaller shape) while preserving the deadlock, yielding a minimal
+//!   witness with its wait-for-graph cycle.
 //!
 //! ```
 //! use mdx_campaign::{run_scenario, Scenario, Workload};

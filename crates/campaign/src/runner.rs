@@ -712,9 +712,8 @@ fn run_on(
         window_handle = Some(handle);
     }
 
-    for &spec in &specs {
-        sim.schedule(spec);
-    }
+    let scheduled = specs.len();
+    sim.schedule_all(specs);
     let streaming = stream_source.is_some();
     if let Some(source) = stream_source {
         sim.set_traffic_source(Box::new(source));
@@ -740,7 +739,7 @@ fn run_on(
     let offered = if streaming {
         sim.source_offered()
     } else {
-        specs.len()
+        scheduled
     };
 
     let hot = hot_channels(net.graph(), sim.channel_flits());

@@ -7,29 +7,35 @@
 //!
 //! What a row must hold per offered packet, on a 64-bit host:
 //!
-//! * its schedule entry, an `InjectSpec` (64 B);
-//! * the engine's record of it, a `PacketRt`: the `InjectSpec` plus
-//!   `started`, `open`, `finished_at`, `deliveries`, `dropped`, `route` and
-//!   `victim_logged`, 136 B, in a vector that grows by doubling, so up to
-//!   twice that;
-//! * its delivery list, one 16 B `(pe, cycle)` entry in a first allocation
-//!   of four, 64 B for a unicast;
-//! * its `PacketResult` (80 B) with an exact copy of the delivery list
-//!   (16 B for a unicast), built while the `PacketRt`s are still held;
-//! * its slot in the injection order, 4 B.
+//! * the engine's record of it, a `PacketRt` of 136 B: its `InjectSpec`
+//!   plus `started`, `open`, `finished_at`, `deliveries`, `dropped`,
+//!   `route` and `victim_logged`. The runner hands the engine its schedule
+//!   by value, so the records are sized to it once and the schedule's own
+//!   copy is gone before the run;
+//! * its delivery list, for a unicast one 16 B `(pe, cycle)` entry in an
+//!   allocation of one, which moves into the result rather than being
+//!   copied;
+//! * its slot in the injection order, 4 B, freed before the result is
+//!   built;
+//! * its `PacketResult`, 80 B, built after the engine has freed its
+//!   per-hop state.
 //!
-//! That is the `InjectSpec` plus [`RECORDS`], 500 B. Broadcasts add 64
-//! deliveries each, twice, but are about one packet in 25. The engine's
-//! per-hop state (a visit per switch a packet crosses, each with its branch
-//! list) is not a per-packet record: it must follow the visits alive at
-//! once, which the injection rate and the network bound, not the window.
-//! [`BOUND`] gives the records a margin of 1 KB for that state and the
-//! row's fixed costs (network, scheme, port tables) at a 400-cycle window.
-//! Measured: these rows peak at 0.95–1.08 KB per offered packet, while an
-//! engine that keeps every visit of the run holds 2.9 KB on the first.
+//! That is [`RECORDS`], 236 B. Broadcasts add 63 more deliveries each but
+//! are about one packet in 25. The per-hop state (a visit per switch a
+//! packet crosses, with its branch list, and the port queues) is not a
+//! per-packet record, but on these rows it grows with the window: the rate
+//! overloads the network, so sources queue injection visits for as long as
+//! traffic is offered. At its peak it holds about 0.4 KB per offered
+//! packet, and the row's fixed costs (network, scheme, port tables) about
+//! 50 B more at a 400-cycle window. [`PER_HOP`] allows both with a quarter
+//! to spare, and [`BOUND`] adds it to the records. Measured in the test
+//! profile: these rows peak at 0.58–0.70 KB per offered packet, while the
+//! engine that copied the schedule, grew its records by doubling and
+//! cloned every delivery list into the result held 0.95–1.08 KB, and one
+//! that keeps every visit of the run 2.9 KB.
 
 use mdx_campaign::{run_scenario, Scenario, Workload};
-use mdx_sim::{InjectSpec, PacketResult};
+use mdx_sim::PacketResult;
 use mdx_workloads::TrafficPattern;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,14 +85,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Per offered packet, besides its `InjectSpec`: a `PacketRt` twice over
-/// (136 B in a doubling vector), a unicast's delivery list (64 B), its
-/// `PacketResult` and the result's copy of the list (16 B), and its
-/// injection-order slot (4 B).
-const RECORDS: usize = 2 * 136 + 64 + std::mem::size_of::<PacketResult>() + 16 + 4;
+/// Per offered packet: its `PacketRt` (136 B), a unicast's delivery list
+/// (16 B), its injection-order slot (4 B) and its `PacketResult`.
+const RECORDS: usize = 136 + 16 + 4 + std::mem::size_of::<PacketResult>();
 
-/// Peak heap allowed per offered packet: the records plus 1 KB.
-const BOUND: usize = std::mem::size_of::<InjectSpec>() + RECORDS + 1024;
+/// Room per offered packet for the per-hop state at its peak and the row's
+/// fixed costs: 0.45 KB and a quarter.
+const PER_HOP: usize = 576;
+
+/// Peak heap allowed per offered packet.
+const BOUND: usize = RECORDS + PER_HOP;
 
 /// The benchmark's `load` row with an injection window of `window` cycles.
 fn load_row(window: u64, seed: u64) -> Scenario {
@@ -117,7 +125,8 @@ fn peak_heap_per_offered_packet_stays_near_the_packet_records() {
         assert!(
             per_packet <= BOUND,
             "window {window}, seed {seed}: {per_packet} B of peak heap per offered packet, \
-             over the {BOUND} B bound; the engine keeps per-hop state beyond live traffic"
+             over the {BOUND} B bound; the row holds copies of packet records or per-hop \
+             state beyond live traffic"
         );
     }
 }

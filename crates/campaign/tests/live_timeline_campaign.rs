@@ -3,7 +3,8 @@
 //! complete with no transition-safety violations and no lost packets, and
 //! each row's epoch evidence must replay byte-identically from its token.
 //! A timeline whose next event falls inside an epoch's drain must still
-//! return.
+//! return, and a wait cycle through a hold from before a reprogram is a
+//! transition violation.
 
 use mdx_campaign::{
     enumerate_scenarios, run_campaign, run_scenario, CampaignConfig, Scenario, Workload,
@@ -145,4 +146,36 @@ fn an_event_inside_the_previous_epoch_applies_late() {
     assert_eq!(report.epochs[1].event_at, report.epochs[0].resumed_at);
     let replay = run_scenario(&Scenario::from_token(&row.token).unwrap()).expect("row replays");
     assert_eq!(row.digest, replay.digest, "{}", row.token);
+}
+
+/// A wait cycle that closes through a hold decided before the reprogram:
+/// the `load` row on 8x8 with Y5-XB injected at 150 under `reroute`. Every
+/// wait on the cycle was decided after the reprogram, but packet 447 holds
+/// X0-XB -> R0 through a visit decided before it, so the cycle spans two
+/// epochs and is a transition violation, not a single-epoch deadlock.
+#[test]
+fn a_cycle_through_an_old_epoch_hold_is_a_violation() {
+    let site = FaultSite::Xbar(XbarRef { dim: 1, line: 5 });
+    let workload = Workload::Mixed {
+        pattern: TrafficPattern::UniformRandom,
+        rate: 0.05,
+        packet_flits: 12,
+        window: 400,
+        broadcast_rate: 0.002,
+    };
+    let s = Scenario::new(vec![8, 8], "sr2201", workload, 12).with_reconfig(
+        ReconfigSpec::new(FaultTimeline::new().inject(site, 150))
+            .with_policy(RecoveryPolicy::Reroute),
+    );
+    let row = run_scenario(&s).expect("row runs");
+    assert_eq!(row.outcome, "deadlock", "{}", row.token);
+    let transition = &row
+        .reconfig
+        .as_ref()
+        .expect("timeline rows report")
+        .transition;
+    assert_eq!(transition.single_epoch_cycles, 0, "{}", row.token);
+    let first = transition.violations.first().expect("the cycle is flagged");
+    assert_eq!(first.cycle.epochs, vec![0, 1]);
+    assert!(first.cycle.packets.contains(&447), "{first:?}");
 }

@@ -13,9 +13,9 @@
 //! processor avoids by draining before it reprograms.
 //!
 //! The checker consumes runtime wait-graph snapshots whose edges carry the
-//! routing **epoch** that made each decision (see
-//! `mdx_sim::WaitSnapshot::epoch`) and flags any cycle whose edges span
-//! more than one epoch.
+//! routing **epoch** of the waiter's decision and of the holder's (see
+//! `mdx_sim::WaitSnapshot::epoch` and `holder_epoch`) and flags any cycle
+//! whose waits and holds span more than one epoch.
 //!
 //! The check is deliberately **per-snapshot**, not a union over time: since
 //! dimension order may flip between epochs, a temporal union contains
@@ -40,18 +40,20 @@ pub struct EpochWait {
 }
 
 /// A wait cycle found in one snapshot, with the routing epochs of the
-/// edges that close it.
+/// decisions that close it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransitionCycle {
     /// The packets on the cycle, in wait order.
     pub packets: Vec<u32>,
-    /// Distinct routing epochs among the cycle's edges, ascending. More
-    /// than one epoch means the cycle crosses a reprogram boundary.
+    /// Distinct routing epochs among the cycle's waits and holds,
+    /// ascending. More than one epoch means the cycle crosses a reprogram
+    /// boundary.
     pub epochs: Vec<u32>,
 }
 
 impl TransitionCycle {
-    /// Whether the cycle's edges span more than one routing epoch.
+    /// Whether the cycle's waits and holds span more than one routing
+    /// epoch.
     pub fn is_mixed(&self) -> bool {
         self.epochs.len() > 1
     }
@@ -94,18 +96,27 @@ impl TransitionReport {
     }
 }
 
-/// Finds every wait cycle in one snapshot, tagged with the epochs of its
-/// edges. Deterministic: DFS roots in ascending packet order, adjacency in
-/// edge order.
+/// One wait edge as the cycle search stores it: a packet at one of its
+/// ends (the holder in the adjacency lists, the waiter on the DFS path),
+/// the epoch of the waiting decision and that of the holding decision.
+type Edge = (u32, u32, Option<u32>);
+
+/// Finds every wait cycle in one snapshot, tagged with the epochs of every
+/// decision on it: each wait and each hold. A packet on a cycle can hold
+/// through a visit decided before a reprogram while it waits through one
+/// decided after, so the waits alone can look single-epoch. Deterministic:
+/// DFS roots in ascending packet order, adjacency in edge order.
 pub fn find_cycles(waits: &[EpochWait]) -> Vec<TransitionCycle> {
-    // waiter -> [(holder, epoch of the waiting edge)]
-    let mut adj: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
+    // waiter -> [(holder, epochs)]
+    let mut adj: HashMap<u32, Vec<Edge>> = HashMap::new();
     let mut nodes: Vec<u32> = Vec::new();
     for e in waits {
         nodes.push(e.waiter);
         if let Some(h) = e.holder {
             nodes.push(h);
-            adj.entry(e.waiter).or_default().push((h, e.epoch));
+            adj.entry(e.waiter)
+                .or_default()
+                .push((h, e.epoch, e.holder_epoch));
         }
     }
     nodes.sort_unstable();
@@ -115,7 +126,8 @@ pub fn find_cycles(waits: &[EpochWait]) -> Vec<TransitionCycle> {
     const GRAY: u8 = 1;
     const BLACK: u8 = 2;
     let mut color: HashMap<u32, u8> = HashMap::new();
-    let mut path: Vec<(u32, u32)> = Vec::new();
+    // (waiter, epochs) of each edge on the DFS path.
+    let mut path: Vec<Edge> = Vec::new();
     let mut cycles: Vec<TransitionCycle> = Vec::new();
     for &start in &nodes {
         if color.get(&start).copied().unwrap_or(WHITE) == WHITE {
@@ -126,33 +138,35 @@ pub fn find_cycles(waits: &[EpochWait]) -> Vec<TransitionCycle> {
 
     fn dfs(
         u: u32,
-        adj: &HashMap<u32, Vec<(u32, u32)>>,
+        adj: &HashMap<u32, Vec<Edge>>,
         color: &mut HashMap<u32, u8>,
-        path: &mut Vec<(u32, u32)>,
+        path: &mut Vec<Edge>,
         cycles: &mut Vec<TransitionCycle>,
     ) {
         color.insert(u, GRAY);
         if let Some(ns) = adj.get(&u) {
-            for &(h, ep) in ns {
+            for &(h, ep, hep) in ns {
                 match color.get(&h).copied().unwrap_or(WHITE) {
                     GRAY => {
                         // Back edge: the cycle is the path suffix from h,
                         // plus u and the closing edge u -> h.
-                        let start = path.iter().position(|&(n, _)| n == h);
+                        let start = path.iter().position(|&(n, _, _)| n == h);
                         let suffix = match start {
                             Some(s) => &path[s..],
                             None => &[], // h == u: a self-wait
                         };
-                        let mut packets: Vec<u32> = suffix.iter().map(|&(n, _)| n).collect();
-                        let mut epochs: Vec<u32> = suffix.iter().map(|&(_, e)| e).collect();
-                        packets.push(u);
-                        epochs.push(ep);
+                        let closing = (u, ep, hep);
+                        let edges = || suffix.iter().chain(std::iter::once(&closing));
+                        let packets: Vec<u32> = edges().map(|&(n, _, _)| n).collect();
+                        let mut epochs: Vec<u32> = edges()
+                            .flat_map(|&(_, e, he)| std::iter::once(e).chain(he))
+                            .collect();
                         epochs.sort_unstable();
                         epochs.dedup();
                         cycles.push(TransitionCycle { packets, epochs });
                     }
                     WHITE => {
-                        path.push((u, ep));
+                        path.push((u, ep, hep));
                         dfs(h, adj, color, path, cycles);
                         path.pop();
                     }
@@ -262,6 +276,18 @@ mod tests {
         let mut ps = v.cycle.packets.clone();
         ps.sort_unstable();
         assert_eq!(ps, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_hold_from_before_the_reprogram_makes_the_cycle_mixed() {
+        // Every wait on the cycle was decided in epoch 1, but packet 1
+        // holds what packet 0 wants through a visit decided in epoch 0.
+        let mut c = TransitionChecker::new();
+        c.observe(432, &[w(0, 1, 1, 0), w(1, 0, 1, 1)]);
+        let r = c.into_report();
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.single_epoch_cycles, 0);
+        assert_eq!(r.violations[0].cycle.epochs, vec![0, 1]);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The burn-rate evaluator.
 //!
 //! [`HealthEngine`] holds one ring of violation samples per objective and
-//! reduces each [`SignalFrame`](crate::SignalFrame) it observes into a
-//! [`HealthReport`]. The evaluation is the SRE multi-window burn-rate
-//! scheme, on logical ticks instead of wall clock so replays are
-//! byte-identical:
+//! reduces each [`SignalFrame`] it observes into a [`HealthReport`]. The
+//! evaluation is the SRE multi-window burn-rate scheme, on logical ticks
+//! instead of wall clock so replays are byte-identical:
 //!
 //! - every tick, each objective's signal is compared against its
 //!   threshold; the boolean lands in a ring capped at the spec's slow

@@ -10,9 +10,10 @@
 //! tokens gets rows streamed back as they finish, not batched at the end.
 //!
 //! Memory stays bounded for arbitrarily long sessions: the row cache is
-//! capped (FIFO), post-mortems are capped, and streaming rows use the
-//! engine's incremental [`mdx_sim::TrafficSource`] seam plus windowed
-//! telemetry rather than materialized schedules.
+//! capped (FIFO), post-mortems are capped, and streaming rows feed the
+//! engine incrementally through its `TrafficSource` seam (a
+//! [`mdx_workloads::StreamSource`]) plus windowed telemetry rather than
+//! materialized schedules.
 //!
 //! With span collection on (`--span-log` / `--span-sample`), every request
 //! gets a trace: a `request` root span tiled exactly by its `queue`,

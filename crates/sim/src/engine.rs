@@ -64,6 +64,17 @@
 //! not do: one slow packet pins the window's front, so the window grows
 //! with the traffic offered behind it.
 //!
+//! Per-packet records exist once each. [`Simulator::schedule_all`] sizes
+//! them to a schedule handed over by value, a packet's first delivery
+//! takes room for the one entry a unicast needs, and
+//! [`Simulator::finalize`] frees the per-hop state before it builds the
+//! result, into which it moves each delivery list instead of copying it.
+//! A run's peak heap is then its per-hop high-water plus one copy of each
+//! record: about 0.6–0.7 KB per offered packet on the 8x8 `load` rows of
+//! `crates/campaign/tests/engine_memory.rs`, of which the records (the
+//! engine's 136 B, a unicast's 16 B delivery, a 4 B injection-order slot,
+//! the result's 80 B) are 0.24 KB.
+//!
 //! Debug builds check every list and counter against a full recount at the
 //! end of each step, and every slot reference against the free list.
 
@@ -318,8 +329,8 @@ struct StepScratch {
     retire: Vec<u32>,
 }
 
-/// The simulator. Feed it a schedule with [`Simulator::schedule`], then call
-/// [`Simulator::run`].
+/// The simulator. Feed it a schedule with [`Simulator::schedule`] or
+/// [`Simulator::schedule_all`], then call [`Simulator::run`].
 pub struct Simulator {
     graph: NetworkGraph,
     scheme: Arc<dyn Scheme>,
@@ -541,6 +552,20 @@ impl Simulator {
             victim_logged: false,
         });
         id
+    }
+
+    /// Adds a whole schedule, in order, as [`Simulator::schedule`] would
+    /// packet by packet, but sizes the packet records to it once instead of
+    /// growing them by doubling. The schedule is taken by value, so the
+    /// caller's copy is gone once the records hold it.
+    ///
+    /// # Panics
+    /// Panics on zero-length packets.
+    pub fn schedule_all(&mut self, specs: Vec<InjectSpec>) {
+        self.packets.reserve_exact(specs.len());
+        for spec in specs {
+            self.schedule(spec);
+        }
     }
 
     /// Attaches an incremental packet source for an open-loop (streaming)
@@ -1289,9 +1314,13 @@ impl Simulator {
                     let packet = v.packet;
                     match sink.clone() {
                         SinkKind::Deliver(pe) => {
-                            self.packets[packet as usize]
-                                .deliveries
-                                .push((pe, self.now));
+                            let deliveries = &mut self.packets[packet as usize].deliveries;
+                            // A unicast delivers once: room for one entry,
+                            // not the four a first push reserves.
+                            if deliveries.capacity() == 0 {
+                                deliveries.reserve_exact(1);
+                            }
+                            deliveries.push((pe, self.now));
                             for obs in &mut self.observers {
                                 obs.on_delivery(PacketId(packet), pe, self.now);
                             }
@@ -1737,7 +1766,7 @@ impl Simulator {
     ///   `now` reaches this cycle, so a controller can regain control at a
     ///   scheduled event.
     /// * `drain` — stop once in-flight traffic settles: immediately when
-    ///   [`Simulator::idle`], or after [`DRAIN_QUIET`] motionless cycles
+    ///   [`Simulator::idle`], or after `DRAIN_QUIET` (16) motionless cycles
     ///   with no wait cycle (paused victims and traffic backed up behind
     ///   them legitimately cannot drain). A motionless network *with* a
     ///   wait cycle ends the phase as [`PhaseEnd::Deadlock`].
@@ -1897,6 +1926,16 @@ impl Simulator {
     /// [`PhaseEnd::ReachedCycle`] / [`PhaseEnd::Drained`] are not terminal
     /// states; a controller finalizing on one (e.g. bailing out mid-epoch)
     /// maps to [`SimOutcome::CycleLimit`] / [`SimOutcome::Stalled`].
+    ///
+    /// The engine is finished after this call. It frees its per-hop state
+    /// (visit slots and their branch lists, the live and moving lists,
+    /// request and resident queues, the S-XB queue, the injection order)
+    /// before it builds the result, and it moves each packet's delivery list
+    /// into [`SimResult::packets`]. The run-level readings stay:
+    /// [`Simulator::now`], [`Simulator::channel_flits`],
+    /// [`Simulator::lane_flits`], [`Simulator::source_offered`] and
+    /// [`Simulator::diagnostics`]. Running or finalizing it again, or asking
+    /// it about a packet, is a logic error.
     pub fn finalize(&mut self, end: PhaseEnd) -> SimResult {
         let outcome = match end {
             PhaseEnd::Completed => SimOutcome::Completed,
@@ -1919,7 +1958,34 @@ impl Simulator {
                 obs.on_deadlock(info);
             }
         }
+        self.free_hop_state();
         self.collect_result(outcome)
+    }
+
+    /// Frees the per-hop state of a finished run, so the result is built
+    /// in the room it leaves. The per-port tables keep their size (they are
+    /// fixed costs of the network), with their queues emptied.
+    fn free_hop_state(&mut self) {
+        self.visits = Vec::new();
+        self.seq = Vec::new();
+        self.free = Vec::new();
+        self.spare_branches = Vec::new();
+        self.active = Vec::new();
+        self.active_done = 0;
+        self.moving = Vec::new();
+        self.emission_active = None;
+        self.serial_queue = VecDeque::new();
+        for queue in &mut self.chan_requests {
+            *queue = VecDeque::new();
+        }
+        for queue in &mut self.chan_resident {
+            *queue = VecDeque::new();
+        }
+        self.arb_ports = Vec::new();
+        self.head_ports = Vec::new();
+        self.scratch = StepScratch::default();
+        self.inject_order = Vec::new();
+        self.next_inject = 0;
     }
 
     /// Runs to completion, deadlock, stall, or the cycle limit.
@@ -2375,7 +2441,9 @@ impl Simulator {
         self.inject_order.insert(self.next_inject + pos, id.0);
     }
 
-    fn collect_result(&self, outcome: SimOutcome) -> SimResult {
+    /// Builds the result, moving each packet's delivery list and route into
+    /// it rather than copying them.
+    fn collect_result(&mut self, outcome: SimOutcome) -> SimResult {
         // Intern route node names: one table entry per distinct switch, one
         // u32 per hop — `record_routes` no longer allocates per hop.
         let mut name_of: HashMap<u32, u32> = HashMap::new();
@@ -2398,7 +2466,7 @@ impl Simulator {
             latency_max: 0,
         };
         let mut deliveries: u64 = 0;
-        for (i, p) in self.packets.iter().enumerate() {
+        for (i, p) in self.packets.iter_mut().enumerate() {
             deliveries += p.deliveries.len() as u64;
             // A broadcast that skipped a faulty leaf records a drop but
             // still counts as delivered when anyone received it.
@@ -2422,9 +2490,12 @@ impl Simulator {
                 id: PacketId(i as u32),
                 injected_at: p.spec.inject_at,
                 finished_at: p.finished_at,
-                deliveries: p.deliveries.clone(),
+                deliveries: std::mem::take(&mut p.deliveries),
                 outcome: outcome_p,
-                route: p.route.iter().map(|&(n, t)| (intern(n), t)).collect(),
+                route: std::mem::take(&mut p.route)
+                    .into_iter()
+                    .map(|(n, t)| (intern(n), t))
+                    .collect(),
             });
         }
         let retired = (stats.delivered + stats.dropped) as u64;
@@ -2457,7 +2528,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use mdx_core::Sr2201Routing;
-    use mdx_fault::FaultSet;
+    use mdx_fault::{FaultSet, FaultSite};
     use mdx_topology::{Coord, MdCrossbar, Shape};
 
     fn fig2() -> Arc<MdCrossbar> {
@@ -2771,6 +2842,64 @@ mod tests {
         // Cut-through pipelines (~hops + flits); SAF pays ~hops x flits.
         assert!(saf > 2 * ct, "saf {saf} !>> cut-through {ct}");
         assert!(saf >= 6 * 16, "saf {saf} below the serialization bound");
+    }
+
+    /// A forward that holds every port but has not crossed a flit is in
+    /// `moving` already. When a fault then wounds it, pausing must take it
+    /// out, found by creation sequence: after slot reuse, `moving` is not
+    /// in slot order, so a search by slot number can miss it.
+    #[test]
+    fn pausing_a_granted_forward_takes_it_out_of_moving() {
+        let net = fig2();
+        let mut sim = sim_with(&net, SimConfig::default());
+        // Every PE sends every cycle, so granted ports often face a full
+        // downstream buffer.
+        for t in 0..40 {
+            for src in 0..12 {
+                let dst = (src + 1 + (5 * t + 7 * src) % 11) % 12;
+                sim.schedule(spec(&net, src, dst, 8, t as u64));
+            }
+        }
+        sim.set_victim_mode(VictimMode::Pause);
+        sim.prepare();
+        let (vi, faults) = loop {
+            let stop = sim.now() + 1;
+            assert_eq!(sim.run_phase(Some(stop), false), PhaseEnd::ReachedCycle);
+            let found = sim.moving.iter().find_map(|&vi| {
+                let v = &sim.visits[vi as usize];
+                let VKind::Forward { branches, .. } = &v.kind else {
+                    return None;
+                };
+                // Wanted: no flit crossed yet, and a search of `moving` by
+                // slot number would miss it.
+                if branches.iter().any(|b| b.crossed > 0) || sim.moving.binary_search(&vi).is_ok() {
+                    return None;
+                }
+                let next = sim.graph.node(sim.graph.channel(branches[0].channel).dst);
+                let faults = FaultSet::single(match next {
+                    Node::Pe(p) => FaultSite::Pe(p),
+                    Node::Router(r) => FaultSite::Router(r),
+                    Node::Xbar(x) => FaultSite::Xbar(x),
+                });
+                (!faults.disables(sim.graph.node(v.at))).then_some((vi, faults))
+            });
+            if let Some(found) = found {
+                break found;
+            }
+        };
+        assert!(sim.visits[vi as usize].listed && !sim.visits[vi as usize].complete);
+        sim.activate_faults(&faults);
+        assert!(
+            sim.visits[vi as usize].paused,
+            "the wounded forward was not paused"
+        );
+        assert!(
+            !sim.moving.contains(&vi),
+            "a paused visit is still in moving"
+        );
+        // Debug builds audit every list at the end of the next step.
+        let stop = sim.now() + 1;
+        sim.run_phase(Some(stop), false);
     }
 
     #[test]

@@ -228,6 +228,11 @@ pub fn mixed_schedule(
 ) -> Vec<InjectSpec> {
     let usable = usable_mask(shape, faults);
     let mut specs = unicast_masked(shape, pattern, cfg, &usable);
+    // At rate 0 no draw can succeed, and the broadcast draws have a stream
+    // of their own, so skipping them moves no other draw.
+    if broadcast_rate == 0.0 {
+        return specs;
+    }
     let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed ^ 0xB0C4_57F0);
     for cycle in 0..cfg.window {
         for (src, &ok) in usable.iter().enumerate() {
@@ -440,6 +445,25 @@ mod tests {
             &FaultSet::none(),
         );
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn mixed_traffic_without_broadcasts_is_the_unicast_schedule() {
+        let s = Shape::new(&[8, 8]).unwrap();
+        for seed in 0..400 {
+            let cfg = OpenLoop {
+                rate: 0.02,
+                packet_flits: 12,
+                window: 200,
+                seed,
+            };
+            let none = FaultSet::none();
+            assert_eq!(
+                mixed_schedule(&s, TrafficPattern::UniformRandom, cfg, 0.0, &none),
+                unicast_schedule(&s, TrafficPattern::UniformRandom, cfg, &none),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
