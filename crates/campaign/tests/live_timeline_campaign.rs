@@ -3,12 +3,13 @@
 //! complete with no transition-safety violations and no lost packets, and
 //! each row's epoch evidence must replay byte-identically from its token.
 //! A timeline whose next event falls inside an epoch's drain must still
-//! return, and a wait cycle through a hold from before a reprogram is a
-//! transition violation.
+//! return, a wait cycle through a hold from before a reprogram is a
+//! transition violation, and a re-decision reaches the observers as a
+//! routing decision.
 
 use mdx_campaign::{
-    enumerate_scenarios, run_campaign, run_scenario, CampaignConfig, Scenario, Workload,
-    WorkloadKind,
+    enumerate_scenarios, run_campaign, run_scenario, run_scenario_instrumented, CampaignConfig,
+    ObsOptions, Scenario, Workload, WorkloadKind,
 };
 use mdx_fault::{FaultSite, FaultTimeline};
 use mdx_reconfig::{ReconfigSpec, RecoveryPolicy};
@@ -178,4 +179,55 @@ fn a_cycle_through_an_old_epoch_hold_is_a_violation() {
     let first = transition.violations.first().expect("the cycle is flagged");
     assert_eq!(first.cycle.epochs, vec![0, 1]);
     assert!(first.cycle.packets.contains(&447), "{first:?}");
+}
+
+/// The benchmark's `load` row on 8x8 (sr2201, mixed uniform traffic at
+/// 0.05, 12 flits, window 400, broadcast 0.002) with one crossbar failing
+/// at cycle 150 under `reroute`.
+fn load_row_losing(xbar: XbarRef, seed: u64) -> Scenario {
+    let workload = Workload::Mixed {
+        pattern: TrafficPattern::UniformRandom,
+        rate: 0.05,
+        packet_flits: 12,
+        window: 400,
+        broadcast_rate: 0.002,
+    };
+    Scenario::new(vec![8, 8], "sr2201", workload, seed).with_reconfig(
+        ReconfigSpec::new(FaultTimeline::new().inject(FaultSite::Xbar(xbar), 150))
+            .with_policy(RecoveryPolicy::Reroute),
+    )
+}
+
+/// A re-decision of a paused visit is a routing decision like a first
+/// one: observers see its hop and then its RC change. With X1-XB failing,
+/// seed 11 re-decides 8 visits, and 8 of the row's 105 detours start at a
+/// re-decision. With Y3-XB failing, the post-mortem sees that packet 177
+/// was re-decided into a detour (RC=3) before the cycle closed, which
+/// makes the cycle the Fig. 9 detour-cross signature.
+#[test]
+fn a_redecision_reports_its_rc_change() {
+    let metrics = ObsOptions {
+        metrics: true,
+        ..ObsOptions::default()
+    };
+    let s = load_row_losing(XbarRef { dim: 0, line: 1 }, 11);
+    let (row, telemetry) = run_scenario_instrumented(&s, &metrics).expect("row runs");
+    let report = row.reconfig.as_ref().expect("timeline rows report");
+    assert_eq!(report.epochs[0].rerouted, 8, "{}", row.token);
+    assert_eq!(telemetry.metrics.expect("metrics ran").detours, 105);
+
+    let flight = ObsOptions {
+        flight: Some(mdx_obs::DEFAULT_FLIGHT_CAPACITY),
+        ..ObsOptions::default()
+    };
+    let s = load_row_losing(XbarRef { dim: 1, line: 3 }, 11);
+    let (row, _) = run_scenario_instrumented(&s, &flight).expect("row runs");
+    let pm = row.postmortem.as_ref().expect("the row deadlocks");
+    assert_eq!(pm.classification, "fig9-detour-cross", "{}", row.token);
+    let edge = pm
+        .cycle
+        .iter()
+        .find(|e| e.waiter.0 == 177)
+        .expect("packet 177 waits on the cycle");
+    assert_eq!(edge.waiter_rc, 3);
 }

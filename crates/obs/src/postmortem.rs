@@ -2,13 +2,12 @@
 //! terminal wait snapshot and deadlock witness into a forensic report.
 //!
 //! [`FlightHandle::postmortem`] reconstructs the cyclic wait from the
-//! terminal snapshot using the *same* depth-first walk the engine's
-//! watchdog uses (same adjacency order, same sorted start order), so the
-//! reported cycle names exactly the channels of the
-//! [`DeadlockInfo`](mdx_sim::DeadlockInfo) witness. Each edge is annotated
-//! with both packets' RC state (the paper's Fig. 4 encoding: 0 normal,
-//! 1 broadcast request, 2 broadcast, 3 detour), which drives the
-//! classification:
+//! terminal snapshot with the *same* function the engine's watchdog uses
+//! ([`mdx_sim::first_wait_cycle`]), so the reported cycle names exactly
+//! the channels of the [`DeadlockInfo`](mdx_sim::DeadlockInfo) witness.
+//! Each edge is annotated with both packets' RC state (the paper's Fig. 4
+//! encoding: 0 normal, 1 broadcast request, 2 broadcast, 3 detour), which
+//! drives the classification:
 //!
 //! * every cycle packet mid-broadcast → the **Fig. 5 naive-broadcast
 //!   signature** (concurrent unserialized fans acquiring ports
@@ -24,7 +23,7 @@
 use crate::flight::FlightHandle;
 use crate::FlightEventKind;
 use mdx_core::RouteChange;
-use mdx_sim::{EngineDiagnostic, PacketId, SimOutcome, WaitSnapshot};
+use mdx_sim::{first_wait_cycle, EngineDiagnostic, PacketId, SimOutcome};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -123,74 +122,6 @@ fn rc_label(bits: u8) -> &'static str {
     }
 }
 
-/// Mirrors the engine watchdog's cycle extraction over the terminal wait
-/// snapshot: adjacency in snapshot order (holder-less wants skipped),
-/// depth-first from packet ids ascending, first back-edge wins. Returns
-/// `(snapshot index, holder packet)` pairs in cycle order.
-fn reconstruct_cycle(waits: &[WaitSnapshot]) -> Vec<(usize, u32)> {
-    let mut adj: HashMap<u32, Vec<(u32, usize)>> = HashMap::new();
-    for (i, w) in waits.iter().enumerate() {
-        if let Some(h) = w.holder {
-            adj.entry(w.waiter.0).or_default().push((h.0, i));
-        }
-    }
-    let mut state: HashMap<u32, u8> = HashMap::new();
-    let mut stack: Vec<(u32, usize)> = Vec::new();
-    fn dfs(
-        u: u32,
-        adj: &HashMap<u32, Vec<(u32, usize)>>,
-        state: &mut HashMap<u32, u8>,
-        stack: &mut Vec<(u32, usize)>,
-    ) -> Option<u32> {
-        state.insert(u, 1);
-        if let Some(next) = adj.get(&u) {
-            for &(v, widx) in next {
-                match state.get(&v).copied() {
-                    Some(1) => {
-                        stack.push((u, widx));
-                        return Some(v);
-                    }
-                    Some(_) => {}
-                    None => {
-                        stack.push((u, widx));
-                        if let Some(hit) = dfs(v, adj, state, stack) {
-                            return Some(hit);
-                        }
-                        stack.pop();
-                    }
-                }
-            }
-        }
-        state.insert(u, 2);
-        None
-    }
-    let mut starts: Vec<u32> = adj.keys().copied().collect();
-    starts.sort_unstable();
-    for s in starts {
-        if state.contains_key(&s) {
-            continue;
-        }
-        stack.clear();
-        if let Some(entry) = dfs(s, &adj, &mut state, &mut stack) {
-            let pos = stack.iter().position(|&(u, _)| u == entry).unwrap_or(0);
-            let edges = &stack[pos..];
-            return edges
-                .iter()
-                .enumerate()
-                .map(|(i, &(_, widx))| {
-                    let holder = if i + 1 < edges.len() {
-                        edges[i + 1].0
-                    } else {
-                        entry
-                    };
-                    (widx, holder)
-                })
-                .collect();
-        }
-    }
-    Vec::new()
-}
-
 fn classify(cycle: &[CycleEdge]) -> (&'static str, &'static str) {
     if cycle.is_empty() {
         return (
@@ -264,16 +195,17 @@ impl FlightHandle {
                 .bits()
         };
 
-        let cycle: Vec<CycleEdge> = reconstruct_cycle(waits)
+        let cycle: Vec<CycleEdge> = first_wait_cycle(waits)
             .into_iter()
-            .map(|(widx, holder)| {
-                let w = &waits[widx];
+            .map(|i| {
+                let w = &waits[i];
+                let holder = w.holder.expect("a cycle edge has a holder");
                 CycleEdge {
                     waiter: w.waiter,
-                    holder: PacketId(holder),
+                    holder,
                     channel: s.describe(w.channel, w.vc),
                     waiter_rc: rc_of(w.waiter.0),
-                    holder_rc: rc_of(holder),
+                    holder_rc: rc_of(holder.0),
                     blocked_since: w.since,
                 }
             })
@@ -428,31 +360,6 @@ impl PostmortemReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdx_topology::ChannelId;
-
-    fn wait(waiter: u32, holder: Option<u32>, ch: u32, since: u64) -> WaitSnapshot {
-        WaitSnapshot {
-            waiter: PacketId(waiter),
-            holder: holder.map(PacketId),
-            channel: ChannelId(ch),
-            vc: 0,
-            since,
-            epoch: 0,
-            holder_epoch: holder.map(|_| 0),
-        }
-    }
-
-    #[test]
-    fn reconstructs_simple_two_cycle() {
-        // pkt0 waits on pkt1, pkt1 waits on pkt0, plus a dangling want.
-        let waits = vec![
-            wait(0, Some(1), 3, 10),
-            wait(1, Some(0), 4, 12),
-            wait(2, None, 5, 14),
-        ];
-        let cyc = reconstruct_cycle(&waits);
-        assert_eq!(cyc, vec![(0, 1), (1, 0)]);
-    }
 
     #[test]
     fn classification_covers_the_paper_signatures() {

@@ -196,8 +196,8 @@ fn naive_broadcast_postmortem_matches_watchdog_witness() {
         assert_eq!(pm.failed_at, info.detected_at);
         assert_eq!(pm.classification, "fig5-naive-broadcast");
 
-        // The reconstructed cycle is the watchdog's witness: same channels,
-        // same edge order up to rotation.
+        // The reconstructed cycle is the watchdog's witness, edge for edge:
+        // both come from the same search over the same wait snapshot.
         let got: Vec<(u32, u32, &str)> = pm
             .cycle
             .iter()
@@ -209,13 +209,7 @@ fn naive_broadcast_postmortem_matches_watchdog_witness() {
             .map(|e| (e.waiter.0, e.holder.0, e.channel.as_str()))
             .collect();
         assert!(!want.is_empty(), "deadlock witness carries a cycle");
-        assert_eq!(got.len(), want.len());
-        let matches_rotated =
-            (0..want.len()).any(|r| (0..want.len()).all(|i| got[i] == want[(i + r) % want.len()]));
-        assert!(
-            matches_rotated,
-            "reconstructed cycle {got:?} differs from witness {want:?}"
-        );
+        assert_eq!(got, want, "reconstructed cycle differs from the witness");
 
         // Every edge carries the RC state of both packets — all
         // mid-broadcast (RC=2) in the Fig. 5 storm — and every cycle packet

@@ -56,6 +56,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod engine;
 pub mod observer;
@@ -63,7 +64,7 @@ pub mod result;
 pub mod source;
 
 pub use engine::{PhaseEnd, SimConfig, Simulator, VictimMode};
-pub use observer::{EpochPhase, EventCounts, SimObserver, WaitSnapshot};
+pub use observer::{first_wait_cycle, EpochPhase, EventCounts, SimObserver, WaitSnapshot};
 pub use result::{
     DeadlockInfo, EngineDiagnostic, EngineProfile, InjectSpec, PacketId, PacketOutcome,
     PacketResult, PhaseSplit, SimOutcome, SimResult, SimStats, SortedLatencies, WaitEdge,

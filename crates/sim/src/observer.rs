@@ -26,7 +26,9 @@
 //!    buffer and the downstream switch made its routing decision; fired
 //!    *before* any of that hop's port requests are arbitrated. When the
 //!    decision rewrites the RC field, [`SimObserver::on_rc_change`] fires
-//!    directly after the hop.
+//!    directly after the hop. A paused visit re-decided after a reprogram
+//!    (`reroute` recovery, [`crate::Simulator::redecide_paused`], between
+//!    cycles) fires the same pair, like a first decision.
 //! 3. [`SimObserver::on_emission`] — the S-XB dequeued a gathered
 //!    broadcast request and began emitting it (one at a time, Fig. 6);
 //!    followed by its `on_hop`/`on_rc_change` at the S-XB.
@@ -145,6 +147,7 @@
 use crate::result::{DeadlockInfo, InjectSpec, PacketId};
 use mdx_core::RouteChange;
 use mdx_topology::{ChannelId, Node};
+use std::collections::{BTreeMap, HashMap};
 
 /// One ungranted port want, as seen by a periodic [`SimObserver::on_probe`]
 /// snapshot.
@@ -168,6 +171,66 @@ pub struct WaitSnapshot {
     pub epoch: u32,
     /// Epoch of the routing decision that put the holder on the port.
     pub holder_epoch: Option<u32>,
+}
+
+/// The first cyclic wait among `waits`, as indices into it in cycle order:
+/// each edge's holder is the next edge's waiter, and the last edge's
+/// holder the first edge's waiter. Empty when the wants form no cycle.
+///
+/// The wait-for graph has an edge from each want's waiter to its holder
+/// (holder-less wants are skipped), each waiter's edges in snapshot order.
+/// It is walked depth first from each unvisited waiter in ascending packet
+/// id, and the first edge back onto the walk's path closes the cycle; the
+/// path that led there is not part of it. The watchdog names a deadlock's
+/// witness this way from [`crate::Simulator::wait_snapshot`], and a
+/// post-mortem that runs it on the terminal snapshot
+/// ([`SimObserver::on_final_waits`]) finds the same cycle.
+pub fn first_wait_cycle(waits: &[WaitSnapshot]) -> Vec<usize> {
+    let mut adj: BTreeMap<u32, Vec<(u32, usize)>> = BTreeMap::new();
+    for (i, w) in waits.iter().enumerate() {
+        if let Some(h) = w.holder {
+            adj.entry(w.waiter.0).or_default().push((h.0, i));
+        }
+    }
+    /// Walks from `u`, with `on_path` marking the packets on the current
+    /// path (`true`) or fully explored (`false`), and `path` holding the
+    /// path's (waiter, want) edges. Returns the packet a back edge reached.
+    fn walk(
+        u: u32,
+        adj: &BTreeMap<u32, Vec<(u32, usize)>>,
+        on_path: &mut HashMap<u32, bool>,
+        path: &mut Vec<(u32, usize)>,
+    ) -> Option<u32> {
+        on_path.insert(u, true);
+        for &(v, want) in adj.get(&u).into_iter().flatten() {
+            let seen = on_path.get(&v).copied();
+            if seen == Some(false) {
+                continue;
+            }
+            path.push((u, want));
+            if seen == Some(true) {
+                return Some(v);
+            }
+            if let Some(hit) = walk(v, adj, on_path, path) {
+                return Some(hit);
+            }
+            path.pop();
+        }
+        on_path.insert(u, false);
+        None
+    }
+    let mut on_path = HashMap::new();
+    let mut path = Vec::new();
+    for &start in adj.keys() {
+        if on_path.contains_key(&start) {
+            continue;
+        }
+        if let Some(entry) = walk(start, &adj, &mut on_path, &mut path) {
+            let from = path.iter().position(|&(u, _)| u == entry).unwrap_or(0);
+            return path[from..].iter().map(|&(_, want)| want).collect();
+        }
+    }
+    Vec::new()
 }
 
 /// Phases of one reconfiguration epoch, in protocol order. Mirrors the
@@ -211,7 +274,8 @@ pub trait SimObserver {
     fn on_inject(&mut self, _id: PacketId, _spec: &InjectSpec, _now: u64) {}
 
     /// A packet's header arrived at switch `at` and the routing decision
-    /// for this hop was made. `in_channel` is the channel it arrived on
+    /// for this hop was made, or re-made for a visit paused by a fault
+    /// (`reroute` recovery). `in_channel` is the channel it arrived on
     /// (`None` for injection at the source PE and for S-XB emission, which
     /// read from local memory).
     fn on_hop(&mut self, _id: PacketId, _at: Node, _in_channel: Option<ChannelId>, _now: u64) {}
@@ -219,7 +283,9 @@ pub trait SimObserver {
     /// The routing decision at `at` rewrote the header's RC field — a
     /// broadcast request entering the S-XB pipeline, the S-XB emission
     /// (RC=1 → RC=2), a detour initiation (RC=0 → RC=3), or the detour
-    /// completion at the D-XB (RC=3 → RC=0).
+    /// completion at the D-XB (RC=3 → RC=0). Fired right after the
+    /// decision's [`SimObserver::on_hop`], for a re-decision under
+    /// `reroute` as for a first decision.
     fn on_rc_change(
         &mut self,
         _id: PacketId,
@@ -418,5 +484,60 @@ impl SimObserver for EventCounts {
 
     fn on_epoch_phase(&mut self, _epoch: u32, _phase: EpochPhase, _now: u64) {
         self.epoch_phases += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One want per `(waiter, holder)` pair, each on a channel of its own.
+    fn waits(edges: &[(u32, Option<u32>)]) -> Vec<WaitSnapshot> {
+        let want = |(ch, &(waiter, holder)): (usize, &(u32, Option<u32>))| WaitSnapshot {
+            waiter: PacketId(waiter),
+            holder: holder.map(PacketId),
+            channel: ChannelId(ch as u32),
+            vc: 0,
+            since: 0,
+            epoch: 0,
+            holder_epoch: holder.map(|_| 0),
+        };
+        edges.iter().enumerate().map(want).collect()
+    }
+
+    #[test]
+    fn reconstructs_simple_two_cycle() {
+        // pkt0 waits on pkt1, pkt1 waits on pkt0, plus a dangling want.
+        let w = waits(&[(0, Some(1)), (1, Some(0)), (2, None)]);
+        assert_eq!(first_wait_cycle(&w), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_self_wait_is_a_cycle() {
+        // pkt4 wants a port that it holds itself.
+        let w = waits(&[(3, Some(4)), (4, Some(4))]);
+        assert_eq!(first_wait_cycle(&w), vec![1]);
+    }
+
+    #[test]
+    fn the_tail_into_a_cycle_is_not_reported() {
+        // pkt0 -> pkt1 -> pkt2 -> pkt1: the walk enters the cycle from pkt0.
+        let w = waits(&[(0, Some(1)), (1, Some(2)), (2, Some(1))]);
+        assert_eq!(first_wait_cycle(&w), vec![1, 2]);
+    }
+
+    #[test]
+    fn holderless_wants_are_skipped() {
+        let w = waits(&[(0, None), (1, None), (0, Some(1)), (1, Some(0))]);
+        assert_eq!(first_wait_cycle(&w), vec![2, 3]);
+        assert!(first_wait_cycle(&w[..2]).is_empty());
+    }
+
+    #[test]
+    fn the_cycle_reached_from_the_lowest_waiter_wins() {
+        // Two disjoint cycles: the snapshot lists pkt7 and pkt8's first,
+        // but the walk starts at pkt2.
+        let w = waits(&[(7, Some(8)), (8, Some(7)), (5, Some(2)), (2, Some(5))]);
+        assert_eq!(first_wait_cycle(&w), vec![3, 2]);
     }
 }
