@@ -36,7 +36,8 @@ fn bench_fig9_fig10(c: &mut Criterion) {
         b.iter(|| {
             let cfg = RoutingConfig::for_faults(&shape, &faults)
                 .unwrap()
-                .with_separate_dxb(&faults);
+                .with_separate_dxb(&faults)
+                .unwrap();
             let scheme = Arc::new(Sr2201Routing::with_config(net.clone(), cfg, &faults));
             run_schedule(
                 net.graph(),

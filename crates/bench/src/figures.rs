@@ -637,7 +637,8 @@ pub fn fig10_deadlock_free() -> Vec<Table> {
     let faults = FaultSet::single(FaultSite::Router(shape.index_of(Coord::new(&[1, 0]))));
     let cfg = RoutingConfig::for_faults(&shape, &faults)
         .unwrap()
-        .with_separate_dxb(&faults);
+        .with_separate_dxb(&faults)
+        .expect("4x3 has a line for a separate D-XB");
     let bad = Sr2201Routing::with_config(net.clone(), cfg, &faults);
     let verdict = verify_scheme(&net, &bad, &faults, TrafficFamily::all());
     v.row(vec![

@@ -50,7 +50,7 @@ pub use diff::{
 pub use meter::{CampaignMeter, EngineMeter, RowProfile};
 pub use runner::{
     enumerate_fault_sets, enumerate_scenarios, fnv1a64, push_engine_spans, run_campaign,
-    run_campaign_traced, run_campaign_with, run_scenario, run_scenario_instrumented,
+    run_campaign_traced, run_campaign_with, run_rows, run_scenario, run_scenario_instrumented,
     CampaignConfig, CampaignError, CampaignResult, Fnv1a, ObsOptions, RowAttribution, RowStream,
     RowTelemetry, ScenarioReport, Telemetry, WorkloadKind, CAMPAIGN_SCHEMES,
 };

@@ -19,7 +19,7 @@ use mdx_topology::{ChannelId, MdCrossbar, Network, NetworkGraph, Shape};
 use mdx_workloads::TrafficPattern;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// The scheme ids a default campaign sweeps: the paper's deadlock-free
 /// scheme and its two broken foils.
@@ -640,7 +640,7 @@ pub fn run_scenario_instrumented(
     opts: &ObsOptions,
 ) -> Result<(ScenarioReport, Telemetry), CampaignError> {
     let (shape, faults) = validate(scenario)?;
-    run_on(scenario, &scenario.network()?, shape, faults, opts)
+    run_on(scenario.clone(), &scenario.network()?, shape, faults, opts)
 }
 
 /// The checks a scenario passes before its network is needed, in the order
@@ -653,9 +653,9 @@ fn validate(scenario: &Scenario) -> Result<(Shape, FaultSet), ScenarioError> {
 }
 
 /// Runs a [`validate`]d scenario on `net`, the network its topology and
-/// shape name.
+/// shape name. The scenario moves into its report.
 fn run_on(
-    scenario: &Scenario,
+    scenario: Scenario,
     net: &Network,
     shape: Shape,
     faults: FaultSet,
@@ -805,7 +805,7 @@ fn run_on(
     let lats = result.sorted_latencies();
     let report = ScenarioReport {
         token: scenario.token(),
-        scenario: scenario.clone(),
+        scenario,
         outcome: outcome_label(&result.outcome).to_string(),
         offered,
         stats: result.stats.clone(),
@@ -983,13 +983,62 @@ pub fn push_engine_spans(
     }
 }
 
-/// [`run_campaign_with`] with sweep-level instruments.
+/// [`run_campaign_with`] with sweep-level instruments: [`run_rows`] over
+/// `scenarios`, its rows collected in enumeration order.
 ///
-/// With a [`CampaignMeter`], sweep-level telemetry lands in it: per-row
-/// run and serialize latency histograms, a busy-worker gauge sampled at
-/// each row start (rayon saturation), rows/s of the sweep, and every
-/// row's engine self-profile folded into the `mdx_engine_*` lifetime
-/// instruments.
+/// With a [`CampaignMeter`], sweep-level telemetry lands in it (see
+/// [`run_rows`]) and so does the rows/s of the sweep. With a
+/// [`mdx_obs::SpanCollector`], every row is offered as a trace. With
+/// neither, this is byte-identical to [`run_campaign_with`] — the disabled
+/// path costs one branch per row.
+pub fn run_campaign_traced(
+    scenarios: Vec<Scenario>,
+    opts: &ObsOptions,
+    meter: Option<&CampaignMeter>,
+    spans: Option<&mdx_obs::SpanCollector>,
+) -> CampaignResult {
+    let sweep_start = std::time::Instant::now();
+    let outcomes = run_rows(
+        scenarios.len(),
+        |i| scenarios[i].clone(),
+        opts,
+        meter,
+        spans,
+        |_, row| row,
+    );
+    let mut reports = Vec::new();
+    let mut skipped = Vec::new();
+    for (scenario, outcome) in scenarios.into_iter().zip(outcomes) {
+        match outcome {
+            Ok(report) => reports.push(report),
+            Err(e) => skipped.push((scenario, e.to_string())),
+        }
+    }
+    if let Some(m) = meter {
+        let elapsed = sweep_start.elapsed().as_secs_f64();
+        if elapsed > 0.0 {
+            m.rows_per_sec.set(reports.len() as f64 / elapsed);
+        }
+    }
+    CampaignResult { reports, skipped }
+}
+
+/// The one row loop: runs `rows` scenarios on the worker pool and hands
+/// each finished row, with its index, to `on_row` on the worker that ran
+/// it. Returns what `on_row` returned, in row order.
+///
+/// Workers claim rows one at a time, and `scenario(i)` makes row `i`'s
+/// scenario when its row is claimed, so a caller whose rows differ only
+/// by seed never holds them all. Every row runs on a network shared per
+/// (topology, shape): the first row on it that passes validation builds
+/// it, and every later row takes a reference-counted handle. A row that
+/// fails validation builds nothing, so each row reports the error a lone
+/// run of it would.
+///
+/// With a [`CampaignMeter`], per-row run and serialize latency
+/// histograms, a busy-worker gauge sampled at each row start (pool
+/// saturation), and every row's engine self-profile folded into the
+/// `mdx_engine_*` lifetime instruments land in it.
 ///
 /// With a [`mdx_obs::SpanCollector`], every row is offered as a trace — a
 /// `row` root span tagged with the scenario's `MDX1.` token, replay
@@ -998,38 +1047,25 @@ pub fn push_engine_spans(
 /// engine subtree from [`push_engine_spans`]. Head sampling is the
 /// collector's; abnormal outcomes (deadlock, cycle-limit, stalled) are
 /// always kept.
-///
-/// With neither, this is byte-identical to [`run_campaign_with`] — the
-/// disabled path costs one branch per row.
-pub fn run_campaign_traced(
-    scenarios: Vec<Scenario>,
+pub fn run_rows<R: Send>(
+    rows: usize,
+    scenario: impl Fn(usize) -> Scenario + Sync,
     opts: &ObsOptions,
     meter: Option<&CampaignMeter>,
     spans: Option<&mdx_obs::SpanCollector>,
-) -> CampaignResult {
+    on_row: impl Fn(usize, Result<ScenarioReport, CampaignError>) -> R + Sync,
+) -> Vec<R> {
     let sweep_start = std::time::Instant::now();
-    // One network per (topology, shape), built before the rows fan out and
-    // shared by every row on it: a network is immutable, and handing its
-    // graph to a simulator or an observer is a reference-count bump. Only
-    // a row that passes validation builds one, so a row keeps the error a
-    // lone run of it would report.
-    let mut nets: BTreeMap<(&str, &[u16]), Result<Network, ScenarioError>> = BTreeMap::new();
-    for s in &scenarios {
-        let key = (s.topology.as_str(), s.shape.as_slice());
-        if !nets.contains_key(&key) && validate(s).is_ok() {
-            nets.insert(key, s.network());
-        }
-    }
-    let run_row = |s: &Scenario| -> Result<ScenarioReport, CampaignError> {
-        let (shape, faults) = validate(s)?;
-        let net = nets[&(s.topology.as_str(), s.shape.as_slice())]
-            .as_ref()
-            .map_err(Clone::clone)?;
-        run_on(s, net, shape, faults, opts).map(|(report, _)| report)
+    let nets = SharedNetworks::default();
+    let run_row = |s: Scenario| -> Result<ScenarioReport, CampaignError> {
+        let (shape, faults) = validate(&s)?;
+        let net = nets.get(&s)?;
+        run_on(s, &net, shape, faults, opts).map(|(report, _)| report)
     };
-    let outcomes: Vec<Result<ScenarioReport, CampaignError>> = scenarios
-        .par_iter()
-        .map(|s| {
+    (0..rows)
+        .into_par_iter()
+        .map(|i| {
+            let s = scenario(i);
             // Head-sample at row start; the keep decision is revisited at
             // the end only to force-keep abnormal outcomes.
             let tracing = spans.map(|c| (c, c.head_sample()));
@@ -1105,26 +1141,46 @@ pub fn run_campaign_traced(
                     }
                 }
             }
-            r
+            on_row(i, r)
         })
-        .collect();
-    let mut reports = Vec::new();
-    let mut skipped = Vec::new();
-    for (scenario, outcome) in scenarios.into_iter().zip(outcomes) {
-        match outcome {
-            Ok(report) => reports.push(report),
-            Err(CampaignError::Registry(e)) => skipped.push((scenario, e.to_string())),
-            Err(CampaignError::Scenario(e)) => skipped.push((scenario, e.to_string())),
-            Err(CampaignError::Reconfig(e)) => skipped.push((scenario, e)),
+        .collect()
+}
+
+/// The networks of one [`run_rows`] pass, one per (topology, shape),
+/// built by the first validated row on each. A network is immutable, and
+/// handing its graph to a simulator or an observer is a reference-count
+/// bump; a pass touches a handful of networks, so a list is the map.
+#[derive(Default)]
+struct SharedNetworks(Mutex<Vec<SharedNetwork>>);
+
+/// One entry of [`SharedNetworks`]: a (topology, shape) and its build.
+struct SharedNetwork {
+    topology: String,
+    shape: Vec<u16>,
+    net: Result<Network, ScenarioError>,
+}
+
+impl SharedNetworks {
+    /// The network `s` runs on, built on first use.
+    fn get(&self, s: &Scenario) -> Result<Network, ScenarioError> {
+        let mut nets = self
+            .0
+            .lock()
+            .expect("no worker panics holding the networks");
+        if let Some(n) = nets
+            .iter()
+            .find(|n| n.topology == s.topology && n.shape == s.shape)
+        {
+            return n.net.clone();
         }
+        let net = s.network();
+        nets.push(SharedNetwork {
+            topology: s.topology.clone(),
+            shape: s.shape.clone(),
+            net: net.clone(),
+        });
+        net
     }
-    if let Some(m) = meter {
-        let elapsed = sweep_start.elapsed().as_secs_f64();
-        if elapsed > 0.0 {
-            m.rows_per_sec.set(reports.len() as f64 / elapsed);
-        }
-    }
-    CampaignResult { reports, skipped }
 }
 
 #[cfg(test)]

@@ -33,6 +33,11 @@ pub enum ConfigError {
     /// Two faulty crossbars in different dimensions cannot both be moved to
     /// the front of the dimension order.
     ConflictingXbarFaults,
+    /// The Fig. 9 variant needs a D-XB line apart from the S-XB's, and no
+    /// non-first dimension has a coordinate that differs from both the
+    /// S-XB's and every faulty router's (a 1-D machine has no such
+    /// dimension at all).
+    NoSeparateDxbLine,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -43,6 +48,12 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ConflictingXbarFaults => {
                 write!(f, "faulty crossbars in more than one dimension")
+            }
+            ConfigError::NoSeparateDxbLine => {
+                write!(
+                    f,
+                    "no line for a D-XB apart from the S-XB that clears the fault"
+                )
             }
         }
     }
@@ -165,12 +176,12 @@ impl RoutingConfig {
     /// the *only* defect is the second non-dimension-order turn — exactly
     /// the paper's strawman).
     ///
-    /// # Panics
-    /// Panics when no non-first dimension has room for a line that differs
-    /// from both the S-XB's and every faulty router's coordinate (needs an
-    /// extent of 3 when a router fault is present).
-    #[must_use]
-    pub fn with_separate_dxb(mut self, faults: &FaultSet) -> RoutingConfig {
+    /// # Errors
+    /// [`ConfigError::NoSeparateDxbLine`] when no non-first dimension has
+    /// room for a line that differs from both the S-XB's and every faulty
+    /// router's coordinate (needs an extent of 3 when a router fault is
+    /// present, and a second dimension in any case).
+    pub fn with_separate_dxb(mut self, faults: &FaultSet) -> Result<RoutingConfig, ConfigError> {
         let router_coords: Vec<Coord> = faults
             .sites()
             .filter_map(|s| match s {
@@ -183,10 +194,10 @@ impl RoutingConfig {
             forbidden.push(self.special.get(dim));
             if let Some(v) = pick_avoiding(self.shape.extent(dim), &forbidden) {
                 self.detour = self.special.with(dim, v);
-                return self;
+                return Ok(self);
             }
         }
-        panic!("no room for a distinct fault-clear D-XB line");
+        Err(ConfigError::NoSeparateDxbLine)
     }
 
     /// Overrides the D-XB line coordinates directly (experiment plumbing).
@@ -327,7 +338,9 @@ mod tests {
 
     #[test]
     fn separate_dxb_differs() {
-        let cfg = RoutingConfig::fault_free(fig2()).with_separate_dxb(&FaultSet::none());
+        let cfg = RoutingConfig::fault_free(fig2())
+            .with_separate_dxb(&FaultSet::none())
+            .unwrap();
         assert!(!cfg.deadlock_free());
         assert_ne!(cfg.sxb(), cfg.dxb());
         assert_eq!(cfg.sxb().dim, cfg.dxb().dim);

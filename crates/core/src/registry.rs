@@ -133,7 +133,7 @@ pub fn build_scheme_for(
     match (id, net) {
         ("sr2201", Network::Mdx(n)) => Ok(Arc::new(Sr2201Routing::new(n.clone(), faults)?)),
         ("separate-dxb", Network::Mdx(n)) => {
-            let cfg = RoutingConfig::for_faults(n.shape(), faults)?.with_separate_dxb(faults);
+            let cfg = RoutingConfig::for_faults(n.shape(), faults)?.with_separate_dxb(faults)?;
             Ok(Arc::new(Sr2201Routing::with_config(n.clone(), cfg, faults)))
         }
         ("naive-broadcast", Network::Mdx(n)) => Ok(Arc::new(NaiveBroadcast::new(n.clone()))),
@@ -198,9 +198,35 @@ mod tests {
         ));
         let cfg = RoutingConfig::for_faults(net.shape(), &faults)
             .unwrap()
-            .with_separate_dxb(&faults);
+            .with_separate_dxb(&faults)
+            .unwrap();
         assert!(!cfg.deadlock_free());
         assert!(build_scheme("separate-dxb", net, &faults).is_ok());
+    }
+
+    #[test]
+    fn separate_dxb_without_a_second_line_is_an_error() {
+        // Each of these once panicked: a 1-D machine has no second
+        // dimension for the D-XB line, and on 2x2 and 2x2x2 the S-XB's
+        // line and the faulty router's take every coordinate left.
+        for (extents, faults) in [
+            (&[4][..], FaultSet::none()),
+            (&[2, 2][..], FaultSet::single(FaultSite::Router(2))),
+            (&[3, 2][..], FaultSet::single(FaultSite::Router(3))),
+            (&[2, 2, 2][..], FaultSet::single(FaultSite::Router(4))),
+        ] {
+            let net = Arc::new(MdCrossbar::build(Shape::new(extents).unwrap()));
+            let err = build_scheme("separate-dxb", net.clone(), &faults)
+                .err()
+                .unwrap();
+            assert_eq!(
+                err,
+                RegistryError::Config(ConfigError::NoSeparateDxbLine),
+                "{extents:?}"
+            );
+            assert!(err.to_string().contains("D-XB"), "{err}");
+            assert!(build_scheme("sr2201", net, &faults).is_ok(), "{extents:?}");
+        }
     }
 
     #[test]

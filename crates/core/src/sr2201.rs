@@ -732,7 +732,9 @@ mod tests {
         let s = scheme(&FaultSet::none());
         assert!(s.name().contains("S-XB = D-XB"));
         let net = Arc::new(MdCrossbar::build(Shape::fig2()));
-        let cfg = RoutingConfig::fault_free(Shape::fig2()).with_separate_dxb(&FaultSet::none());
+        let cfg = RoutingConfig::fault_free(Shape::fig2())
+            .with_separate_dxb(&FaultSet::none())
+            .unwrap();
         let v = Sr2201Routing::with_config(net, cfg, &FaultSet::none());
         assert!(v.name().contains("fig9"));
     }

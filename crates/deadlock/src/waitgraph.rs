@@ -483,7 +483,8 @@ mod tests {
         let faults = FaultSet::single(FaultSite::Router(faulty));
         let cfg = RoutingConfig::for_faults(&shape, &faults)
             .unwrap()
-            .with_separate_dxb(&faults);
+            .with_separate_dxb(&faults)
+            .unwrap();
         let s = Sr2201Routing::with_config(n.clone(), cfg, &faults);
         let v = verify_scheme(&n, &s, &faults, TrafficFamily::all());
         assert!(!v.report.deadlock_free(), "fig9 variant must be cyclic");

@@ -94,7 +94,7 @@ proptest! {
         ));
         let cfg = RoutingConfig::for_faults(&shape, &faults)
             .unwrap()
-            .with_separate_dxb(&faults);
+            .with_separate_dxb(&faults).unwrap();
         let scheme = Arc::new(Sr2201Routing::with_config(net.clone(), cfg, &faults));
 
         let mut sim = Simulator::new(
@@ -140,7 +140,8 @@ fn both_recipes_produce_deadlocks() {
     let faults = FaultSet::single(FaultSite::Router(shape.index_of(Coord::new(&[1, 0]))));
     let cfg = RoutingConfig::for_faults(&shape, &faults)
         .unwrap()
-        .with_separate_dxb(&faults);
+        .with_separate_dxb(&faults)
+        .unwrap();
     let scheme = Arc::new(Sr2201Routing::with_config(net.clone(), cfg, &faults));
     let mut deadlocked = false;
     'outer: for offset in 10..38u64 {

@@ -220,7 +220,7 @@ fn fig9_vs_fig10_injection_sweep() {
     let run = |separate_dxb: bool, offset: u64, seed: u64| {
         let mut cfg = RoutingConfig::for_faults(&shape, &faults).unwrap();
         if separate_dxb {
-            cfg = cfg.with_separate_dxb(&faults);
+            cfg = cfg.with_separate_dxb(&faults).unwrap();
         }
         let scheme = Arc::new(Sr2201Routing::with_config(net.clone(), cfg, &faults));
         let mut sim = Simulator::new(

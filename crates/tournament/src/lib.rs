@@ -16,15 +16,18 @@
 //! * **workloads** — shape-independent templates
 //!   ([`WorkloadTemplate`]) materialized per topology.
 //!
-//! [`run_tournament`] expands the full cross product, pre-skips
+//! [`run_tournament`] expands the full cross product and pre-skips
 //! impossible combinations (a scheme on the wrong topology, crossbar
-//! faults off the crossbar machine) with explicit reasons, runs every
-//! surviving cell through [`mdx_campaign::run_campaign_with`] with
-//! latency pools and attribution attached, and reduces each cell to one
-//! [`TournamentCell`] row: deadlock rate, throughput, pooled
-//! p50/p95/p99, blocked/detour latency shares, and — for any cell that
-//! deadlocked — a shrunken replayable witness from the existing
-//! minimizer. The whole table is deterministic: same spec, same bytes.
+//! faults off the crossbar machine) with explicit reasons. It then runs
+//! every surviving cell's seeds, cell-major, through one
+//! [`mdx_campaign::run_rows`] pass with latency pools and attribution
+//! attached, so the workers stay busy across cell boundaries. The worker
+//! that finishes a cell's last row reduces the cell to one
+//! [`TournamentCell`] row while the others run on: deadlock rate,
+//! throughput, pooled p50/p95/p99, blocked/detour latency shares, and —
+//! for any cell that deadlocked — a shrunken replayable witness of its
+//! lowest deadlocked seed from the existing minimizer. The whole table is
+//! deterministic, whatever order rows finish in: same spec, same bytes.
 //!
 //! ```
 //! use mdx_tournament::{run_tournament, TournamentSpec};

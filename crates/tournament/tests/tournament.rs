@@ -159,3 +159,31 @@ fn out_of_range_workload_numbers_are_line_numbered_errors() {
         assert!(err.message.contains(what), "{workload}: {err}");
     }
 }
+
+#[test]
+fn a_scheme_that_cannot_configure_is_a_skip_not_a_panic() {
+    // On 2x2 the S-XB's line and the faulty router's take both
+    // coordinates of the second dimension, so the Fig. 9 variant has no
+    // line for its separate D-XB. Its every seed fails to configure (this
+    // once panicked the tournament), while the paper's scheme runs.
+    let spec = TournamentSpec::parse(
+        "scheme sr2201 separate-dxb\n\
+         topology mdx:2x2\n\
+         faults router\n\
+         workload storm flits=8\n\
+         seeds 2\n",
+    )
+    .unwrap();
+    let t = run_tournament(&spec);
+    assert_eq!(t.cells.len(), 2);
+    let (sr, sep) = (&t.cells[0], &t.cells[1]);
+    assert_eq!((sr.scheme.as_str(), sr.status.as_str()), ("sr2201", "ok"));
+    assert_eq!(sr.runs, 2);
+    assert_eq!(sep.status, "skip");
+    let reason = sep.skip_reason.as_deref().unwrap();
+    assert!(
+        reason.starts_with("cannot configure scheme: no line for a D-XB"),
+        "{reason}"
+    );
+    assert!(reason.ends_with("seed=0)"), "{reason}");
+}

@@ -62,7 +62,9 @@ fn main() {
     for separate in [true, false] {
         let mut cfg = RoutingConfig::for_faults(&shape, &faults).unwrap();
         if separate {
-            cfg = cfg.with_separate_dxb(&faults);
+            cfg = cfg
+                .with_separate_dxb(&faults)
+                .expect("the machine has a line for a separate D-XB");
         }
         let label = if separate {
             "fig9 (D-XB != S-XB)"

@@ -112,7 +112,8 @@ fn headline_fig9_fig10_dichotomy() {
 
     let bad_cfg = RoutingConfig::for_faults(&shape, &faults)
         .unwrap()
-        .with_separate_dxb(&faults);
+        .with_separate_dxb(&faults)
+        .unwrap();
     let bad = Sr2201Routing::with_config(net.clone(), bad_cfg.clone(), &faults);
     let verdict = verify_scheme(&net, &bad, &faults, TrafficFamily::all());
     assert!(!verdict.report.deadlock_free());
