@@ -12,6 +12,7 @@ use mdx_fault::{enumerate_single_faults, sample_fault_sets, FaultSet, FaultTimel
 use mdx_obs::{
     AttributionObserver, AttributionReport, FlightRecorder, MetricsObserver, MetricsReport,
     PostmortemReport, StallProbe, StallReport, TraceRecorder, WindowObserver, WindowReport,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 use mdx_reconfig::{drive_reconfig, ReconfigError, ReconfigReport, ReconfigSpec, RecoveryPolicy};
 use mdx_sim::{DeadlockInfo, SimConfig, SimOutcome, SimResult, SimStats, Simulator};
@@ -331,10 +332,10 @@ pub struct ObsOptions {
     pub stall_probe: Option<u64>,
     /// Attach a [`TraceRecorder`] (Chrome `trace_event` JSON for Perfetto).
     pub trace: bool,
-    /// Attach a [`FlightRecorder`] with this ring capacity
-    /// ([`mdx_obs::DEFAULT_FLIGHT_CAPACITY`] is the usual choice). Failed
-    /// runs then carry a [`PostmortemReport`] in their row and telemetry.
-    pub flight: Option<usize>,
+    /// Attach a [`FlightRecorder`] with a ring of
+    /// [`DEFAULT_FLIGHT_CAPACITY`] events. Failed runs then carry a
+    /// [`PostmortemReport`] in their row and telemetry.
+    pub flight: bool,
     /// Attach an [`AttributionObserver`] (per-packet latency phase
     /// decomposition, blame profiles, critical path). The row gains a
     /// [`RowAttribution`] summary and the conservation invariant
@@ -365,7 +366,7 @@ impl ObsOptions {
         !self.metrics
             && self.stall_probe.is_none()
             && !self.trace
-            && self.flight.is_none()
+            && !self.flight
             && !self.attribution
             && self.windows.is_none()
     }
@@ -696,8 +697,8 @@ fn run_on(
         sim.add_observer(Box::new(rec));
         trace_handle = Some(handle);
     }
-    if let Some(capacity) = opts.flight {
-        let (rec, handle) = FlightRecorder::new(net.graph().clone(), vcs, capacity);
+    if opts.flight {
+        let (rec, handle) = FlightRecorder::new(net.graph().clone(), vcs, DEFAULT_FLIGHT_CAPACITY);
         sim.add_observer(Box::new(rec));
         flight_handle = Some(handle);
     }

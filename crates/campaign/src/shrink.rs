@@ -9,7 +9,7 @@
 
 use crate::runner::{run_scenario, run_scenario_instrumented, CampaignError, ObsOptions};
 use crate::scenario::{Scenario, Workload};
-use mdx_obs::{PostmortemReport, DEFAULT_FLIGHT_CAPACITY};
+use mdx_obs::PostmortemReport;
 use mdx_sim::{DeadlockInfo, InjectSpec};
 use mdx_topology::Shape;
 use serde::{Deserialize, Serialize};
@@ -340,7 +340,7 @@ pub fn shrink(scenario: &Scenario) -> Result<ShrinkReport, ShrinkError> {
     let postmortem = run_scenario_instrumented(
         &current,
         &ObsOptions {
-            flight: Some(DEFAULT_FLIGHT_CAPACITY),
+            flight: true,
             ..ObsOptions::default()
         },
     )

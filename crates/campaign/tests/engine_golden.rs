@@ -44,7 +44,6 @@ use mdx_campaign::{
 use mdx_core::registry::{build_scheme_for, required_topology, SCHEME_IDS};
 use mdx_core::Header;
 use mdx_fault::{FaultSet, FaultSite, FaultTimeline};
-use mdx_obs::DEFAULT_FLIGHT_CAPACITY;
 use mdx_reconfig::{drive_reconfig, ReconfigSpec, RecoveryPolicy};
 use mdx_sim::{InjectSpec, SimConfig, SimObserver, Simulator};
 use mdx_topology::{MdCrossbar, Network, Shape, XbarRef};
@@ -292,7 +291,7 @@ fn build_corpus() -> Corpus {
     // The Fig. 9 cycle: separate D-XB deadlocks where the paper's scheme
     // completes.
     let flight = ObsOptions {
-        flight: Some(DEFAULT_FLIGHT_CAPACITY),
+        flight: true,
         ..ObsOptions::default()
     };
     let fig9 = |scheme: &str| {
@@ -309,7 +308,7 @@ fn build_corpus() -> Corpus {
     let all = ObsOptions {
         metrics: true,
         stall_probe: Some(16),
-        flight: Some(DEFAULT_FLIGHT_CAPACITY),
+        flight: true,
         attribution: true,
         windows: Some(50),
         ..ObsOptions::default()
@@ -387,7 +386,7 @@ fn build_corpus_8x8() -> Corpus {
     let all = ObsOptions {
         metrics: true,
         stall_probe: Some(16),
-        flight: Some(DEFAULT_FLIGHT_CAPACITY),
+        flight: true,
         attribution: true,
         windows: Some(50),
         ..ObsOptions::default()

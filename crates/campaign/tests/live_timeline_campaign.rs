@@ -217,7 +217,7 @@ fn a_redecision_reports_its_rc_change() {
     assert_eq!(telemetry.metrics.expect("metrics ran").detours, 105);
 
     let flight = ObsOptions {
-        flight: Some(mdx_obs::DEFAULT_FLIGHT_CAPACITY),
+        flight: true,
         ..ObsOptions::default()
     };
     let s = load_row_losing(XbarRef { dim: 1, line: 3 }, 11);

@@ -4,7 +4,6 @@
 //! and byte-identical rendered reports.
 
 use mdx_campaign::{run_scenario_instrumented, ObsOptions, Scenario, Workload};
-use mdx_obs::DEFAULT_FLIGHT_CAPACITY;
 
 /// The Fig. 5 storm from the crate docs: deadlocks under naive broadcast
 /// at seed 0.
@@ -25,7 +24,7 @@ fn storm_token() -> String {
 fn same_token_twice_gives_byte_identical_postmortems() {
     let token = storm_token();
     let opts = ObsOptions {
-        flight: Some(DEFAULT_FLIGHT_CAPACITY),
+        flight: true,
         ..ObsOptions::default()
     };
     let run = || {
@@ -65,7 +64,7 @@ fn completed_runs_carry_no_postmortem() {
         1,
     );
     let opts = ObsOptions {
-        flight: Some(DEFAULT_FLIGHT_CAPACITY),
+        flight: true,
         ..ObsOptions::default()
     };
     let (report, telemetry) = run_scenario_instrumented(&s, &opts).expect("scenario runs");

@@ -200,13 +200,6 @@ impl RoutingConfig {
         Err(ConfigError::NoSeparateDxbLine)
     }
 
-    /// Overrides the D-XB line coordinates directly (experiment plumbing).
-    #[must_use]
-    pub fn with_detour_line(mut self, detour: Coord) -> RoutingConfig {
-        self.detour = detour.with(self.ord[0], 0);
-        self
-    }
-
     /// Overrides the S-XB line coordinates directly (experiment plumbing;
     /// also moves the D-XB to keep the deadlock-free D-XB = S-XB invariant).
     #[must_use]
@@ -265,13 +258,6 @@ impl RoutingConfig {
         self.ord[1..]
             .iter()
             .all(|&d| c.get(d) == self.special.get(d))
-    }
-
-    /// Whether `c` lies on the D-XB's line.
-    pub fn on_detour_line(&self, c: Coord) -> bool {
-        self.ord[1..]
-            .iter()
-            .all(|&d| c.get(d) == self.detour.get(d))
     }
 }
 

@@ -86,4 +86,7 @@ pub use packet::{Header, Packet, RouteChange};
 pub use registry::{build_scheme, build_scheme_for, required_topology, RegistryError, SCHEME_IDS};
 pub use scheme::{Action, Branch, DropReason, Scheme};
 pub use sr2201::Sr2201Routing;
-pub use trace::{trace_broadcast, trace_unicast, BroadcastTrace, TraceError, UnicastTrace};
+pub use trace::{
+    broadcast_walk, trace_broadcast, trace_unicast, walk, BroadcastTrace, Fanout, Hop, TraceError,
+    UnicastTrace, Walk,
+};

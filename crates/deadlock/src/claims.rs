@@ -1,11 +1,12 @@
-//! Extraction of the channel claim trees of communication instances.
+//! Extraction of the channel claim trees of communication instances, read
+//! from the one walk of a scheme's decisions ([`mdx_core::trace::walk`]).
 
-use mdx_core::{Action, DropReason, Header, Scheme};
+use mdx_core::trace::{broadcast_walk, walk, Fanout, Hop, TraceError};
+use mdx_core::{Header, Scheme};
+use mdx_topology::{ChannelId, Coord, NetworkGraph};
 
 /// Lane multiplier for packing (channel, vc) resource keys.
 pub const MAX_VCS_KEY: u32 = 8;
-use mdx_topology::{ChannelId, Coord, NetworkGraph, Node};
-use std::collections::VecDeque;
 
 /// The rooted tree of channels one communication instance acquires.
 ///
@@ -29,6 +30,19 @@ pub struct ClaimTree {
 }
 
 impl ClaimTree {
+    /// The claims of `hops`, a run of one walk: `base` is the walk index of
+    /// `hops[0]`, so parents re-root onto this slice, and fan ids count
+    /// from the slice's first decision.
+    fn from_hops(hops: &[Hop], base: usize) -> ClaimTree {
+        let first_fan = hops.first().map_or(0, |h| h.fan);
+        ClaimTree {
+            channels: hops.iter().map(|h| h.channel).collect(),
+            vcs: hops.iter().map(|h| h.vc).collect(),
+            parent: hops.iter().map(|h| h.parent.map(|p| p - base)).collect(),
+            fan: hops.iter().map(|h| h.fan - first_fan).collect(),
+        }
+    }
+
     /// Number of claimed channels.
     pub fn len(&self) -> usize {
         self.channels.len()
@@ -66,40 +80,6 @@ impl ClaimTree {
     }
 }
 
-/// Errors while walking a scheme to extract claims.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClaimError {
-    /// The scheme dropped the packet (e.g. destination out of service).
-    Dropped(DropReason),
-    /// A branch pointed at a non-neighbor (scheme bug).
-    NotAdjacent,
-    /// A unicast decision fanned out.
-    NotUnicast,
-    /// Hop budget exceeded.
-    Livelock,
-    /// A gather occurred where none was expected (or vice versa).
-    Protocol,
-}
-
-impl std::fmt::Display for ClaimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClaimError::Dropped(r) => write!(f, "dropped: {r}"),
-            ClaimError::NotAdjacent => write!(f, "non-adjacent forward"),
-            ClaimError::NotUnicast => write!(f, "unexpected fan-out on unicast"),
-            ClaimError::Livelock => write!(f, "hop budget exceeded"),
-            ClaimError::Protocol => write!(f, "protocol violation"),
-        }
-    }
-}
-
-fn channel_between(g: &NetworkGraph, from: Node, to: Node) -> Result<ChannelId, ClaimError> {
-    let (Some(a), Some(b)) = (g.id_of(from), g.id_of(to)) else {
-        return Err(ClaimError::NotAdjacent);
-    };
-    g.channel_between(a, b).ok_or(ClaimError::NotAdjacent)
-}
-
 /// Claims of one point-to-point packet (a degenerate single-branch tree).
 ///
 /// Follows the scheme from injection to delivery; RC rewrites (detour) are
@@ -109,237 +89,32 @@ pub fn unicast_claims(
     g: &NetworkGraph,
     header: Header,
     src_pe: usize,
-) -> Result<ClaimTree, ClaimError> {
-    let mut tree = ClaimTree {
-        channels: Vec::new(),
-        vcs: Vec::new(),
-        parent: Vec::new(),
-        fan: Vec::new(),
-    };
-    let mut at = Node::Pe(src_pe);
-    let mut came: Option<Node> = None;
-    let mut h = header;
-    let budget = 16 + 2 * g.num_nodes();
-    for _ in 0..budget {
-        match scheme.decide(at, came, &h) {
-            Action::Deliver => return Ok(tree),
-            Action::Drop(r) => return Err(ClaimError::Dropped(r)),
-            Action::Gather => return Err(ClaimError::Protocol),
-            Action::Forward(branches) => {
-                if branches.len() != 1 {
-                    return Err(ClaimError::NotUnicast);
-                }
-                let b = branches[0];
-                let ch = channel_between(g, at, b.to)?;
-                let idx = tree.channels.len();
-                tree.channels.push(ch);
-                tree.vcs.push(b.vc);
-                tree.parent.push(idx.checked_sub(1));
-                tree.fan.push(idx);
-                came = Some(at);
-                at = b.to;
-                h = b.header;
-            }
-        }
-    }
-    Err(ClaimError::Livelock)
+) -> Result<ClaimTree, TraceError> {
+    let walk = walk(scheme, g, src_pe, header, Fanout::Unicast)?;
+    Ok(ClaimTree::from_hops(&walk.hops, 0))
 }
 
 /// Claims of one broadcast from `src_pe`.
 ///
 /// For a serialized scheme this returns **two** instances: the RC=1 request
-/// leg (up to the S-XB, where the queue decouples it) and the emission fan.
-/// For a direct scheme (naive broadcast) it returns the single source-rooted
+/// leg (the walk up to the S-XB, where the queue decouples it) and the
+/// emission fan (the walk after it, rooted at the S-XB's ports). For a
+/// direct scheme (naive broadcast) it returns the single source-rooted
 /// tree.
 pub fn broadcast_claims(
     scheme: &dyn Scheme,
     g: &NetworkGraph,
     src_pe: usize,
     src_coord: Coord,
-) -> Result<Vec<ClaimTree>, ClaimError> {
-    if scheme.serializing_node().is_some() {
-        let request = request_leg(scheme, g, src_pe, src_coord)?;
-        let emission = emission_fan(scheme, g, src_coord)?;
-        Ok(vec![request, emission])
-    } else {
-        let h = Header {
-            rc: mdx_core::RouteChange::Broadcast,
-            dest: src_coord,
-            src: src_coord,
-        };
-        Ok(vec![tree_walk(
-            scheme,
-            g,
-            vec![(Node::Pe(src_pe), None, h, None)],
-        )?])
-    }
-}
-
-/// Walks the RC=1 request from the source to the S-XB's gather.
-fn request_leg(
-    scheme: &dyn Scheme,
-    g: &NetworkGraph,
-    src_pe: usize,
-    src_coord: Coord,
-) -> Result<ClaimTree, ClaimError> {
-    let mut tree = ClaimTree {
-        channels: Vec::new(),
-        vcs: Vec::new(),
-        parent: Vec::new(),
-        fan: Vec::new(),
-    };
-    let mut at = Node::Pe(src_pe);
-    let mut came: Option<Node> = None;
-    let mut h = Header::broadcast_request(src_coord);
-    let budget = 16 + 2 * g.num_nodes();
-    for _ in 0..budget {
-        match scheme.decide(at, came, &h) {
-            Action::Gather => return Ok(tree),
-            Action::Drop(r) => return Err(ClaimError::Dropped(r)),
-            Action::Deliver => return Err(ClaimError::Protocol),
-            Action::Forward(branches) => {
-                if branches.len() != 1 {
-                    return Err(ClaimError::NotUnicast);
-                }
-                let b = branches[0];
-                let ch = channel_between(g, at, b.to)?;
-                let idx = tree.channels.len();
-                tree.channels.push(ch);
-                tree.vcs.push(b.vc);
-                tree.parent.push(idx.checked_sub(1));
-                tree.fan.push(idx);
-                came = Some(at);
-                at = b.to;
-                h = b.header;
-            }
-        }
-    }
-    Err(ClaimError::Livelock)
-}
-
-/// Builds the emission fan tree rooted at the S-XB.
-fn emission_fan(
-    scheme: &dyn Scheme,
-    g: &NetworkGraph,
-    src_coord: Coord,
-) -> Result<ClaimTree, ClaimError> {
-    let serial = scheme.serializing_node().ok_or(ClaimError::Protocol)?;
-    let h = Header::broadcast_request(src_coord);
-    let mut frontier = Vec::new();
-    for b in scheme.emission(&h) {
-        frontier.push((b.to, Some(serial), b.header, None));
-    }
-    if frontier.is_empty() {
-        return Err(ClaimError::Protocol);
-    }
-    // The emission's root fan: all branches share fan id 0, parent None; the
-    // generic walker handles the rest.
-    tree_walk_with_roots(scheme, g, serial, frontier)
-}
-
-/// BFS claim-tree construction starting from injection points.
-///
-/// `starts`: (node, came_from, header, parent channel idx).
-type Start = (Node, Option<Node>, Header, Option<usize>);
-
-fn tree_walk(
-    scheme: &dyn Scheme,
-    g: &NetworkGraph,
-    starts: Vec<Start>,
-) -> Result<ClaimTree, ClaimError> {
-    let mut tree = ClaimTree {
-        channels: Vec::new(),
-        vcs: Vec::new(),
-        parent: Vec::new(),
-        fan: Vec::new(),
-    };
-    let mut fan_counter = 0usize;
-    let mut queue: VecDeque<Start> = starts.into();
-    let budget = 8 * g.num_channels() + 64;
-    let mut visits = 0usize;
-    while let Some((at, came, h, parent)) = queue.pop_front() {
-        visits += 1;
-        if visits > budget {
-            return Err(ClaimError::Livelock);
-        }
-        match scheme.decide(at, came, &h) {
-            Action::Deliver => {}
-            // Skipped faulty leaves are silent non-claims.
-            Action::Drop(DropReason::DestinationFaulty) => {}
-            Action::Drop(r) => return Err(ClaimError::Dropped(r)),
-            Action::Gather => return Err(ClaimError::Protocol),
-            Action::Forward(branches) => {
-                let fan = fan_counter;
-                fan_counter += 1;
-                for b in branches {
-                    let ch = channel_between(g, at, b.to)?;
-                    let idx = tree.channels.len();
-                    tree.channels.push(ch);
-                    tree.vcs.push(b.vc);
-                    tree.parent.push(parent);
-                    tree.fan.push(fan);
-                    queue.push_back((b.to, Some(at), b.header, Some(idx)));
-                }
-            }
-        }
-    }
-    Ok(tree)
-}
-
-/// Like [`tree_walk`] but seeds the tree with an explicit root fan emitted
-/// by `root` (the S-XB emission, which claims its ports without an upstream
-/// channel).
-fn tree_walk_with_roots(
-    scheme: &dyn Scheme,
-    g: &NetworkGraph,
-    root: Node,
-    roots: Vec<Start>,
-) -> Result<ClaimTree, ClaimError> {
-    let mut tree = ClaimTree {
-        channels: Vec::new(),
-        vcs: Vec::new(),
-        parent: Vec::new(),
-        fan: Vec::new(),
-    };
-    let mut queue: VecDeque<Start> = VecDeque::new();
-    for (to, _, h, _) in &roots {
-        let ch = channel_between(g, root, *to)?;
-        let idx = tree.channels.len();
-        tree.channels.push(ch);
-        tree.vcs.push(0);
-        tree.parent.push(None);
-        tree.fan.push(0);
-        queue.push_back((*to, Some(root), *h, Some(idx)));
-    }
-    let mut fan_counter = 1usize;
-    let budget = 8 * g.num_channels() + 64;
-    let mut visits = 0usize;
-    while let Some((at, came, h, parent)) = queue.pop_front() {
-        visits += 1;
-        if visits > budget {
-            return Err(ClaimError::Livelock);
-        }
-        match scheme.decide(at, came, &h) {
-            Action::Deliver => {}
-            Action::Drop(DropReason::DestinationFaulty) => {}
-            Action::Drop(r) => return Err(ClaimError::Dropped(r)),
-            Action::Gather => return Err(ClaimError::Protocol),
-            Action::Forward(branches) => {
-                let fan = fan_counter;
-                fan_counter += 1;
-                for b in branches {
-                    let ch = channel_between(g, at, b.to)?;
-                    let idx = tree.channels.len();
-                    tree.channels.push(ch);
-                    tree.vcs.push(b.vc);
-                    tree.parent.push(parent);
-                    tree.fan.push(fan);
-                    queue.push_back((b.to, Some(at), b.header, Some(idx)));
-                }
-            }
-        }
-    }
-    Ok(tree)
+) -> Result<Vec<ClaimTree>, TraceError> {
+    let walk = broadcast_walk(scheme, g, src_pe, src_coord)?;
+    Ok(match walk.gather {
+        Some(at) => vec![
+            ClaimTree::from_hops(&walk.hops[..at], 0),
+            ClaimTree::from_hops(&walk.hops[at..], at),
+        ],
+        None => vec![ClaimTree::from_hops(&walk.hops, 0)],
+    })
 }
 
 #[cfg(test)]
@@ -347,7 +122,7 @@ mod tests {
     use super::*;
     use mdx_core::{NaiveBroadcast, Sr2201Routing};
     use mdx_fault::FaultSet;
-    use mdx_topology::{MdCrossbar, Shape};
+    use mdx_topology::{MdCrossbar, Node, Shape};
     use std::sync::Arc;
 
     fn net() -> Arc<MdCrossbar> {

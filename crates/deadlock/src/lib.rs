@@ -31,6 +31,13 @@
 //! The S-XB's serialization queue decouples the request leg from the
 //! emission fan: a gathered request releases all its channels before the
 //! emission claims any, so they are independent instances.
+//!
+//! The claim trees are read from [`mdx_core::trace::walk`], the one walk of
+//! a scheme's decisions that the route tracers read too: a unicast is the
+//! walk's chain of hops, a serialized broadcast splits at the gather into
+//! the request leg and the emission (re-rooted at the S-XB's ports). This
+//! crate is the static half of the deadlock story only; the engine's live
+//! wait snapshots are searched by `mdx_sim::search_waits`.
 
 //! ```
 //! use mdx_core::Sr2201Routing;
@@ -49,14 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod claims;
-pub mod runtime;
-pub mod transition;
 pub mod waitgraph;
 
-pub use claims::{broadcast_claims, unicast_claims, ClaimError, ClaimTree};
-pub use runtime::{analyze_waits, ChainReport, WaitFor};
-pub use transition::{
-    find_cycles, EpochWait, TransitionChecker, TransitionCycle, TransitionReport,
-    TransitionViolation,
-};
+pub use claims::{broadcast_claims, unicast_claims, ClaimTree};
 pub use waitgraph::{analyze_trees, verify_scheme, CdgReport, SchemeVerdict};

@@ -6,7 +6,7 @@
 //! that is physically deliverable under a single fault.
 
 use crate::FaultSet;
-use mdx_topology::{MdCrossbar, NetworkGraph, Node, NodeId};
+use mdx_topology::{MdCrossbar, NetworkGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -84,11 +84,6 @@ pub fn pair_connected(net: &MdCrossbar, faults: &FaultSet, src: usize, dst: usiz
     }
     let seen = reachable_from(net.graph(), faults, net.pe(src));
     seen[net.pe(dst).0 as usize]
-}
-
-/// Whether a node survives: convenience for filtering switch lists.
-pub fn node_usable(faults: &FaultSet, node: Node) -> bool {
-    !faults.disables(node)
 }
 
 #[cfg(test)]

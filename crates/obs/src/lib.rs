@@ -16,7 +16,7 @@
 //!   crossbars.
 //! - [`StallProbe`] — *is the run heading for deadlock?* Periodically
 //!   snapshots the engine's wait-for graph and reduces it with
-//!   [`mdx_deadlock::analyze_waits`]: longest wait-chain length and maximum
+//!   [`mdx_sim::search_waits`]: longest wait-chain length and maximum
 //!   blocked duration are near-deadlock early warnings long before the
 //!   watchdog fires.
 //! - [`FlightRecorder`] — *what happened right before it died?* An

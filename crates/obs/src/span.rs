@@ -423,12 +423,6 @@ impl SpanCollector {
             .collect()
     }
 
-    /// Renders the resident traces as Perfetto `trace_event` JSON (see
-    /// [`spans_to_perfetto`]).
-    pub fn to_perfetto(&self) -> String {
-        spans_to_perfetto(&self.kept_traces())
-    }
-
     /// The ledger plus one summary line per resident trace — the payload
     /// of the `spans` protocol verb.
     pub fn to_value(&self) -> Value {

@@ -2,17 +2,18 @@
 //!
 //! [`StallProbe`] asks the engine for a [`mdx_sim::WaitSnapshot`] every
 //! `interval` cycles (see [`mdx_sim::SimObserver::probe_interval`]) and
-//! reduces each snapshot with [`mdx_deadlock::analyze_waits`]: the longest
-//! wait-*chain* length and the maximum blocked duration. Both grow
+//! reduces each snapshot with [`mdx_sim::search_waits`], the wait search
+//! the watchdog uses too: the longest wait-*chain* length, whether a cycle
+//! has closed, and the maximum blocked duration. Chain and duration grow
 //! monotonically in the cycles leading up to a deadlock — a wait chain that
 //! lengthens probe after probe (and eventually closes into a cycle) is the
 //! observable prelude to the watchdog firing, which is exactly what the
 //! paper's Fig. 5 broadcast deadlock looks like from inside the network.
 
-use mdx_deadlock::{analyze_waits, WaitFor};
-use mdx_sim::{DeadlockInfo, SimObserver, WaitSnapshot};
+use mdx_sim::{search_waits, DeadlockInfo, SimObserver, WaitSnapshot};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::rc::Rc;
 
 /// One reduced probe snapshot.
@@ -74,14 +75,7 @@ impl SimObserver for StallProbe {
     }
 
     fn on_probe(&mut self, now: u64, waits: &[WaitSnapshot]) {
-        let edges: Vec<WaitFor> = waits
-            .iter()
-            .map(|w| WaitFor {
-                waiter: w.waiter.0,
-                holder: w.holder.map(|h| h.0),
-            })
-            .collect();
-        let chain = analyze_waits(&edges);
+        let chain = search_waits(waits, |_| ControlFlow::Continue(()));
         let max_wait = waits.iter().map(|w| now.saturating_sub(w.since)).max();
         self.state.borrow_mut().samples.push(StallSample {
             now,

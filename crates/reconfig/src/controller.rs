@@ -5,14 +5,14 @@
 
 use crate::report::{EpochReport, ReconfigReport};
 use crate::spec::{ReconfigSpec, RecoveryPolicy};
+use crate::transition::TransitionChecker;
 use mdx_core::registry::build_scheme;
 use mdx_core::RouteChange;
-use mdx_deadlock::{EpochWait, TransitionChecker};
 use mdx_fault::connectivity::{pair_connected, reachable_pairs};
 use mdx_fault::{FaultEvent, FaultEventKind, FaultSet, TimelineError};
 use mdx_sim::{
     EpochPhase, InjectSpec, PacketId, PacketOutcome, PhaseEnd, SimConfig, SimObserver, SimResult,
-    Simulator, VictimMode, WaitSnapshot,
+    Simulator, VictimMode,
 };
 use mdx_topology::MdCrossbar;
 use std::collections::{BTreeSet, HashMap};
@@ -58,19 +58,6 @@ pub struct ReconfigOutcome {
     pub result: SimResult,
     /// Phase timings, victim accounting, and transition-safety evidence.
     pub report: ReconfigReport,
-}
-
-/// Engine wait edges, re-tagged for the epoch-aware cycle checker.
-fn to_epoch_waits(waits: &[WaitSnapshot]) -> Vec<EpochWait> {
-    waits
-        .iter()
-        .map(|w| EpochWait {
-            waiter: w.waiter.0,
-            holder: w.holder.map(|h| h.0),
-            epoch: w.epoch,
-            holder_epoch: w.holder_epoch,
-        })
-        .collect()
 }
 
 /// Whether replaying `spec` under `faults` can possibly succeed: live
@@ -209,7 +196,7 @@ pub fn drive_reconfig(
                 break 'events;
             }
         }
-        checker.observe(sim.now(), &to_epoch_waits(&sim.wait_snapshot()));
+        checker.observe(sim.now(), &sim.wait_snapshot());
         sim.notify_epoch_phase(epoch, EpochPhase::Drained);
         let drain_cycles = sim.now() - quiesced_at;
 
@@ -294,7 +281,7 @@ pub fn drive_reconfig(
                 .min(next_event.unwrap_or(u64::MAX));
             match sim.run_phase(Some(stop), false) {
                 PhaseEnd::ReachedCycle => {
-                    checker.observe(sim.now(), &to_epoch_waits(&sim.wait_snapshot()));
+                    checker.observe(sim.now(), &sim.wait_snapshot());
                     if next_event.is_some_and(|at| at <= sim.now()) {
                         break;
                     }

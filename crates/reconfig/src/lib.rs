@@ -22,8 +22,8 @@
 //!    (re-routed in place, reinjected at the source, or abandoned).
 //!
 //! Every phase boundary is timestamped into a [`ReconfigReport`], and the
-//! wait graph is sampled across the transition window into a
-//! [`mdx_deadlock::TransitionReport`]: each routing function is
+//! [`TransitionChecker`] samples the wait graph across the transition
+//! window into a [`TransitionReport`]: each routing function is
 //! deadlock-free on its own, but a wait cycle mixing old-epoch and
 //! new-epoch decisions would be a *transition* deadlock — the hazard the
 //! drain phase exists to prevent, and the property this crate checks
@@ -35,7 +35,9 @@
 mod controller;
 mod report;
 mod spec;
+mod transition;
 
 pub use controller::{drive_reconfig, run_reconfig, ReconfigError, ReconfigOutcome};
 pub use report::{EpochReport, ReconfigReport};
 pub use spec::{ReconfigSpec, RecoveryPolicy};
+pub use transition::{TransitionChecker, TransitionCycle, TransitionReport, TransitionViolation};

@@ -1,7 +1,7 @@
 //! Reports: per-epoch phase timings and the whole-run reconfiguration
 //! verdict.
 
-use mdx_deadlock::TransitionReport;
+use crate::transition::TransitionReport;
 use serde::{Deserialize, Serialize};
 
 /// Phase accounting for one reconfiguration epoch (one fault-event group).

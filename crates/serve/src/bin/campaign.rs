@@ -121,7 +121,7 @@ use mdx_campaign::{
     CAMPAIGN_SCHEMES, DEFAULT_DIFF_THRESHOLD,
 };
 use mdx_health::{evaluate_frame, SignalFrame, SloSpec, Status, Verdict};
-use mdx_obs::{PostmortemReport, DEFAULT_FLIGHT_CAPACITY};
+use mdx_obs::PostmortemReport;
 use mdx_serve::{
     render_watch, row_key, serve_on, serve_stdio, Request, Response, ResultCache, ServeConfig,
     WatchFrame,
@@ -377,7 +377,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "--fail-on-loss" => fail_on_loss = true,
             "--metrics" => obs.metrics = true,
             "--attribution" => obs.attribution = true,
-            "--flight-recorder" => obs.flight = Some(DEFAULT_FLIGHT_CAPACITY),
+            "--flight-recorder" => obs.flight = true,
             "--postmortem-dir" => postmortem_dir = it.next().unwrap_or_else(|| usage()),
             "--prom" => prom = Some(it.next().unwrap_or_else(|| usage())),
             "--slo" => slo = Some(load_slo(&it.next().unwrap_or_else(|| usage()))),
@@ -456,7 +456,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
 
     // With the flight recorder attached, every failed row auto-dumps its
     // forensic report.
-    if obs.flight.is_some() {
+    if obs.flight {
         let mut dumped = 0usize;
         for r in result.reports.iter().filter(|r| r.outcome != "completed") {
             let Some(pm) = &r.postmortem else { continue };
@@ -547,10 +547,10 @@ fn cmd_replay(token: &str, args: &[String]) -> ExitCode {
                 trace_out = Some(it.next().unwrap_or_else(|| usage()));
                 obs.trace = true;
             }
-            "--flight-recorder" => obs.flight = Some(DEFAULT_FLIGHT_CAPACITY),
+            "--flight-recorder" => obs.flight = true,
             "--postmortem-dir" => {
                 postmortem_dir = Some(it.next().unwrap_or_else(|| usage()));
-                obs.flight.get_or_insert(DEFAULT_FLIGHT_CAPACITY);
+                obs.flight = true;
             }
             "--cache-dir" => cache_dir = it.next().unwrap_or_else(|| usage()),
             "--no-cache" => no_cache = true,
@@ -609,7 +609,7 @@ fn cmd_replay(token: &str, args: &[String]) -> ExitCode {
                         }
                     }
                 }
-            } else if obs.flight.is_some() {
+            } else if obs.flight {
                 println!("\n(run completed; no post-mortem to report)");
             }
             if let (Some(path), Some(doc)) = (trace_out, &telemetry.trace) {

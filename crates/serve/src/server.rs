@@ -27,7 +27,7 @@ use crate::protocol::{Request, Response, ServeStats};
 use mdx_campaign::{push_engine_spans, run_scenario_instrumented, ObsOptions, Scenario, Workload};
 use mdx_health::{HealthEngine, HealthReport, SignalFrame, SloSpec};
 use mdx_metrics::Registry;
-use mdx_obs::{PostmortemReport, SpanCollector, SpanUnit, TraceBuilder, DEFAULT_FLIGHT_CAPACITY};
+use mdx_obs::{PostmortemReport, SpanCollector, SpanUnit, TraceBuilder};
 use mdx_tournament::{run_tournament, TournamentResult, TournamentSpec};
 use mdx_workloads::StreamSpec;
 use serde::value::Value;
@@ -588,7 +588,7 @@ impl Service {
             windows,
             // Always-on forensics: abnormal rows carry a post-mortem and
             // the artifact stays fetchable by digest.
-            flight: Some(DEFAULT_FLIGHT_CAPACITY),
+            flight: true,
             // Phase timing feeds the run span's source/step/probe children
             // and is engine self-measurement — never serialized, so the
             // row itself stays byte-identical to an untraced run.

@@ -13,7 +13,6 @@
 use mdx_campaign::{run_scenario_instrumented, ObsOptions, Scenario, Workload};
 use mdx_fault::{FaultSite, FaultTimeline};
 use mdx_health::{HealthEngine, SignalFrame, SloSpec};
-use mdx_obs::DEFAULT_FLIGHT_CAPACITY;
 use mdx_reconfig::{ReconfigSpec, RecoveryPolicy};
 use mdx_serve::{ServeConfig, Service};
 use mdx_topology::XbarRef;
@@ -130,7 +129,7 @@ fn instrumented_rows_match_golden() {
     let opts = ObsOptions {
         metrics: true,
         stall_probe: Some(16),
-        flight: Some(DEFAULT_FLIGHT_CAPACITY),
+        flight: true,
         attribution: true,
         latencies: true,
         windows: Some(50),

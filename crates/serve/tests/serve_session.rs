@@ -477,7 +477,6 @@ fn traced_sessions_echo_trace_ids_and_answer_the_spans_verb() {
 #[test]
 fn an_exemplar_spans_token_replays_byte_identically() {
     use mdx_campaign::{run_scenario_instrumented, ObsOptions, Scenario};
-    use mdx_obs::DEFAULT_FLIGHT_CAPACITY;
     use std::time::Instant;
 
     let cfg = ServeConfig {
@@ -503,7 +502,7 @@ fn an_exemplar_spans_token_replays_byte_identically() {
     // Replay from the span's token alone, under the service's options.
     let scenario = Scenario::from_token(&token).expect("span token decodes");
     let opts = ObsOptions {
-        flight: Some(DEFAULT_FLIGHT_CAPACITY),
+        flight: true,
         ..ObsOptions::default()
     };
     let (replayed, _) = run_scenario_instrumented(&scenario, &opts).expect("replay runs");

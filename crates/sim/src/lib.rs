@@ -64,7 +64,9 @@ pub mod result;
 pub mod source;
 
 pub use engine::{PhaseEnd, SimConfig, Simulator, VictimMode};
-pub use observer::{first_wait_cycle, EpochPhase, EventCounts, SimObserver, WaitSnapshot};
+pub use observer::{
+    first_wait_cycle, search_waits, EpochPhase, EventCounts, SimObserver, WaitChains, WaitSnapshot,
+};
 pub use result::{
     DeadlockInfo, EngineDiagnostic, EngineProfile, InjectSpec, PacketId, PacketOutcome,
     PacketResult, PhaseSplit, SimOutcome, SimResult, SimStats, SortedLatencies, WaitEdge,

@@ -147,7 +147,8 @@
 use crate::result::{DeadlockInfo, InjectSpec, PacketId};
 use mdx_core::RouteChange;
 use mdx_topology::{ChannelId, Node};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// One ungranted port want, as seen by a periodic [`SimObserver::on_probe`]
 /// snapshot.
@@ -173,64 +174,133 @@ pub struct WaitSnapshot {
     pub holder_epoch: Option<u32>,
 }
 
-/// The first cyclic wait among `waits`, as indices into it in cycle order:
-/// each edge's holder is the next edge's waiter, and the last edge's
-/// holder the first edge's waiter. Empty when the wants form no cycle.
+/// What a full [`search_waits`] found in one snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WaitChains {
+    /// Packets on the longest simple waiter→holder chain: 0 when nothing
+    /// waits, 1 for a lone holder-less want, 2 for a packet waiting on one
+    /// that is not itself blocked. A chain stops where it would re-enter
+    /// itself, so a cycle counts its distinct packets.
+    pub longest_chain: usize,
+    /// Whether the snapshot holds a cyclic wait.
+    pub has_cycle: bool,
+}
+
+/// Searches the wait-for graph of one snapshot depth first, calling
+/// `on_cycle` with each cycle the walk closes and stopping when it
+/// returns [`ControlFlow::Break`].
 ///
-/// The wait-for graph has an edge from each want's waiter to its holder
-/// (holder-less wants are skipped), each waiter's edges in snapshot order.
-/// It is walked depth first from each unvisited waiter in ascending packet
-/// id, and the first edge back onto the walk's path closes the cycle; the
-/// path that led there is not part of it. The watchdog names a deadlock's
-/// witness this way from [`crate::Simulator::wait_snapshot`], and a
-/// post-mortem that runs it on the terminal snapshot
-/// ([`SimObserver::on_final_waits`]) finds the same cycle.
-pub fn first_wait_cycle(waits: &[WaitSnapshot]) -> Vec<usize> {
-    let mut adj: BTreeMap<u32, Vec<(u32, usize)>> = BTreeMap::new();
+/// The graph has a node for every waiter and holder and an edge from each
+/// want's waiter to its holder (holder-less wants add none), each waiter's
+/// edges in snapshot order. The walk starts from each unvisited packet in
+/// ascending id. An edge back onto the walk's path closes a cycle, which
+/// `on_cycle` receives as indices into `waits` in cycle order: each edge's
+/// holder is the next edge's waiter, and the last edge's holder the first
+/// edge's waiter; the path that led there is not part of it. Each back
+/// edge closes one cycle, so a cycle that closes only through a packet
+/// already fully explored is not reported: the depth-first answer the
+/// watchdog, the post-mortem and the transition checker share.
+///
+/// The returned chains are complete only when `on_cycle` never breaks.
+pub fn search_waits(
+    waits: &[WaitSnapshot],
+    mut on_cycle: impl FnMut(&[usize]) -> ControlFlow<()>,
+) -> WaitChains {
+    let mut adj: HashMap<u32, Vec<(u32, usize)>> = HashMap::new();
+    let mut roots = Vec::with_capacity(2 * waits.len());
     for (i, w) in waits.iter().enumerate() {
+        roots.push(w.waiter.0);
         if let Some(h) = w.holder {
+            roots.push(h.0);
             adj.entry(w.waiter.0).or_default().push((h.0, i));
         }
     }
-    /// Walks from `u`, with `on_path` marking the packets on the current
-    /// path (`true`) or fully explored (`false`), and `path` holding the
-    /// path's (waiter, want) edges. Returns the packet a back edge reached.
-    fn walk(
-        u: u32,
-        adj: &BTreeMap<u32, Vec<(u32, usize)>>,
-        on_path: &mut HashMap<u32, bool>,
-        path: &mut Vec<(u32, usize)>,
-    ) -> Option<u32> {
-        on_path.insert(u, true);
-        for &(v, want) in adj.get(&u).into_iter().flatten() {
-            let seen = on_path.get(&v).copied();
-            if seen == Some(false) {
-                continue;
-            }
-            path.push((u, want));
-            if seen == Some(true) {
-                return Some(v);
-            }
-            if let Some(hit) = walk(v, adj, on_path, path) {
-                return Some(hit);
-            }
-            path.pop();
-        }
-        on_path.insert(u, false);
-        None
+    roots.sort_unstable();
+    roots.dedup();
+
+    /// A packet on the walk's path, or fully explored with the length of
+    /// the longest chain that starts at it.
+    enum Mark {
+        OnPath,
+        Done(usize),
     }
-    let mut on_path = HashMap::new();
-    let mut path = Vec::new();
-    for &start in adj.keys() {
-        if on_path.contains_key(&start) {
+    /// A packet on the path: its next edge to try and the longest chain
+    /// found below it so far.
+    struct Frame {
+        packet: u32,
+        next: usize,
+        below: usize,
+    }
+    let mut marks: HashMap<u32, Mark> = HashMap::new();
+    let mut path: Vec<Frame> = Vec::new();
+    // The want behind each step down the path: `wants[k]` leads from
+    // `path[k]` to `path[k + 1]`.
+    let mut wants: Vec<usize> = Vec::new();
+    let mut found = WaitChains::default();
+    for &root in &roots {
+        if marks.contains_key(&root) {
             continue;
         }
-        if let Some(entry) = walk(start, &adj, &mut on_path, &mut path) {
-            let from = path.iter().position(|&(u, _)| u == entry).unwrap_or(0);
-            return path[from..].iter().map(|&(_, want)| want).collect();
+        marks.insert(root, Mark::OnPath);
+        path.push(Frame {
+            packet: root,
+            next: 0,
+            below: 0,
+        });
+        while let Some(top) = path.last_mut() {
+            let edges = adj.get(&top.packet).map_or(&[][..], Vec::as_slice);
+            let Some(&(holder, want)) = edges.get(top.next) else {
+                let chain = top.below + 1;
+                marks.insert(top.packet, Mark::Done(chain));
+                found.longest_chain = found.longest_chain.max(chain);
+                path.pop();
+                if let Some(parent) = path.last_mut() {
+                    parent.below = parent.below.max(chain);
+                    wants.pop();
+                }
+                continue;
+            };
+            top.next += 1;
+            match marks.get(&holder) {
+                Some(&Mark::Done(chain)) => top.below = top.below.max(chain),
+                Some(Mark::OnPath) => {
+                    found.has_cycle = true;
+                    let from = path.iter().position(|f| f.packet == holder).unwrap_or(0);
+                    wants.push(want);
+                    let stop = on_cycle(&wants[from..]).is_break();
+                    wants.pop();
+                    if stop {
+                        return found;
+                    }
+                }
+                None => {
+                    marks.insert(holder, Mark::OnPath);
+                    wants.push(want);
+                    path.push(Frame {
+                        packet: holder,
+                        next: 0,
+                        below: 0,
+                    });
+                }
+            }
         }
     }
-    Vec::new()
+    found
+}
+
+/// The first cyclic wait [`search_waits`] closes among `waits`, as indices
+/// into it in cycle order; empty when the wants form no cycle. The
+/// watchdog names a deadlock's witness this way from
+/// [`crate::Simulator::wait_snapshot`], and a post-mortem that runs it on
+/// the terminal snapshot ([`SimObserver::on_final_waits`]) finds the same
+/// cycle.
+pub fn first_wait_cycle(waits: &[WaitSnapshot]) -> Vec<usize> {
+    let mut first = Vec::new();
+    search_waits(waits, |cycle| {
+        first = cycle.to_vec();
+        ControlFlow::Break(())
+    });
+    first
 }
 
 /// Phases of one reconfiguration epoch, in protocol order. Mirrors the
@@ -539,5 +609,77 @@ mod tests {
         // but the walk starts at pkt2.
         let w = waits(&[(7, Some(8)), (8, Some(7)), (5, Some(2)), (2, Some(5))]);
         assert_eq!(first_wait_cycle(&w), vec![3, 2]);
+    }
+
+    #[test]
+    fn every_cycle_reaches_the_hook_until_it_breaks() {
+        let w = waits(&[(7, Some(8)), (8, Some(7)), (5, Some(2)), (2, Some(5))]);
+        let mut seen = Vec::new();
+        let all = search_waits(&w, |cycle| {
+            seen.push(cycle.to_vec());
+            ControlFlow::Continue(())
+        });
+        assert_eq!(seen, vec![vec![3, 2], vec![0, 1]]);
+        assert!(all.has_cycle);
+        seen.clear();
+        search_waits(&w, |cycle| {
+            seen.push(cycle.to_vec());
+            ControlFlow::Break(())
+        });
+        assert_eq!(seen, vec![vec![3, 2]]);
+    }
+
+    /// The chains of a full search.
+    fn chains(edges: &[(u32, Option<u32>)]) -> WaitChains {
+        search_waits(&waits(edges), |_| ControlFlow::Continue(()))
+    }
+
+    #[test]
+    fn empty_snapshot_is_quiet() {
+        assert_eq!(chains(&[]), WaitChains::default());
+    }
+
+    #[test]
+    fn single_wait_is_a_two_chain() {
+        let r = chains(&[(0, Some(1))]);
+        assert_eq!(r.longest_chain, 2);
+        assert!(!r.has_cycle);
+    }
+
+    #[test]
+    fn holderless_wait_counts_alone() {
+        let r = chains(&[(3, None)]);
+        assert_eq!(r.longest_chain, 1);
+        assert!(!r.has_cycle);
+    }
+
+    #[test]
+    fn chains_extend_through_blocked_holders() {
+        // 0 -> 1 -> 2 -> 3 plus an unrelated 7 -> 8.
+        let r = chains(&[(0, Some(1)), (1, Some(2)), (2, Some(3)), (7, Some(8))]);
+        assert_eq!(r.longest_chain, 4);
+        assert!(!r.has_cycle);
+    }
+
+    #[test]
+    fn branching_takes_the_deepest_arm() {
+        // 0 waits on both 1 (chain of 2 more) and 9 (leaf).
+        let r = chains(&[(0, Some(1)), (0, Some(9)), (1, Some(2))]);
+        assert_eq!(r.longest_chain, 3);
+    }
+
+    #[test]
+    fn cycle_is_flagged_and_bounded() {
+        let r = chains(&[(0, Some(1)), (1, Some(2)), (2, Some(0))]);
+        assert!(r.has_cycle);
+        assert_eq!(r.longest_chain, 3);
+    }
+
+    #[test]
+    fn tail_into_cycle_counts_the_tail() {
+        // 5 -> 0 -> 1 -> 0 (two-cycle with a tail).
+        let r = chains(&[(5, Some(0)), (0, Some(1)), (1, Some(0))]);
+        assert!(r.has_cycle);
+        assert_eq!(r.longest_chain, 3);
     }
 }
