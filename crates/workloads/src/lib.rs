@@ -22,6 +22,7 @@ use mdx_core::Header;
 use mdx_fault::FaultSet;
 use mdx_sim::InjectSpec;
 use mdx_topology::{Coord, Shape};
+use rand::distributions::Bernoulli;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
@@ -186,6 +187,50 @@ pub fn unicast_schedule(
     unicast_masked(shape, pattern, cfg, &usable_mask(shape, faults))
 }
 
+/// The trial an injection probability makes on every usable PE and cycle.
+///
+/// # Panics
+/// Panics unless `0.0 <= p <= 1.0`, as `gen_bool(p)` does.
+fn trial(p: f64) -> Bernoulli {
+    Bernoulli::new(p).expect("probability outside [0, 1]")
+}
+
+/// A unicast from PE `src` to PE `dst`.
+fn unicast(shape: &Shape, src: usize, dst: usize, flits: usize, inject_at: u64) -> InjectSpec {
+    InjectSpec {
+        src_pe: src,
+        header: Header::unicast(shape.coord_of(src), shape.coord_of(dst)),
+        flits,
+        inject_at,
+    }
+}
+
+/// One cycle of open-loop unicast injection: each usable PE, in index
+/// order, makes one `inject` trial and, when it succeeds, draws its
+/// destination under `pattern`. A destination that is the source itself
+/// or not usable drops the packet; every other `(src, dst)` goes to
+/// `push`.
+fn unicast_cycle(
+    shape: &Shape,
+    pattern: TrafficPattern,
+    usable: &[bool],
+    rng: &mut ChaCha12Rng,
+    inject: Bernoulli,
+    mut push: impl FnMut(usize, usize),
+) {
+    for (src, &ok) in usable.iter().enumerate() {
+        if !ok || !rng.sample(inject) {
+            continue;
+        }
+        let Some(dst) = pattern.destination(shape, src, rng) else {
+            continue;
+        };
+        if usable[dst] {
+            push(src, dst);
+        }
+    }
+}
+
 /// [`unicast_schedule`] over a [`usable_mask`].
 fn unicast_masked(
     shape: &Shape,
@@ -194,25 +239,12 @@ fn unicast_masked(
     usable: &[bool],
 ) -> Vec<InjectSpec> {
     let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed);
+    let inject = trial(cfg.rate);
     let mut specs = Vec::new();
     for cycle in 0..cfg.window {
-        for (src, &ok) in usable.iter().enumerate() {
-            if !ok || !rng.gen_bool(cfg.rate) {
-                continue;
-            }
-            let Some(dst) = pattern.destination(shape, src, &mut rng) else {
-                continue;
-            };
-            if !usable[dst] {
-                continue;
-            }
-            specs.push(InjectSpec {
-                src_pe: src,
-                header: Header::unicast(shape.coord_of(src), shape.coord_of(dst)),
-                flits: cfg.packet_flits,
-                inject_at: cycle,
-            });
-        }
+        unicast_cycle(shape, pattern, usable, &mut rng, inject, |src, dst| {
+            specs.push(unicast(shape, src, dst, cfg.packet_flits, cycle));
+        });
     }
     specs
 }
@@ -234,9 +266,10 @@ pub fn mixed_schedule(
         return specs;
     }
     let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed ^ 0xB0C4_57F0);
+    let request = trial(broadcast_rate);
     for cycle in 0..cfg.window {
         for (src, &ok) in usable.iter().enumerate() {
-            if ok && rng.gen_bool(broadcast_rate) {
+            if ok && rng.sample(request) {
                 specs.push(InjectSpec {
                     src_pe: src,
                     header: Header::broadcast_request(shape.coord_of(src)),
@@ -270,12 +303,7 @@ pub fn permutation_schedule(
         if !faults.pe_usable(dst) {
             continue;
         }
-        specs.push(InjectSpec {
-            src_pe: src,
-            header: Header::unicast(shape.coord_of(src), shape.coord_of(dst)),
-            flits: packet_flits,
-            inject_at: at,
-        });
+        specs.push(unicast(shape, src, dst, packet_flits, at));
     }
     specs
 }
@@ -318,12 +346,7 @@ pub fn fault_storm_schedule(
             if !usable[dst] {
                 continue;
             }
-            specs.push(InjectSpec {
-                src_pe: src,
-                header: Header::unicast(shape.coord_of(src), shape.coord_of(dst)),
-                flits: cfg.packet_flits,
-                inject_at: at,
-            });
+            specs.push(unicast(shape, src, dst, cfg.packet_flits, at));
             added += 1;
         }
     }

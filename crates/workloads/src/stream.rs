@@ -41,12 +41,12 @@
 //! bit-identical no matter how the engine batches its pulls, and an
 //! unbounded horizon never materializes as one giant packet list.
 
-use crate::TrafficPattern;
-use mdx_core::Header;
+use crate::{unicast, unicast_cycle, usable_mask, TrafficPattern};
 use mdx_fault::{FaultSet, FaultSite, FaultTimeline};
 use mdx_sim::{InjectSpec, TrafficSource};
 use mdx_topology::{Shape, XbarRef};
-use rand::{Rng, SeedableRng};
+use rand::distributions::Bernoulli;
+use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -530,16 +530,21 @@ impl StreamSpec {
             .phases
             .iter()
             .enumerate()
-            .map(|(i, p)| PhaseRt {
-                spec: p.clone(),
-                rng: ChaCha12Rng::seed_from_u64(
-                    (self.seed ^ seed_mix) ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_97F4_A7C5),
-                ),
+            .map(|(i, p)| {
+                Ok(PhaseRt {
+                    spec: p.clone(),
+                    rng: ChaCha12Rng::seed_from_u64(
+                        (self.seed ^ seed_mix) ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_97F4_A7C5),
+                    ),
+                    inject: Bernoulli::new(p.rate).map_err(|e| {
+                        SpecError::new(p.line, "rate", format!("{e}, got {}", p.rate))
+                    })?,
+                })
             })
-            .collect();
+            .collect::<Result<_, SpecError>>()?;
         Ok(StreamSource {
             shape: shape.clone(),
-            faults: faults.clone(),
+            usable: usable_mask(shape, faults),
             phases,
             cursor: 0,
             traffic_end: self.traffic_end(),
@@ -555,6 +560,8 @@ impl StreamSpec {
 struct PhaseRt {
     spec: PhaseSpec,
     rng: ChaCha12Rng,
+    /// The injection trial at the phase's rate.
+    inject: Bernoulli,
 }
 
 /// A compiled [`StreamSpec`]: generates packets lazily, cycle by cycle.
@@ -563,7 +570,8 @@ struct PhaseRt {
 #[derive(Debug, Clone)]
 pub struct StreamSource {
     shape: Shape,
-    faults: FaultSet,
+    /// Whether each PE can source and sink traffic, by PE index.
+    usable: Vec<bool>,
     phases: Vec<PhaseRt>,
     /// Next cycle to generate.
     cursor: u64,
@@ -579,33 +587,24 @@ impl StreamSource {
     fn gen_cycle(&mut self, cycle: u64) {
         let StreamSource {
             shape,
-            faults,
+            usable,
             phases,
             pending,
             ..
         } = self;
-        let n = shape.num_pes();
         for ph in phases.iter_mut() {
             if cycle < ph.spec.start || cycle >= ph.spec.end {
                 continue;
             }
-            for src in 0..n {
-                if !faults.pe_usable(src) || !ph.rng.gen_bool(ph.spec.rate) {
-                    continue;
-                }
-                let Some(dst) = ph.spec.pattern.destination(shape, src, &mut ph.rng) else {
-                    continue;
-                };
-                if !faults.pe_usable(dst) {
-                    continue;
-                }
-                pending.push_back(InjectSpec {
-                    src_pe: src,
-                    header: Header::unicast(shape.coord_of(src), shape.coord_of(dst)),
-                    flits: ph.spec.flits,
-                    inject_at: cycle,
-                });
-            }
+            let flits = ph.spec.flits;
+            unicast_cycle(
+                shape,
+                ph.spec.pattern,
+                usable,
+                &mut ph.rng,
+                ph.inject,
+                |src, dst| pending.push_back(unicast(shape, src, dst, flits, cycle)),
+            );
         }
     }
 

@@ -3,6 +3,14 @@
 //! count is a const generic, so each generator's block function is
 //! compiled with its rounds fixed.
 //!
+//! A refill computes four consecutive blocks at once. On x86_64 it runs
+//! the four in the lanes of SSE2 vectors (SSE2 is part of the x86_64
+//! baseline, so nothing is detected at run time); elsewhere it calls the
+//! scalar block function four times. The scalar function is also the
+//! test oracle of the four-block core. Either way the words come out in
+//! block order, so the stream is the one the scalar function produces
+//! block after block.
+//!
 //! Deterministic and stable for this repository, but **not** bit-compatible
 //! with the crates.io `rand_chacha` output stream. See `shims/README.md`.
 
@@ -10,10 +18,16 @@ use rand::{RngCore, SeedableRng};
 
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
+/// Blocks computed per refill.
+const BLOCKS: usize = 4;
+
+/// Words buffered per refill.
+const BUF_WORDS: usize = 16 * BLOCKS;
+
 #[derive(Clone, Debug)]
 struct ChaChaCore<const ROUNDS: usize> {
     state: [u32; 16],
-    buf: [u32; 16],
+    buf: [u32; BUF_WORDS],
     idx: usize,
 }
 
@@ -25,6 +39,17 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The 64-bit block counter in words 12 (low) and 13 (high).
+fn counter(state: &[u32; 16]) -> u64 {
+    u64::from(state[12]) | (u64::from(state[13]) << 32)
+}
+
+fn set_counter(state: &mut [u32; 16], counter: u64) {
+    state[12] = counter as u32;
+    state[13] = (counter >> 32) as u32;
+}
+
+#[cfg(any(test, not(target_arch = "x86_64")))]
 #[inline]
 fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[a] = s[a].wrapping_add(s[b]);
@@ -35,6 +60,135 @@ fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[d] = (s[d] ^ s[a]).rotate_left(8);
     s[c] = s[c].wrapping_add(s[d]);
     s[b] = (s[b] ^ s[c]).rotate_left(7);
+}
+
+/// One ChaCha block of `state` into `out`: the scalar block function.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+fn block<const ROUNDS: usize>(state: &[u32; 16], out: &mut [u32]) {
+    let mut w = *state;
+    for _ in 0..ROUNDS / 2 {
+        quarter_round(&mut w, 0, 4, 8, 12);
+        quarter_round(&mut w, 1, 5, 9, 13);
+        quarter_round(&mut w, 2, 6, 10, 14);
+        quarter_round(&mut w, 3, 7, 11, 15);
+        quarter_round(&mut w, 0, 5, 10, 15);
+        quarter_round(&mut w, 1, 6, 11, 12);
+        quarter_round(&mut w, 2, 7, 8, 13);
+        quarter_round(&mut w, 3, 4, 9, 14);
+    }
+    for ((out, &w), &s) in out.iter_mut().zip(&w).zip(state) {
+        *out = w.wrapping_add(s);
+    }
+}
+
+/// Blocks `counter .. counter + 4` of `state` into `out`, block after
+/// block, by the scalar block function.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+fn blocks4_scalar<const ROUNDS: usize>(state: &[u32; 16], out: &mut [u32; BUF_WORDS]) {
+    let mut s = *state;
+    for out in out.chunks_exact_mut(16) {
+        block::<ROUNDS>(&s, out);
+        let next = counter(&s).wrapping_add(1);
+        set_counter(&mut s, next);
+    }
+}
+
+/// Blocks `counter .. counter + 4` of `state` into `out`, block after
+/// block: the same words as [`blocks4_scalar`].
+///
+/// Each of the sixteen state words is one SSE2 vector whose lane `j`
+/// belongs to block `counter + j`, so a round is the scalar round on four
+/// blocks at once and no lane ever reads another. Only the counter words
+/// differ between lanes; the 64-bit counter is carried per lane. At the
+/// end each group of four words is transposed from lanes into blocks.
+#[cfg(target_arch = "x86_64")]
+fn blocks4_sse2<const ROUNDS: usize>(state: &[u32; 16], out: &mut [u32; BUF_WORDS]) {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_or_si128, _mm_set1_epi32, _mm_set_epi32, _mm_shufflehi_epi16,
+        _mm_shufflelo_epi16, _mm_slli_epi32, _mm_srli_epi32, _mm_storeu_si128, _mm_unpackhi_epi32,
+        _mm_unpackhi_epi64, _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_xor_si128,
+    };
+
+    let c = counter(state);
+    let lanes: [u64; BLOCKS] = std::array::from_fn(|j| c.wrapping_add(j as u64));
+
+    // SAFETY: every intrinsic here requires SSE2, which the x86_64 target
+    // enables for every build (it is part of the architecture's
+    // baseline), and none of them touches memory: they read and write
+    // vector values only.
+    let x: [__m128i; 16] = unsafe {
+        let init: [__m128i; 16] = std::array::from_fn(|i| match i {
+            // Lanes go highest first; `as i32` keeps the low 32 bits.
+            12 => _mm_set_epi32(
+                lanes[3] as i32,
+                lanes[2] as i32,
+                lanes[1] as i32,
+                lanes[0] as i32,
+            ),
+            13 => _mm_set_epi32(
+                (lanes[3] >> 32) as i32,
+                (lanes[2] >> 32) as i32,
+                (lanes[1] >> 32) as i32,
+                (lanes[0] >> 32) as i32,
+            ),
+            _ => _mm_set1_epi32(state[i] as i32),
+        });
+        let mut x = init;
+        macro_rules! rotl {
+            ($v:expr, 16) => {
+                _mm_shufflehi_epi16::<0xB1>(_mm_shufflelo_epi16::<0xB1>($v))
+            };
+            ($v:expr, $n:literal) => {
+                _mm_or_si128(_mm_slli_epi32::<$n>($v), _mm_srli_epi32::<{ 32 - $n }>($v))
+            };
+        }
+        macro_rules! quarter {
+            ($a:expr, $b:expr, $c:expr, $d:expr) => {
+                x[$a] = _mm_add_epi32(x[$a], x[$b]);
+                x[$d] = rotl!(_mm_xor_si128(x[$d], x[$a]), 16);
+                x[$c] = _mm_add_epi32(x[$c], x[$d]);
+                x[$b] = rotl!(_mm_xor_si128(x[$b], x[$c]), 12);
+                x[$a] = _mm_add_epi32(x[$a], x[$b]);
+                x[$d] = rotl!(_mm_xor_si128(x[$d], x[$a]), 8);
+                x[$c] = _mm_add_epi32(x[$c], x[$d]);
+                x[$b] = rotl!(_mm_xor_si128(x[$b], x[$c]), 7);
+            };
+        }
+        for _ in 0..ROUNDS / 2 {
+            quarter!(0, 4, 8, 12);
+            quarter!(1, 5, 9, 13);
+            quarter!(2, 6, 10, 14);
+            quarter!(3, 7, 11, 15);
+            quarter!(0, 5, 10, 15);
+            quarter!(1, 6, 11, 12);
+            quarter!(2, 7, 8, 13);
+            quarter!(3, 4, 9, 14);
+        }
+        std::array::from_fn(|i| _mm_add_epi32(x[i], init[i]))
+    };
+
+    for (k, g) in x.chunks_exact(4).enumerate() {
+        // SAFETY: SSE2 is enabled on every x86_64 target (see above). The
+        // unpacks only compute; each store writes 16 bytes, unaligned, to
+        // `out[16 * j + 4 * k ..][..4]`, a slice of four `u32`s that the
+        // indexing has checked lies inside `out`.
+        unsafe {
+            let ab_lo = _mm_unpacklo_epi32(g[0], g[1]);
+            let cd_lo = _mm_unpacklo_epi32(g[2], g[3]);
+            let ab_hi = _mm_unpackhi_epi32(g[0], g[1]);
+            let cd_hi = _mm_unpackhi_epi32(g[2], g[3]);
+            let blocks = [
+                _mm_unpacklo_epi64(ab_lo, cd_lo),
+                _mm_unpackhi_epi64(ab_lo, cd_lo),
+                _mm_unpacklo_epi64(ab_hi, cd_hi),
+                _mm_unpackhi_epi64(ab_hi, cd_hi),
+            ];
+            for (j, v) in blocks.into_iter().enumerate() {
+                let dst: &mut [u32] = &mut out[16 * j + 4 * k..][..4];
+                _mm_storeu_si128(dst.as_mut_ptr().cast::<__m128i>(), v);
+            }
+        }
+    }
 }
 
 impl<const ROUNDS: usize> ChaChaCore<ROUNDS> {
@@ -50,42 +204,53 @@ impl<const ROUNDS: usize> ChaChaCore<ROUNDS> {
         // counter = 0, nonce = 0
         ChaChaCore {
             state,
-            buf: [0; 16],
-            idx: 16,
+            buf: [0; BUF_WORDS],
+            idx: BUF_WORDS,
         }
     }
 
+    /// The next four blocks into the buffer.
+    #[inline(never)]
     fn refill(&mut self) {
-        let mut w = self.state;
-        for _ in 0..ROUNDS / 2 {
-            quarter_round(&mut w, 0, 4, 8, 12);
-            quarter_round(&mut w, 1, 5, 9, 13);
-            quarter_round(&mut w, 2, 6, 10, 14);
-            quarter_round(&mut w, 3, 7, 11, 15);
-            quarter_round(&mut w, 0, 5, 10, 15);
-            quarter_round(&mut w, 1, 6, 11, 12);
-            quarter_round(&mut w, 2, 7, 8, 13);
-            quarter_round(&mut w, 3, 4, 9, 14);
-        }
-        for (i, out) in self.buf.iter_mut().enumerate() {
-            *out = w[i].wrapping_add(self.state[i]);
-        }
-        // 64-bit block counter in words 12..14.
-        let (lo, carry) = self.state[12].overflowing_add(1);
-        self.state[12] = lo;
-        if carry {
-            self.state[13] = self.state[13].wrapping_add(1);
-        }
+        #[cfg(target_arch = "x86_64")]
+        blocks4_sse2::<ROUNDS>(&self.state, &mut self.buf);
+        #[cfg(not(target_arch = "x86_64"))]
+        blocks4_scalar::<ROUNDS>(&self.state, &mut self.buf);
+        let next = counter(&self.state).wrapping_add(BLOCKS as u64);
+        set_counter(&mut self.state, next);
         self.idx = 0;
     }
 
+    #[inline]
     fn next_word(&mut self) -> u32 {
-        if self.idx >= 16 {
+        let mut i = self.idx;
+        if i >= BUF_WORDS {
             self.refill();
+            i = 0;
         }
-        let w = self.buf[self.idx];
-        self.idx += 1;
-        w
+        self.idx = i + 1;
+        self.buf[i]
+    }
+
+    /// Two words, low first, read in place while both are buffered.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let i = self.idx;
+        if i + 1 < BUF_WORDS {
+            self.idx = i + 2;
+            u64::from(self.buf[i]) | (u64::from(self.buf[i + 1]) << 32)
+        } else {
+            self.next_u64_across()
+        }
+    }
+
+    /// A draw that needs a refill: the buffer is empty, or holds only the
+    /// low word.
+    #[inline(never)]
+    fn next_u64_across(&mut self) -> u64 {
+        let lo = u64::from(self.next_word());
+        let hi = u64::from(self.next_word());
+        lo | (hi << 32)
     }
 }
 
@@ -106,12 +271,12 @@ macro_rules! chacha_rng {
         }
 
         impl RngCore for $name {
+            #[inline]
             fn next_u64(&mut self) -> u64 {
-                let lo = self.core.next_word() as u64;
-                let hi = self.core.next_word() as u64;
-                lo | (hi << 32)
+                self.core.next_u64()
             }
 
+            #[inline]
             fn next_u32(&mut self) -> u32 {
                 self.core.next_word()
             }
@@ -161,8 +326,8 @@ mod tests {
                 s[..4].copy_from_slice(&SIGMA);
                 s
             },
-            buf: [0; 16],
-            idx: 16,
+            buf: [0; BUF_WORDS],
+            idx: BUF_WORDS,
         };
         // RFC 8439 §2.3.2-style zero-key block: spot-check the constant mix.
         let w = core.next_word();
@@ -178,6 +343,70 @@ mod tests {
         assert_eq!(first, again);
         // More than one 16-word block was produced and they differ.
         assert_ne!(&first[..16], &first[16..32]);
+    }
+
+    /// Refills `core` `refills` times and checks every buffered word
+    /// against the scalar block function run block after block.
+    fn refills_match_scalar<const ROUNDS: usize>(mut core: ChaChaCore<ROUNDS>, refills: usize) {
+        let mut state = core.state;
+        let mut want = [0u32; BUF_WORDS];
+        for r in 0..refills {
+            blocks4_scalar::<ROUNDS>(&state, &mut want);
+            core.refill();
+            assert_eq!(core.buf, want, "{ROUNDS} rounds, refill {r}");
+            let next = counter(&state).wrapping_add(BLOCKS as u64);
+            set_counter(&mut state, next);
+            assert_eq!(core.state, state, "{ROUNDS} rounds, state after refill {r}");
+        }
+    }
+
+    fn four_block_core_matches_scalar_from<const ROUNDS: usize>(low_counter: [u32; 2]) {
+        for seed in [0, 0x5eed_1234_abcd, u64::MAX] {
+            let mut core = ChaChaCore::<ROUNDS>::from_seed_u64(seed);
+            core.state[12] = low_counter[0];
+            core.state[13] = low_counter[1];
+            refills_match_scalar(core, 64);
+        }
+    }
+
+    /// 64 refills (256 blocks) of each round count for three seeds.
+    #[test]
+    fn four_block_core_matches_scalar() {
+        four_block_core_matches_scalar_from::<8>([0, 0]);
+        four_block_core_matches_scalar_from::<12>([0, 0]);
+        four_block_core_matches_scalar_from::<20>([0, 0]);
+    }
+
+    /// A refill whose blocks carry the counter's low word into word 13,
+    /// and one that wraps the whole 64-bit counter.
+    #[test]
+    fn four_block_core_carries_the_counter() {
+        four_block_core_matches_scalar_from::<8>([u32::MAX - 1, 0]);
+        four_block_core_matches_scalar_from::<12>([u32::MAX - 1, 7]);
+        four_block_core_matches_scalar_from::<20>([u32::MAX - 1, 0]);
+        four_block_core_matches_scalar_from::<12>([u32::MAX - 1, u32::MAX]);
+        let mut core = ChaChaCore::<12>::from_seed_u64(3);
+        core.state[12] = u32::MAX - 1;
+        core.refill();
+        assert_eq!(counter(&core.state), (1 << 32) + 2);
+    }
+
+    /// `next_u64` reads two words in place and spans a refill when only
+    /// one is left: both ways it returns the next two `u32`s, low first.
+    #[test]
+    fn u64_draws_are_word_pairs() {
+        let mut words = ChaCha12Rng::seed_from_u64(9);
+        let mut draws = ChaCha12Rng::seed_from_u64(9);
+        for skip in [0, 1] {
+            for _ in 0..skip {
+                assert_eq!(draws.next_u32(), words.next_u32());
+            }
+            for _ in 0..200 {
+                let lo = u64::from(words.next_u32());
+                let hi = u64::from(words.next_u32());
+                assert_eq!(draws.next_u64(), lo | (hi << 32));
+            }
+        }
     }
 
     fn first_40<R: SeedableRng + RngCore>(seed: u64) -> Vec<u32> {
