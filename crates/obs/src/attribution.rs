@@ -103,8 +103,9 @@ struct Track {
     gather_spans: Vec<(u64, u64)>,
     detour_open: Option<u64>,
     detour_spans: Vec<(u64, u64)>,
-    /// Open blocked episodes keyed by `(channel, vc)`.
-    open_blocks: Vec<(u32, u8, BlockClass)>,
+    /// Open blocked episodes keyed by `(channel, vc)`, each with its
+    /// index in `State::closed`.
+    open_blocks: Vec<(u32, u8, BlockClass, usize)>,
     /// Closed episodes of this flight: `(channel, start, end, class)`.
     episodes: Vec<(u32, u64, u64, BlockClass)>,
 }
@@ -247,7 +248,8 @@ impl SimObserver for AttributionObserver {
             Some(RouteChange::Normal) | None => BlockClass::Normal,
         };
         let holder_id = holder.map(|h| h.0);
-        s.track_mut(id).open_blocks.push((channel.0, vc, class));
+        let at = s.closed.len();
+        s.track_mut(id).open_blocks.push((channel.0, vc, class, at));
         // Remember the holder alongside, for the wall-clock episode list.
         s.closed.push(ClosedEpisode {
             ep: WaitEpisode {
@@ -264,26 +266,22 @@ impl SimObserver for AttributionObserver {
     fn on_unblocked(&mut self, id: PacketId, channel: ChannelId, vc: u8, waited: u64, now: u64) {
         let mut s = self.state.borrow_mut();
         let start = now - waited;
-        // Patch the matching open entry in the wall-clock list (the oldest
-        // open one for this key — the pairing contract guarantees at most
-        // one exists; see `mdx_sim::observer` module docs).
-        if let Some(c) = s
-            .closed
-            .iter_mut()
-            .find(|c| c.ep.waiter == id.0 && c.ep.channel == channel.0 && c.ep.start == u64::MAX)
-        {
-            c.ep.start = start;
-            c.ep.end = now;
-        }
+        // The pairing contract (see `mdx_sim::observer` module docs) keeps
+        // at most one episode open per key, so the key finds it.
         let t = s.track_mut(id);
-        if let Some(pos) = t
+        let Some(pos) = t
             .open_blocks
             .iter()
-            .position(|&(ch, v, _)| ch == channel.0 && v == vc)
-        {
-            let (ch, _, class) = t.open_blocks.swap_remove(pos);
-            t.episodes.push((ch, start, now, class));
-        }
+            .position(|&(ch, v, ..)| ch == channel.0 && v == vc)
+        else {
+            return;
+        };
+        let (ch, _, class, at) = t.open_blocks.swap_remove(pos);
+        t.episodes.push((ch, start, now, class));
+        // Close it in the wall-clock list too.
+        let ep = &mut s.closed[at].ep;
+        ep.start = start;
+        ep.end = now;
     }
 
     fn on_gather(&mut self, id: PacketId, _depth: usize, now: u64) {
