@@ -357,6 +357,10 @@ impl Scenario {
         }
         let faults = &wl_faults;
         let usable = |pe: usize| pe < n && faults.pe_usable(pe);
+        let drops_broadcasts = matches!(
+            self.scheme.as_str(),
+            "o1turn" | "hyperx-ft" | "fullmesh-vcfree" | "hypercube-avoid"
+        );
         let mut specs = match &self.workload {
             Workload::Mixed {
                 pattern,
@@ -373,7 +377,13 @@ impl Scenario {
                     window: *window,
                     seed: self.seed,
                 },
-                *broadcast_rate,
+                // The broadcast draws have a stream of their own, so not
+                // making the ones a scheme would drop moves no other draw.
+                if drops_broadcasts {
+                    0.0
+                } else {
+                    *broadcast_rate
+                },
                 faults,
             ),
             Workload::BroadcastStorm { sources, flits } => sources
@@ -459,9 +469,7 @@ impl Scenario {
                     }
                 }
             }
-            "o1turn" | "hyperx-ft" | "fullmesh-vcfree" | "hypercube-avoid" => {
-                specs.retain(|s| s.header.rc == RouteChange::Normal);
-            }
+            _ if drops_broadcasts => specs.retain(|s| s.header.rc == RouteChange::Normal),
             _ => {}
         }
         specs
