@@ -32,8 +32,11 @@ examples:
 	cargo run --release --example campaign_witness
 	cargo run --release --example attribution_report
 
+# The benchmark package is a workspace of its own (it builds against the
+# crates and shims by path), so `doc` and `lint` run on it separately.
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --manifest-path benchmark/Cargo.toml
 
 clippy:
 	cargo clippy --workspace --all-targets
@@ -41,6 +44,8 @@ clippy:
 lint:
 	cargo fmt --check
 	cargo clippy --workspace --all-targets -- -D warnings
+	cargo fmt --check --manifest-path benchmark/Cargo.toml
+	cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 
 # The full acceptance sweep: the paper scheme must be deadlock-free, the
 # broken variants must not be.
