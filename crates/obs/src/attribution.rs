@@ -103,9 +103,9 @@ struct Track {
     gather_spans: Vec<(u64, u64)>,
     detour_open: Option<u64>,
     detour_spans: Vec<(u64, u64)>,
-    /// Open blocked episodes keyed by `(channel, vc)`, each with its
-    /// index in `State::closed`.
-    open_blocks: Vec<(u32, u8, BlockClass, usize)>,
+    /// Open blocked episodes: each one's index in `State::closed` (which
+    /// holds its channel and class) and its lane.
+    open_blocks: Vec<(u32, u8)>,
     /// Closed episodes of this flight: `(channel, start, end, class)`.
     episodes: Vec<(u32, u64, u64, BlockClass)>,
 }
@@ -248,8 +248,8 @@ impl SimObserver for AttributionObserver {
             Some(RouteChange::Normal) | None => BlockClass::Normal,
         };
         let holder_id = holder.map(|h| h.0);
-        let at = s.closed.len();
-        s.track_mut(id).open_blocks.push((channel.0, vc, class, at));
+        let at = u32::try_from(s.closed.len()).expect("under 2^32 blocked episodes in one run");
+        s.track_mut(id).open_blocks.push((at, vc));
         // Remember the holder alongside, for the wall-clock episode list.
         s.closed.push(ClosedEpisode {
             ep: WaitEpisode {
@@ -266,22 +266,27 @@ impl SimObserver for AttributionObserver {
     fn on_unblocked(&mut self, id: PacketId, channel: ChannelId, vc: u8, waited: u64, now: u64) {
         let mut s = self.state.borrow_mut();
         let start = now - waited;
+        let State {
+            packets, closed, ..
+        } = &mut *s;
+        let Some(t) = packets.get_mut(id.idx()) else {
+            return;
+        };
         // The pairing contract (see `mdx_sim::observer` module docs) keeps
-        // at most one episode open per key, so the key finds it.
-        let t = s.track_mut(id);
+        // at most one episode open per `(channel, vc)` key, so the key
+        // finds it.
         let Some(pos) = t
             .open_blocks
             .iter()
-            .position(|&(ch, v, ..)| ch == channel.0 && v == vc)
+            .position(|&(at, v)| v == vc && closed[at as usize].ep.channel == channel.0)
         else {
             return;
         };
-        let (ch, _, class, at) = t.open_blocks.swap_remove(pos);
-        t.episodes.push((ch, start, now, class));
-        // Close it in the wall-clock list too.
-        let ep = &mut s.closed[at].ep;
-        ep.start = start;
-        ep.end = now;
+        let (at, _) = t.open_blocks.swap_remove(pos);
+        let c = &mut closed[at as usize];
+        c.ep.start = start;
+        c.ep.end = now;
+        t.episodes.push((channel.0, start, now, c.class));
     }
 
     fn on_gather(&mut self, id: PacketId, _depth: usize, now: u64) {
