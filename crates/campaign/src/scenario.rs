@@ -377,8 +377,8 @@ impl Scenario {
                     window: *window,
                     seed: self.seed,
                 },
-                // The broadcast draws have a stream of their own, so not
-                // making the ones a scheme would drop moves no other draw.
+                // A scheme that drops broadcasts gets none drawn: they
+                // have a stream of their own, so this moves no other draw.
                 if drops_broadcasts {
                     0.0
                 } else {

@@ -119,6 +119,18 @@ fn validation_catches_out_of_range_patterns() {
     assert_eq!(err.field, "pattern");
 }
 
+/// A spec built or decoded without `parse` can carry any rate: compiling
+/// it refuses one that is not a probability, naming the phase's line.
+#[test]
+fn compiling_refuses_a_rate_outside_0_1() {
+    let mut spec = StreamSpec::parse("seed 1\nphase 0..10 uniform rate=0.5").unwrap();
+    for rate in [1.5, -0.1, f64::NAN] {
+        spec.phases[0].rate = rate;
+        let err = spec.source(&shape(), &FaultSet::none(), 0).unwrap_err();
+        assert_eq!((err.line, err.field.as_str()), (2, "rate"), "{err}");
+    }
+}
+
 #[test]
 fn spec_error_display_is_actionable() {
     let err = StreamSpec::parse("phase 0..100 uniform rate=2.0").unwrap_err();

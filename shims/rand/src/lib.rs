@@ -37,7 +37,8 @@ pub trait SampleRange<T> {
 // Every integer type here is at most 64 bits wide, so a bound converts to
 // a `u64` offset losslessly (two's complement for the signed types) and
 // an exclusive range's span always fits in a `u64`. Only the whole
-// inclusive `u64` or `i64` range spans 2^64; there every draw is a value.
+// inclusive `u64` or `i64` range spans 2^64, and there the draw itself is
+// the offset.
 macro_rules! int_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for std::ops::Range<$t> {
@@ -118,13 +119,6 @@ pub mod distributions {
         fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> T;
     }
 
-    impl<T, D: Distribution<T> + ?Sized> Distribution<T> for &D {
-        #[inline]
-        fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> T {
-            (**self).sample(rng)
-        }
-    }
-
     /// A Bernoulli trial: `true` with probability `p`.
     ///
     /// [`Rng::gen_bool`] compares `(w >> 11) / 2^53` with `p` for a draw
@@ -152,8 +146,6 @@ pub mod distributions {
             f.write_str("probability outside [0, 1]")
         }
     }
-
-    impl std::error::Error for BernoulliError {}
 
     impl Bernoulli {
         /// The trial with success probability `p`.

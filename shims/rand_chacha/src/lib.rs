@@ -94,7 +94,7 @@ fn blocks4_scalar<const ROUNDS: usize>(state: &[u32; 16], out: &mut [u32; BUF_WO
 }
 
 /// Blocks `counter .. counter + 4` of `state` into `out`, block after
-/// block: the same words as [`blocks4_scalar`].
+/// block: the same words as `blocks4_scalar`.
 ///
 /// Each of the sixteen state words is one SSE2 vector whose lane `j`
 /// belongs to block `counter + j`, so a round is the scalar round on four
