@@ -85,12 +85,17 @@ reconfig-demo:
 
 # Small deterministic live-fault campaign: every single fault on 4x4x4
 # activates at cycle 40; reinject must lose nothing and every transition
-# must be free of mixed-epoch wait cycles.
+# must be free of mixed-epoch wait cycles. The same grid under reroute
+# pauses wounded visits in place and re-decides them after the reprogram.
 reconfig-smoke:
 	cargo run --release -p mdx-serve -- run --scheme sr2201 --shape 4x4x4 \
 		--max-faults 1 --seeds 1 --workloads fault-storm \
 		--timeline 40 --recovery reinject --fail-on-deadlock --fail-on-loss \
 		--jsonl reconfig-smoke.jsonl
+	cargo run --release -p mdx-serve -- run --scheme sr2201 --shape 4x4x4 \
+		--max-faults 1 --seeds 1 --workloads fault-storm \
+		--timeline 40 --recovery reroute --fail-on-deadlock --fail-on-loss \
+		--jsonl target/reconfig-smoke-reroute.jsonl
 
 # Deterministic attribution gate: the same faulted sweep attributed twice
 # must diff clean (zero flagged phase shifts) — the phase decomposition is

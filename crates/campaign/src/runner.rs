@@ -296,7 +296,10 @@ fn digest_of(result: &SimResult) -> String {
 /// The busiest channels of a run as `(description, flits crossed)`: by
 /// flits descending, then description, at most [`HOT_CHANNELS`] of them.
 /// Only channels whose count reaches the fifth-largest nonzero count are
-/// named, so a run names a handful of channels, not all of them.
+/// candidates. On a graph whose channel name order is built (a network
+/// [`run_rows`] shares builds it once), that order breaks the ties and only
+/// the kept channels are named; a lone row's own graph names its
+/// candidates instead, which costs less than ordering every channel.
 fn hot_channels(graph: &NetworkGraph, flits: &[u64]) -> Vec<(String, u64)> {
     let mut counts: Vec<u64> = flits.iter().copied().filter(|&f| f > 0).collect();
     let floor = if counts.len() > HOT_CHANNELS {
@@ -306,15 +309,18 @@ fn hot_channels(graph: &NetworkGraph, flits: &[u64]) -> Vec<(String, u64)> {
     } else {
         1
     };
-    let mut hot: Vec<(String, u64)> = flits
-        .iter()
-        .enumerate()
-        .filter(|(_, &f)| f >= floor)
-        .map(|(i, &f)| (graph.describe_channel(ChannelId(i as u32)), f))
-        .collect();
-    hot.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let candidates = (0..).zip(flits).filter(|&(_, &f)| f >= floor);
+    let name = |c: u32| graph.describe_channel(ChannelId(c));
+    let Some(rank) = graph.built_channel_name_rank() else {
+        let mut hot: Vec<(String, u64)> = candidates.map(|(c, &f)| (name(c), f)).collect();
+        hot.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        hot.truncate(HOT_CHANNELS);
+        return hot;
+    };
+    let mut hot: Vec<(u32, u64)> = candidates.map(|(c, &f)| (c, f)).collect();
+    hot.sort_unstable_by_key(|&(c, f)| (std::cmp::Reverse(f), rank[c as usize]));
     hot.truncate(HOT_CHANNELS);
-    hot
+    hot.into_iter().map(|(c, f)| (name(c), f)).collect()
 }
 
 /// Channels listed in [`ScenarioReport::hot_channels`].
@@ -1175,6 +1181,10 @@ impl SharedNetworks {
             return n.net.clone();
         }
         let net = s.network();
+        if let Ok(n) = &net {
+            // Every row on it breaks hot-channel ties by this order.
+            n.graph().channel_name_rank();
+        }
         nets.push(SharedNetwork {
             topology: s.topology.clone(),
             shape: s.shape.clone(),
@@ -1366,20 +1376,26 @@ mod tests {
         }
         flits[5] = 7;
         flits[60] = 1;
-        let hot = hot_channels(g, &flits);
-        assert_eq!(hot.len(), 5);
-        assert_eq!(hot, hot_channels_reference(g, &flits));
         // Fewer busy channels than slots, and none at all.
         let mut sparse = vec![0u64; n];
         sparse[9] = 4;
         sparse[1] = 4;
         sparse[30] = 2;
-        assert_eq!(hot_channels(g, &sparse), hot_channels_reference(g, &sparse));
-        assert_eq!(hot_channels(g, &sparse).len(), 3);
-        assert!(hot_channels(g, &vec![0; n]).is_empty());
         // Every count distinct.
         let ramp: Vec<u64> = (0..n as u64).map(|i| (i * 37) % 101).collect();
-        assert_eq!(hot_channels(g, &ramp), hot_channels_reference(g, &ramp));
+        // A lone row's graph names its candidates; a shared one has its
+        // channel name order built.
+        for built in [false, true] {
+            assert_eq!(g.built_channel_name_rank().is_some(), built);
+            let hot = hot_channels(g, &flits);
+            assert_eq!(hot.len(), 5);
+            assert_eq!(hot, hot_channels_reference(g, &flits));
+            assert_eq!(hot_channels(g, &sparse), hot_channels_reference(g, &sparse));
+            assert_eq!(hot_channels(g, &sparse).len(), 3);
+            assert!(hot_channels(g, &vec![0; n]).is_empty());
+            assert_eq!(hot_channels(g, &ramp), hot_channels_reference(g, &ramp));
+            g.channel_name_rank();
+        }
     }
 
     #[test]

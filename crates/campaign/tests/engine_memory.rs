@@ -21,18 +21,24 @@
 //!   per-hop state.
 //!
 //! That is [`RECORDS`], 236 B. Broadcasts add 63 more deliveries each but
-//! are about one packet in 25. The per-hop state (a visit per switch a
-//! packet crosses, with its branch list, and the port queues) is not a
-//! per-packet record, but on these rows it grows with the window: the rate
-//! overloads the network, so sources queue injection visits for as long as
-//! traffic is offered. At its peak it holds about 0.4 KB per offered
-//! packet, and the row's fixed costs (network, scheme, port tables) about
-//! 50 B more at a 400-cycle window. [`PER_HOP`] allows both with a quarter
-//! to spare, and [`BOUND`] adds it to the records. Measured in the test
-//! profile: these rows peak at 0.58–0.70 KB per offered packet, while the
-//! engine that copied the schedule, grew its records by doubling and
-//! cloned every delivery list into the result held 0.95–1.08 KB, and one
-//! that keeps every visit of the run 2.9 KB.
+//! are about one packet in 25. The per-hop state (an 80 B visit slot per
+//! switch a packet holds, with its branch list, and the port queues) is
+//! not a per-packet record, but on these rows part of it grows with the
+//! window: the rate overloads the network, so due packets wait at their
+//! sources for as long as traffic is offered. A waiting packet holds a
+//! pending injection (88 B), its port request (16 B) and its live-list
+//! entry (16 B). At its peak the per-hop state and the row's fixed costs
+//! (network, scheme, port tables) come to about 0.28 KB per offered packet
+//! at a 400-cycle window. [`PER_HOP`] allows that with a quarter to spare,
+//! and [`BOUND`] adds it to the records. Measured in the test profile:
+//! these rows peak at 492, 514 and 372 B per offered packet (release: 490,
+//! 512 and 369 B). The engine that kept a completed visit's slot until its
+//! live list was compacted, copied each header into its visit and gave
+//! every waiting packet a 120 B visit slot and a branch list peaked at
+//! 654, 689 and 572 B (release); the one before that, which copied the
+//! schedule, grew its records by doubling and cloned every delivery list
+//! into the result, at 0.95–1.08 KB; and one that keeps every visit of the
+//! run at 2.9 KB.
 
 use mdx_campaign::{run_scenario, Scenario, Workload};
 use mdx_sim::PacketResult;
@@ -90,8 +96,8 @@ static ALLOC: Counting = Counting;
 const RECORDS: usize = 136 + 16 + 4 + std::mem::size_of::<PacketResult>();
 
 /// Room per offered packet for the per-hop state at its peak and the row's
-/// fixed costs: 0.45 KB and a quarter.
-const PER_HOP: usize = 576;
+/// fixed costs: 0.28 KB and a quarter.
+const PER_HOP: usize = 350;
 
 /// Peak heap allowed per offered packet.
 const BOUND: usize = RECORDS + PER_HOP;

@@ -2,7 +2,7 @@
 //! reprogramming. Driven by the `mdx-reconfig` epoch controller; inert
 //! (zero-cost fast paths) on a static run.
 
-use super::{Simulator, VKind, VictimMode};
+use super::{BranchState, Simulator, VKind, VictimMode, PENDING};
 use crate::observer::EpochPhase;
 use crate::result::{EngineDiagnostic, InjectSpec, PacketId};
 use mdx_core::{DropReason, Scheme};
@@ -89,14 +89,9 @@ impl Simulator {
         }
     }
 
-    /// Whether a forward kind routes into a currently-dead channel.
-    pub(super) fn kind_hits_dead_channel(&self, kind: &VKind) -> bool {
-        match kind {
-            VKind::Forward { branches, .. } => {
-                branches.iter().any(|b| self.dead_channels[b.channel.idx()])
-            }
-            VKind::Sink { .. } => false,
-        }
+    /// Whether a fan routes into a currently-dead channel.
+    pub(super) fn hits_dead_channel(&self, branches: &[BranchState]) -> bool {
+        branches.iter().any(|b| self.dead_channels[b.channel.idx()])
     }
 
     /// Applies a fault set mid-run: recomputes the dead node/channel maps
@@ -126,29 +121,25 @@ impl Simulator {
         // region, or wounded somewhere pause semantics cannot reach).
         let mut must_abort: BTreeSet<u32> = BTreeSet::new();
         let mut pausable_visits: Vec<u32> = Vec::new();
-        for &vi in &self.active {
-            let v = &self.visits[vi as usize];
-            if v.complete {
+        for e in self.live_entries() {
+            let packet = e.packet();
+            if self.dead_nodes[e.at().0 as usize] {
+                victims.insert(packet);
+                must_abort.insert(packet);
                 continue;
             }
-            if self.dead_nodes[v.at.0 as usize] {
-                victims.insert(v.packet);
-                must_abort.insert(v.packet);
-                continue;
-            }
-            if v.paused {
+            if e.paused() {
                 continue; // still parked at a live switch; redecide later
             }
-            if let VKind::Forward { branches, .. } = &v.kind {
-                if !self.kind_hits_dead_channel(&v.kind) {
-                    continue;
-                }
-                victims.insert(v.packet);
-                if branches.iter().any(|b| b.crossed > 0) {
-                    must_abort.insert(v.packet);
-                } else {
-                    pausable_visits.push(vi);
-                }
+            let branches = e.branches();
+            if !self.hits_dead_channel(branches) {
+                continue;
+            }
+            victims.insert(packet);
+            if branches.iter().any(|b| b.crossed > 0) {
+                must_abort.insert(packet);
+            } else {
+                pausable_visits.push(e.id());
             }
         }
         if let Some(sn) = self.serial_node {
@@ -167,10 +158,9 @@ impl Simulator {
                 }
             }
             VictimMode::Pause => {
-                for vi in pausable_visits {
-                    let p = self.visits[vi as usize].packet;
-                    if !must_abort.contains(&p) {
-                        self.pause_visit(vi);
+                for id in pausable_visits {
+                    if !must_abort.contains(&self.packet_of(id)) {
+                        self.pause_visit(id);
                     }
                 }
                 for &p in &must_abort {
@@ -228,8 +218,15 @@ impl Simulator {
     /// claims (nothing has streamed, so no flits move) while it keeps its
     /// input buffer — the transient old-epoch hold the transition-safety
     /// checker watches. [`Simulator::redecide_paused`] revives it. The visit
-    /// stays live, so its slot stays in use.
-    fn pause_visit(&mut self, vi: u32) {
+    /// stays live, so its slot stays in use; a pending injection takes one
+    /// here.
+    fn pause_visit(&mut self, id: u32) {
+        if id >= PENDING {
+            self.withdraw_pending(id);
+            self.admit_pending(id, true);
+            return;
+        }
+        let vi = id;
         let released_runs = self.withdraw_ports(vi);
         let packet = self.visits[vi as usize].packet;
         self.packets[packet as usize].open -= released_runs;
@@ -245,11 +242,20 @@ impl Simulator {
         v.paused = true;
     }
 
+    /// Withdraws pending injection `id`'s request from its port.
+    fn withdraw_pending(&mut self, id: u32) {
+        let p = self.pending[(id - PENDING) as usize]
+            .as_ref()
+            .expect("a withdrawn pending injection is live");
+        let port = self.port(p.branch.channel, p.branch.vc);
+        self.chan_requests[port].retain(|&(v, _, _)| v != id);
+    }
+
     /// Evacuates a wounded packet: flushes its flits from every buffer,
     /// releases every port it holds or wants, and settles it as
     /// [`DropReason::FaultVictim`]. The recovery policy may later replay
     /// it via [`Simulator::reschedule_packet`].
-    fn abort_packet(&mut self, pid: u32) {
+    pub(super) fn abort_packet(&mut self, pid: u32) {
         if self.packets[pid as usize].finished_at.is_some() {
             return;
         }
@@ -258,31 +264,43 @@ impl Simulator {
         // The packet's open elements this releases: queue slots, live
         // visits and resident runs.
         let mut released = (before - self.serial_queue.len()) as u32;
-        if let Some(ea) = self.emission_active {
+        if let Some((ea, _)) = self.emission_active {
             if self.visits[ea as usize].packet == pid {
                 self.emission_active = None;
             }
         }
-        // `active` holds every live visit, in creation order; skip the rest.
+        // `active` holds every live visit and pending injection, in
+        // creation order; skip the rest.
         for i in 0..self.active.len() {
-            let vi = self.active[i];
-            let v = &self.visits[vi as usize];
-            if v.packet != pid || v.complete {
+            let Some(e) = self.live(self.active[i]) else {
+                continue;
+            };
+            if e.packet() != pid {
                 continue;
             }
-            if let Some(p) = v.in_port {
+            let id = e.id();
+            released += 1;
+            if id >= PENDING {
+                self.withdraw_pending(id);
+                self.take_pending(id);
+                continue;
+            }
+            let vi = id;
+            if let Some(p) = self.visits[vi as usize].in_port {
                 if self.chan_downstream[p as usize] == Some(vi) {
                     self.chan_downstream[p as usize] = None;
                 }
             }
-            released += 1 + self.withdraw_ports(vi);
+            released += self.withdraw_ports(vi);
             let v = &mut self.visits[vi as usize];
             v.complete = true;
             v.paused = false;
+            if v.releasable() {
+                self.free.push(vi);
+            }
         }
         // Flush the runs of the packet's completed visits from every
-        // buffer, releasing the slots that `active` no longer lists as
-        // their last run goes; compaction below releases the rest.
+        // buffer, releasing each slot as its last run goes.
         let (visits, free) = (&mut self.visits, &mut self.free);
         for runs in &mut self.chan_resident {
             let before = runs.len();
@@ -343,18 +361,15 @@ impl Simulator {
     /// arbitration. Returns how many visits were revived.
     pub fn redecide_paused(&mut self) -> usize {
         let paused: Vec<u32> = self
-            .active
-            .iter()
-            .copied()
-            .filter(|&vi| {
-                let v = &self.visits[vi as usize];
-                v.paused && !v.complete
-            })
+            .live_entries()
+            .filter(|e| e.paused())
+            .map(|e| e.id())
             .collect();
         for &vi in &paused {
-            let (packet, at, in_port, header) = {
+            let header = self.visit_header(vi);
+            let (packet, at, in_port) = {
                 let v = &self.visits[vi as usize];
-                (v.packet, v.at, v.in_port, v.header)
+                (v.packet, v.at, v.in_port)
             };
             let kind = if self.any_dead && self.dead_nodes[at.0 as usize] {
                 // The switch itself died while the visit was parked there:
@@ -363,7 +378,7 @@ impl Simulator {
                 VKind::dropped(DropReason::FaultVictim)
             } else {
                 let kind = self.decide(packet, at, in_port, &header);
-                if self.any_dead && self.kind_hits_dead_channel(&kind) {
+                if self.any_dead && self.hits_dead_channel(kind.branches()) {
                     // Still routed into the dead region under the new
                     // function — the detour cannot help; evacuate.
                     self.log_victim(packet);

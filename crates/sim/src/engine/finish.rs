@@ -16,11 +16,11 @@ impl Simulator {
     /// maps to [`SimOutcome::CycleLimit`] / [`SimOutcome::Stalled`].
     ///
     /// The engine is finished after this call. It frees its per-hop state
-    /// (visit slots and their branch lists, the live and moving lists,
-    /// request and resident queues, the S-XB queue, the injection order)
-    /// before it builds the result, and it moves each packet's delivery list
-    /// into [`SimResult::packets`]. The run-level readings stay:
-    /// [`Simulator::now`], [`Simulator::channel_flits`],
+    /// (visit slots and their branch lists, pending injections, the live
+    /// and moving lists, request and resident queues, the S-XB queue, the
+    /// injection order) before it builds the result, and it moves each
+    /// packet's delivery list into [`SimResult::packets`]. The run-level
+    /// readings stay: [`Simulator::now`], [`Simulator::channel_flits`],
     /// [`Simulator::lane_flits`] and [`Simulator::source_offered`]. Running
     /// or finalizing it again, or asking it about a packet, is a logic
     /// error.
@@ -58,6 +58,8 @@ impl Simulator {
         self.seq = Vec::new();
         self.free = Vec::new();
         self.spare_branches = Vec::new();
+        self.pending = Vec::new();
+        self.pending_free = Vec::new();
         self.active = Vec::new();
         self.active_done = 0;
         self.moving = Vec::new();

@@ -21,8 +21,9 @@
 //!
 //! This module holds the types, the public API and the run loop; `step`
 //! one function per pass and the routing decision every visit takes;
-//! `storage` the visit slots; `epoch` live reconfiguration; `audit` the
-//! debug builds' end-of-step recount; `finish` the end of a run.
+//! `storage` the visit slots and pending injections; `epoch` live
+//! reconfiguration; `audit` the debug builds' end-of-step recount;
+//! `finish` the end of a run.
 
 #[cfg(debug_assertions)]
 mod audit;
@@ -210,10 +211,10 @@ struct Visit {
     /// Port (channel lane) whose buffer feeds this visit (`None` for
     /// injection and S-XB emission, which read from local memory).
     in_port: Option<u32>,
-    /// The upstream (visit, branch) writing into `in_channel`.
+    /// The upstream (visit, branch) writing into `in_channel`. Its branch
+    /// carries the header as it arrived at this switch (see
+    /// [`Simulator::visit_header`]).
     up_run: Option<(u32, u32)>,
-    /// Header as it arrived at this switch.
-    header: Header,
     total: usize,
     kind: VKind,
     complete: bool,
@@ -225,9 +226,25 @@ struct Visit {
     paused: bool,
     /// This visit's runs still resident in downstream buffers.
     runs: u32,
-    /// Listed in `active`.
-    listed: bool,
 }
+
+/// A due packet waiting at its source PE for its first port: the
+/// injection-time decision (one branch, not yet granted) and the creation
+/// sequence its visit takes at the grant (see the `storage` module).
+#[derive(Debug, Clone)]
+struct Pending {
+    packet: u32,
+    /// The source PE's switch.
+    at: NodeId,
+    seq: u64,
+    /// Reconfiguration epoch of the injection decision.
+    epoch: u32,
+    branch: BranchState,
+}
+
+/// Port requests and `active` entries name a visit slot below this tag
+/// and the pending injection `id - PENDING` at or above it.
+const PENDING: u32 = 1 << 31;
 
 /// The engine's always-on self-profiling counters (see [`EngineProfile`]).
 ///
@@ -311,7 +328,7 @@ pub struct Simulator {
     /// source.
     source_next: Option<u64>,
 
-    /// Visit slots, live and released (see *Storage* in the module docs).
+    /// Visit slots, live and released (see the `storage` module).
     visits: Vec<Visit>,
     /// Creation sequence of each slot's visit: the engine's one visit order.
     seq: Vec<u64>,
@@ -322,10 +339,16 @@ pub struct Simulator {
     /// Cleared branch lists of overwritten forward slots, for the next
     /// forward decisions.
     spare_branches: Vec<Vec<BranchState>>,
-    /// Slots of every live visit in creation order, plus completed ones not
-    /// yet compacted away; readers skip the completed entries.
-    active: Vec<u32>,
-    /// Completed entries in `active`. A step compacts `active` once they
+    /// Injections waiting for their first port (`None`: a free entry).
+    pending: Vec<Option<Pending>>,
+    /// Free entries of `pending`, reused last-in first-out.
+    pending_free: Vec<u32>,
+    /// (id, creation sequence) of every live visit and pending injection,
+    /// in creation order, plus dead entries not yet compacted away: their
+    /// visit completed, or their slot or pending entry now holds another.
+    /// Readers skip the dead entries ([`Simulator::live`]).
+    active: Vec<(u32, u64)>,
+    /// Dead entries in `active`. A step compacts `active` once they
     /// outnumber the live entries, so it stays within twice the live
     /// visits.
     active_done: usize,
@@ -360,7 +383,9 @@ pub struct Simulator {
     chan_last_vc: Vec<u8>,
 
     serial_queue: VecDeque<(u32, Header)>,
-    emission_active: Option<u32>,
+    /// The S-XB's current emission: its visit, and the gathered header it
+    /// re-emits, which a re-decision reads if a fault pauses it.
+    emission_active: Option<(u32, Header)>,
 
     now: u64,
     last_progress: u64,
@@ -425,6 +450,8 @@ impl Simulator {
             next_seq: 0,
             free: Vec::new(),
             spare_branches: Vec::new(),
+            pending: Vec::new(),
+            pending_free: Vec::new(),
             active: Vec::new(),
             active_done: 0,
             vcs,
@@ -705,28 +732,25 @@ impl Simulator {
     /// [`SimObserver::on_probe`] / [`SimObserver::on_final_waits`].
     pub fn wait_snapshot(&self) -> Vec<WaitSnapshot> {
         let mut waits = Vec::new();
-        for &vi in &self.active {
-            let v = &self.visits[vi as usize];
-            if v.complete || v.paused {
+        for e in self.live_entries() {
+            if e.paused() {
                 continue; // paused visits request nothing
             }
-            if let VKind::Forward { branches, .. } = &v.kind {
-                for b in branches {
-                    if b.granted {
-                        continue;
-                    }
-                    let port = self.port(b.channel, b.vc);
-                    let owner = self.chan_owner[port];
-                    waits.push(WaitSnapshot {
-                        waiter: PacketId(v.packet),
-                        holder: owner.map(|(ovi, _)| PacketId(self.visits[ovi as usize].packet)),
-                        channel: b.channel,
-                        vc: b.vc,
-                        since: b.blocked_since.unwrap_or(self.now),
-                        epoch: v.epoch,
-                        holder_epoch: owner.map(|(ovi, _)| self.visits[ovi as usize].epoch),
-                    });
+            for b in e.branches() {
+                if b.granted {
+                    continue;
                 }
+                let port = self.port(b.channel, b.vc);
+                let owner = self.chan_owner[port];
+                waits.push(WaitSnapshot {
+                    waiter: PacketId(e.packet()),
+                    holder: owner.map(|(ovi, _)| PacketId(self.visits[ovi as usize].packet)),
+                    channel: b.channel,
+                    vc: b.vc,
+                    since: b.blocked_since.unwrap_or(self.now),
+                    epoch: e.epoch(),
+                    holder_epoch: owner.map(|(ovi, _)| self.visits[ovi as usize].epoch),
+                });
             }
         }
         waits
@@ -748,10 +772,7 @@ impl Simulator {
     pub fn idle(&self) -> bool {
         self.serial_queue.is_empty()
             && self.emission_active.is_none()
-            && self.active.iter().all(|&vi| {
-                let v = &self.visits[vi as usize];
-                v.complete || v.paused
-            })
+            && self.live_entries().all(|e| e.paused())
     }
 
     /// Advances the simulation until a stopping condition.
@@ -1287,7 +1308,7 @@ mod tests {
                 break found;
             }
         };
-        assert!(sim.visits[vi as usize].listed && !sim.visits[vi as usize].complete);
+        assert!(sim.live((vi, sim.seq[vi as usize])).is_some());
         sim.activate_faults(&faults);
         assert!(
             sim.visits[vi as usize].paused,
@@ -1300,6 +1321,225 @@ mod tests {
         // Debug builds audit every list at the end of the next step.
         let stop = sim.now() + 1;
         sim.run_phase(Some(stop), false);
+    }
+
+    /// A live visit or pending injection as a scan of the slots and
+    /// pending entries finds it.
+    struct Scanned {
+        seq: u64,
+        packet: u32,
+        at: NodeId,
+        paused: bool,
+        /// None while paused.
+        branches: Vec<BranchState>,
+    }
+
+    /// Every live visit and pending injection, in creation order.
+    fn live_by_scan(sim: &Simulator) -> Vec<Scanned> {
+        let visits = sim.visits.iter().enumerate().filter(|(_, v)| !v.complete);
+        let mut live: Vec<Scanned> = visits
+            .map(|(vi, v)| Scanned {
+                seq: sim.seq[vi],
+                packet: v.packet,
+                at: v.at,
+                paused: v.paused,
+                branches: v.kind.branches().to_vec(),
+            })
+            .chain(sim.pending.iter().flatten().map(|p| Scanned {
+                seq: p.seq,
+                packet: p.packet,
+                at: p.at,
+                paused: false,
+                branches: vec![p.branch.clone()],
+            }))
+            .collect();
+        live.sort_unstable_by_key(|l| l.seq);
+        live
+    }
+
+    /// [`Simulator::idle`] by the scan.
+    fn idle_by_scan(sim: &Simulator) -> bool {
+        sim.serial_queue.is_empty()
+            && sim.emission_active.is_none()
+            && live_by_scan(sim).iter().all(|l| l.paused)
+    }
+
+    /// A slot is released once its visit completes and drains, so it can
+    /// hold a later visit while `active` still lists the earlier one. The
+    /// readers of `active` take each live visit and pending injection
+    /// once, in creation order, and none of them reads the later visit
+    /// through the earlier one's entry.
+    #[test]
+    fn readers_of_active_skip_entries_whose_slot_holds_a_later_visit() {
+        let net = fig2();
+        let mut sim = sim_with(&net, SimConfig::default());
+        for t in 0..40 {
+            for src in 0..12 {
+                let dst = (src + 1 + (5 * t + 7 * src) % 11) % 12;
+                sim.schedule(spec(&net, src, dst, 8, t as u64));
+            }
+        }
+        sim.set_victim_mode(VictimMode::Pause);
+        sim.prepare();
+        // Step until a stale entry names a slot whose live visit waits for
+        // a port.
+        let vi = loop {
+            let stop = sim.now() + 1;
+            assert_eq!(
+                sim.run_phase(Some(stop), false),
+                PhaseEnd::ReachedCycle,
+                "no slot was reused while active still listed its earlier visit"
+            );
+            let reused = sim.active.iter().find_map(|&(vi, seq)| {
+                let v = sim.visits.get(vi as usize)?;
+                let waits = !v.paused && v.kind.branches().iter().any(|b| !b.granted);
+                (sim.seq[vi as usize] != seq && !v.complete && waits).then_some(vi)
+            });
+            if let Some(vi) = reused {
+                break vi;
+            }
+        };
+        let live = live_by_scan(&sim);
+        let listed: Vec<(u64, u32)> = sim
+            .active
+            .iter()
+            .filter_map(|&(id, seq)| sim.live((id, seq)).map(|e| (seq, e.packet())))
+            .collect();
+        let scanned: Vec<(u64, u32)> = live.iter().map(|l| (l.seq, l.packet)).collect();
+        assert_eq!(listed, scanned, "active lists each live visit once");
+        let waits: Vec<(PacketId, ChannelId, u8)> = sim
+            .wait_snapshot()
+            .iter()
+            .map(|w| (w.waiter, w.channel, w.vc))
+            .collect();
+        let expected: Vec<(PacketId, ChannelId, u8)> = live
+            .iter()
+            .flat_map(|l| {
+                l.branches
+                    .iter()
+                    .filter(|b| !b.granted)
+                    .map(|b| (PacketId(l.packet), b.channel, b.vc))
+            })
+            .collect();
+        assert_eq!(waits, expected, "wait snapshot");
+        assert!(!sim.idle(), "live visits are in flight");
+
+        // Fail the switch the reused slot's visit wants next (or, for a
+        // sink, its own): the victims are the live packets that touch it.
+        let v = &sim.visits[vi as usize];
+        let node = match v.kind.branches().first() {
+            Some(b) => sim.graph.channel(b.channel).dst,
+            None => v.at,
+        };
+        let faults = FaultSet::single(match sim.graph.node(node) {
+            Node::Pe(p) => FaultSite::Pe(p),
+            Node::Router(r) => FaultSite::Router(r),
+            Node::Xbar(x) => FaultSite::Xbar(x),
+        });
+        let dead = |n: NodeId| faults.disables(sim.graph.node(n));
+        let mut victims: Vec<PacketId> = live
+            .iter()
+            .filter(|l| {
+                dead(l.at)
+                    || l.branches.iter().any(|b| {
+                        let c = sim.graph.channel(b.channel);
+                        dead(c.src) || dead(c.dst)
+                    })
+            })
+            .map(|l| PacketId(l.packet))
+            .collect();
+        if sim.serial_node.is_some_and(dead) {
+            victims.extend(sim.serial_queue.iter().map(|&(p, _)| PacketId(p)));
+        }
+        victims.sort_unstable();
+        victims.dedup();
+        let packet = sim.visits[vi as usize].packet;
+        assert_eq!(sim.activate_faults(&faults), victims, "fault victims");
+        assert!(sim.diagnostics.is_empty(), "{:?}", sim.diagnostics);
+        assert_eq!(sim.idle(), idle_by_scan(&sim));
+
+        // Evacuate the reused slot's packet if the fault spared it, and a
+        // packet still waiting at its source.
+        let waiting = sim.pending.iter().flatten().next().map(|p| p.packet);
+        for packet in [Some(packet), waiting].into_iter().flatten() {
+            if sim.packet_finished_at(PacketId(packet)).is_none() {
+                sim.abort_packet(packet);
+            }
+            assert!(sim.diagnostics.is_empty(), "{:?}", sim.diagnostics);
+            assert!(
+                live_by_scan(&sim).iter().all(|l| l.packet != packet),
+                "the aborted packet keeps a live visit"
+            );
+            let mut requests = sim.chan_requests.iter().flatten();
+            assert!(
+                requests.all(|&(id, _, _)| sim.packet_of(id) != packet),
+                "the aborted packet still requests a port"
+            );
+        }
+        // Fault activation recounts the buffer credits its aborts change;
+        // the same faults again wound nothing new.
+        assert!(sim.activate_faults(&faults).is_empty());
+        // Debug builds audit every list and slot at the end of each step.
+        let stop = sim.now() + 1;
+        sim.run_phase(Some(stop), false);
+    }
+
+    /// A fault that wounds the S-XB's emission before any flit crossed
+    /// pauses it, and the re-decision at the S-XB, which has no input
+    /// channel, drops it. Completing as a drop must free the S-XB for the
+    /// next gathered broadcast.
+    #[test]
+    fn a_re_decided_emission_that_drops_frees_the_sxb() {
+        let net = fig2();
+        let mut sim = sim_with(&net, SimConfig::default());
+        let shape = net.shape().clone();
+        for t in 0..60 {
+            for src in 0..12 {
+                let c = shape.coord_of(src);
+                let header = if (t + src) % 5 == 0 {
+                    Header::broadcast_request(c)
+                } else {
+                    Header::unicast(c, shape.coord_of((src + 1 + 7 * t) % 12))
+                };
+                sim.schedule(InjectSpec {
+                    src_pe: src,
+                    header,
+                    flits: 8,
+                    inject_at: t as u64,
+                });
+            }
+        }
+        sim.set_victim_mode(VictimMode::Pause);
+        sim.prepare();
+        // Step until the emission waits for a port to a router.
+        let (ea, faults) = loop {
+            let stop = sim.now() + 1;
+            assert_eq!(sim.run_phase(Some(stop), false), PhaseEnd::ReachedCycle);
+            let Some((ea, _)) = sim.emission_active else {
+                continue;
+            };
+            let branches = sim.visits[ea as usize].kind.branches();
+            if branches.iter().any(|b| b.crossed > 0) {
+                continue;
+            }
+            let waiting = branches.iter().find(|b| !b.granted).map(|b| b.channel);
+            if let Some(Node::Router(r)) =
+                waiting.map(|ch| sim.graph.node(sim.graph.channel(ch).dst))
+            {
+                break (ea, FaultSet::single(FaultSite::Router(r)));
+            }
+        };
+        sim.activate_faults(&faults);
+        assert!(
+            sim.visits[ea as usize].paused,
+            "the emission was not paused"
+        );
+        sim.begin_epoch();
+        let scheme = Sr2201Routing::new(net.clone(), &faults).expect("one router fault configures");
+        sim.set_scheme(Arc::new(scheme));
+        sim.redecide_paused();
+        assert_eq!(sim.run_phase(None, false), PhaseEnd::Completed);
+        assert!(sim.emission_active.is_none() && sim.serial_queue.is_empty());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! * **Arbitration** — a port is arbitrated only after a request is queued
 //!   on it or its owner leaves; every other port with queued requests is
-//!   still held.
+//!   still held. A due packet's first request comes from its pending
+//!   injection, which becomes a visit at the grant.
 //! * **Moving visits** — only live, unpaused sinks and streaming forwards
 //!   can move. A forward joins at the grant that completes its port set.
 //!   Collecting moves is the one pass over this list.
@@ -21,16 +22,20 @@
 //!   buffer: one in per flit crossing, one out per flit its front consumer
 //!   drains.
 //! * **Live visits** — the list the deadlock analysis, wait snapshots,
-//!   fault activation and [`Simulator::idle`] walk keeps completed entries
-//!   until they outnumber the live ones, then drops them in one pass; its
-//!   readers skip them. A step with completions does not scan every live
+//!   fault activation and [`Simulator::idle`] walk holds every live visit
+//!   and pending injection. It keeps dead entries (a completed visit's, or
+//!   one whose slot now holds a later visit) until they outnumber the live
+//!   ones, then drops them in one pass; its readers skip them, and no slot
+//!   waits for that pass. A step with completions does not scan every live
 //!   visit.
 //!
 //! Each pass below names the invariant it leaves for the next, which debug
 //! builds check against a full recount at the end of every step (the
 //! `audit` module).
 
-use super::{BranchState, Simulator, SinkKind, StepEffect, StepScratch, VKind, VictimMode};
+use super::{
+    BranchState, Simulator, SinkKind, StepEffect, StepScratch, VKind, VictimMode, PENDING,
+};
 use crate::result::{EngineDiagnostic, PacketId};
 use mdx_core::{Action, Branch, DropReason, Header, RouteChange};
 use mdx_topology::{ChannelId, Node, NodeId};
@@ -66,7 +71,8 @@ impl Simulator {
 
     /// Pass 1: injects the packets due this cycle while the gate is open; a
     /// packet whose source PE died settles as a fault victim. Leaves each
-    /// injection visit listed as [`Simulator::install_visit`] lists visits.
+    /// injection decision listed: a fan of one branch as a pending
+    /// injection that requests its port, any other as a visit.
     fn inject(&mut self) -> StepEffect {
         let mut effect = StepEffect::Fixed;
         while self.injection_open && self.next_inject < self.inject_order.len() {
@@ -94,7 +100,7 @@ impl Simulator {
             for obs in &mut self.observers {
                 obs.on_inject(PacketId(pidx), &spec, self.now);
             }
-            self.create_visit(pidx, at, None, None, spec.header);
+            self.create_visit(pidx, at, None, None, &spec.header);
             effect = effect.max(StepEffect::Changed);
         }
         effect
@@ -123,7 +129,7 @@ impl Simulator {
             let header = branch.header;
             let packet = self.visits[run.0 as usize].packet;
             let at = self.graph.channel(ChannelId((pu / self.vcs) as u32)).dst;
-            self.create_visit(packet, at, Some(port), Some(run), header);
+            self.create_visit(packet, at, Some(port), Some(run), &header);
             effect = StepEffect::Changed;
         }
         heads.clear();
@@ -155,14 +161,14 @@ impl Simulator {
         // An emission fan touching a dead component cannot be paused
         // (re-emission is the S-XB's job, not a switch re-decision): flush
         // it and let the policy replay it.
-        if self.any_dead && self.kind_hits_dead_channel(&kind) {
+        if self.any_dead && self.hits_dead_channel(kind.branches()) {
             self.log_victim(pidx);
             kind = VKind::dropped(DropReason::FaultVictim);
         }
         let is_forward = matches!(kind, VKind::Forward { .. });
-        let vi = self.install_visit(pidx, serial, None, None, header, kind, false);
+        let vi = self.install_visit(pidx, serial, None, None, kind, false);
         if is_forward {
-            self.emission_active = Some(vi);
+            self.emission_active = Some((vi, header));
         }
         // The queue slot is closed either way.
         self.packets[pidx as usize].open -= 1;
@@ -186,14 +192,13 @@ impl Simulator {
                 let winner = self.chan_requests[pu]
                     .iter()
                     .enumerate()
-                    .min_by_key(|&(_, &(vidx, _, cycle))| {
-                        let packet = self.visits[vidx as usize].packet;
-                        (cycle, arb_hash(seed, port, packet))
+                    .min_by_key(|&(_, &(id, _, cycle))| {
+                        (cycle, arb_hash(seed, port, self.packet_of(id)))
                     })
-                    .map(|(i, &(vidx, _, _))| (i, self.visits[vidx as usize].packet));
+                    .map(|(i, &(id, _, _))| (i, self.packet_of(id)));
                 if let Some((i, winner_packet)) = winner {
                     effect = StepEffect::Changed;
-                    let Some((vidx, bidx, _)) = self.chan_requests[pu].remove(i) else {
+                    let Some((id, bidx, _)) = self.chan_requests[pu].remove(i) else {
                         // Unreachable by construction — the winner index came
                         // from enumerating this very queue — but a panic here
                         // would cut an abnormal run's post-mortem short, so
@@ -206,7 +211,7 @@ impl Simulator {
                         });
                         continue;
                     };
-                    self.grant(pu, vidx, bidx);
+                    self.grant(pu, id, bidx);
                 }
             }
             if !self.observers.is_empty() && self.mark_blocked(pu) {
@@ -219,11 +224,17 @@ impl Simulator {
         effect
     }
 
-    /// Gives port `pu` to branch `bidx` of forward `vidx`. The run it starts
+    /// Gives port `pu` to branch `bidx` of request `id`, a forward or a
+    /// pending injection, which becomes its visit here. The run it starts
     /// holds the packet open and the slot in use until it drains downstream
     /// (pass 8), so a packet never looks finished while its flits queue
     /// behind another packet's run. A fan streams once it holds every port.
-    fn grant(&mut self, pu: usize, vidx: u32, bidx: u32) {
+    fn grant(&mut self, pu: usize, id: u32, bidx: u32) {
+        let vidx = if id >= PENDING {
+            self.admit_pending(id, false)
+        } else {
+            id
+        };
         self.chan_owner[pu] = Some((vidx, bidx));
         self.chan_resident[pu].push_back((vidx, bidx));
         let v = &mut self.visits[vidx as usize];
@@ -260,24 +271,22 @@ impl Simulator {
     /// episode, for the observers; returns whether any was newly marked.
     fn mark_blocked(&mut self, pu: usize) -> bool {
         let holder = self.chan_owner[pu].map(|(ovi, _)| PacketId(self.visits[ovi as usize].packet));
+        let now = self.now;
         let mut newly_any = false;
         for i in 0..self.chan_requests[pu].len() {
-            let (vidx, bidx, _) = self.chan_requests[pu][i];
-            let v = &mut self.visits[vidx as usize];
-            let packet = v.packet;
-            let VKind::Forward { branches, .. } = &mut v.kind else {
+            let (id, bidx, _) = self.chan_requests[pu][i];
+            let Some((packet, b)) = self.requested_branch(id, bidx) else {
                 continue;
             };
-            let b = &mut branches[bidx as usize];
             if b.blocked_since.is_some() {
                 continue;
             }
-            b.blocked_since = Some(self.now);
+            b.blocked_since = Some(now);
             newly_any = true;
             let ch = ChannelId((pu / self.vcs) as u32);
             let vc = (pu % self.vcs) as u8;
             for obs in &mut self.observers {
-                obs.on_blocked(PacketId(packet), ch, vc, holder, self.now);
+                obs.on_blocked(PacketId(packet), ch, vc, holder, now);
             }
         }
         newly_any
@@ -413,53 +422,52 @@ impl Simulator {
 
     /// Pass 7: settles the visits in `done` in creation order (pass 6 lists
     /// forwards first and, with lanes, by channel): deliveries, gathers,
-    /// drops and the end of an emission. Leaves `moving` free of completed
-    /// visits and `active_done` counting the completed entries of `active`.
+    /// drops and the end of an emission; a completed sink's slot is free at
+    /// once. Leaves `moving` free of completed visits and `active_done`
+    /// counting the dead entries of `active`.
     fn complete(&mut self, s: &mut StepScratch) {
         let seq = &self.seq;
         s.done.sort_unstable_by_key(|&vi| seq[vi as usize]);
         for &vi in &s.done {
             let v = &self.visits[vi as usize];
             let in_port = v.in_port;
-            match &v.kind {
-                VKind::Sink { sink, .. } => {
-                    let packet = v.packet;
-                    match sink.clone() {
-                        SinkKind::Deliver(pe) => {
-                            let deliveries = &mut self.packets[packet as usize].deliveries;
-                            // A unicast delivers once: room for one entry,
-                            // not the four a first push reserves.
-                            if deliveries.capacity() == 0 {
-                                deliveries.reserve_exact(1);
-                            }
-                            deliveries.push((pe, self.now));
-                            for obs in &mut self.observers {
-                                obs.on_delivery(PacketId(packet), pe, self.now);
-                            }
+            if let VKind::Sink { sink, .. } = &v.kind {
+                let packet = v.packet;
+                match sink.clone() {
+                    SinkKind::Deliver(pe) => {
+                        let deliveries = &mut self.packets[packet as usize].deliveries;
+                        // A unicast delivers once: room for one entry, not
+                        // the four a first push reserves.
+                        if deliveries.capacity() == 0 {
+                            deliveries.reserve_exact(1);
                         }
-                        SinkKind::Gather => {
-                            // Queue slot stays open until emission starts.
-                            self.packets[packet as usize].open += 1;
-                            let header = v.header;
-                            self.serial_queue.push_back((packet, header));
-                            let depth = self.serial_queue.len();
-                            for obs in &mut self.observers {
-                                obs.on_gather(PacketId(packet), depth, self.now);
-                            }
+                        deliveries.push((pe, self.now));
+                        for obs in &mut self.observers {
+                            obs.on_delivery(PacketId(packet), pe, self.now);
                         }
-                        SinkKind::Drop(r) => {
-                            let p = &mut self.packets[packet as usize];
-                            if p.dropped.is_none() {
-                                p.dropped = Some(r);
-                            }
+                    }
+                    SinkKind::Gather => {
+                        // Queue slot stays open until emission starts.
+                        self.packets[packet as usize].open += 1;
+                        let header = self.visit_header(vi);
+                        self.serial_queue.push_back((packet, header));
+                        let depth = self.serial_queue.len();
+                        for obs in &mut self.observers {
+                            obs.on_gather(PacketId(packet), depth, self.now);
+                        }
+                    }
+                    SinkKind::Drop(r) => {
+                        let p = &mut self.packets[packet as usize];
+                        if p.dropped.is_none() {
+                            p.dropped = Some(r);
                         }
                     }
                 }
-                VKind::Forward { .. } => {
-                    if self.emission_active == Some(vi) {
-                        self.emission_active = None;
-                    }
-                }
+            }
+            // The S-XB frees when its emission completes, as a fan or, once
+            // a fault paused it and the re-decision dropped it, as a sink.
+            if self.emission_active.is_some_and(|(ea, _)| ea == vi) {
+                self.emission_active = None;
             }
             self.complete_visit(vi);
             s.retire.extend(in_port);
@@ -473,10 +481,11 @@ impl Simulator {
 
     /// Pass 8: retires the front runs the completed visits drained, so the
     /// next resident packet's header becomes visible, and compacts `active`
-    /// once its completed entries outnumber the live ones, so a compaction
-    /// scans fewer than two entries per completion it drops. Leaves `active`
-    /// with every live visit and at most as many completed ones, and each
-    /// slot free exactly when its visit meets the release rule.
+    /// once its dead entries outnumber the live ones, so a compaction scans
+    /// fewer than two entries per completion it drops. Leaves `active` with
+    /// every live visit and pending injection and at most as many dead
+    /// entries, and each slot free exactly when its visit meets the release
+    /// rule.
     fn retire(&mut self, s: &mut StepScratch) {
         s.retire.sort_unstable();
         for &port in &s.retire {
@@ -502,14 +511,15 @@ impl Simulator {
     }
 
     /// Creates the visit of a header arriving at `at` through `in_port`
-    /// from run `up_run` (both `None` at injection), as decided there.
+    /// from run `up_run` (both `None` at injection), as decided there. An
+    /// injection decided to one branch waits as a pending injection.
     fn create_visit(
         &mut self,
         packet: u32,
         at: NodeId,
         in_port: Option<u32>,
         up_run: Option<(u32, u32)>,
-        header: Header,
+        header: &Header,
     ) {
         let (kind, paused) = if self.any_dead && self.dead_nodes[at.0 as usize] {
             // Headers arriving at a dead switch cannot be routed: the
@@ -522,8 +532,8 @@ impl Simulator {
             if self.cfg.record_routes {
                 self.packets[packet as usize].route.push((at.0, self.now));
             }
-            let kind = self.decide(packet, at, in_port, &header);
-            if self.any_dead && self.kind_hits_dead_channel(&kind) {
+            let kind = self.decide(packet, at, in_port, header);
+            if self.any_dead && self.hits_dead_channel(kind.branches()) {
                 // The (pre-reprogram) scheme routed into a dead component:
                 // the packet's next hop is gone. Pause it at this live
                 // switch for a post-reprogram re-decision, or evacuate it,
@@ -537,7 +547,16 @@ impl Simulator {
                 (kind, false)
             }
         };
-        self.install_visit(packet, at, in_port, up_run, header, kind, paused);
+        match kind {
+            VKind::Forward { mut branches, .. } if in_port.is_none() && branches.len() == 1 => {
+                let branch = branches.pop().expect("the fan has one branch");
+                self.spare(branches);
+                self.install_pending(packet, at, branch);
+            }
+            kind => {
+                self.install_visit(packet, at, in_port, up_run, kind, paused);
+            }
+        }
     }
 
     /// The routing decision at `at` for a header that arrived through

@@ -7,7 +7,7 @@
 
 use crate::coord::Coord;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Reference to one crossbar switch: the `line`-th crossbar of dimension
 /// `dim`.
@@ -109,6 +109,8 @@ struct GraphBody {
     out: Vec<Vec<ChannelId>>,
     inp: Vec<Vec<ChannelId>>,
     ids: NodeTables,
+    /// Each channel's place in name order, built on first use.
+    name_rank: OnceLock<Vec<u32>>,
 }
 
 /// Marks an index with no node in a [`NodeTables`] column.
@@ -249,6 +251,31 @@ impl NetworkGraph {
         let info = self.channel(id);
         format!("{} -> {}", self.node(info.src), self.node(info.dst))
     }
+
+    /// Each channel's place (indexed by [`ChannelId`]) in the order of
+    /// the channels' descriptions ([`NetworkGraph::describe_channel`]), so
+    /// callers can order channels by name without formatting any. The
+    /// first call builds it, once per graph: every clone shares it.
+    pub fn channel_name_rank(&self) -> &[u32] {
+        self.0.name_rank.get_or_init(|| {
+            let names: Vec<String> = self
+                .channel_ids()
+                .map(|c| self.describe_channel(c))
+                .collect();
+            let mut order: Vec<u32> = (0..names.len() as u32).collect();
+            order.sort_by(|&a, &b| names[a as usize].cmp(&names[b as usize]));
+            let mut rank = vec![0; order.len()];
+            for (r, &c) in (0..).zip(&order) {
+                rank[c as usize] = r;
+            }
+            rank
+        })
+    }
+
+    /// [`NetworkGraph::channel_name_rank`], if a call has built it.
+    pub fn built_channel_name_rank(&self) -> Option<&[u32]> {
+        self.0.name_rank.get().map(Vec::as_slice)
+    }
 }
 
 /// Incremental builder for [`NetworkGraph`].
@@ -329,6 +356,7 @@ impl GraphBuilder {
             out,
             inp,
             ids: self.ids,
+            name_rank: OnceLock::new(),
         }))
     }
 }
@@ -419,5 +447,26 @@ mod tests {
         let (c, _) = b.add_link(r, x);
         let g = b.build();
         assert_eq!(g.describe_channel(c), "R3 -> Y1-XB");
+    }
+
+    #[test]
+    fn channel_name_rank_orders_channels_by_description() {
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = [Node::Pe(12), Node::Router(12), Node::Pe(2), Node::Router(2)]
+            .into_iter()
+            .map(|n| b.add_node(n, None))
+            .collect();
+        b.add_link(nodes[0], nodes[1]);
+        b.add_link(nodes[2], nodes[3]);
+        b.add_link(nodes[1], nodes[3]);
+        let g = b.build();
+        assert!(g.built_channel_name_rank().is_none());
+        let shared = g.clone();
+        let rank = g.channel_name_rank().to_vec();
+        assert_eq!(shared.built_channel_name_rank(), Some(rank.as_slice()));
+        let mut by_rank: Vec<ChannelId> = g.channel_ids().collect();
+        by_rank.sort_by_key(|c| rank[c.idx()]);
+        let names: Vec<String> = by_rank.iter().map(|&c| g.describe_channel(c)).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
     }
 }
