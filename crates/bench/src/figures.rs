@@ -12,7 +12,7 @@ use mdx_core::{
 use mdx_deadlock::verify_scheme;
 use mdx_deadlock::waitgraph::TrafficFamily;
 use mdx_fault::{enumerate_single_faults, FaultSet, FaultSite};
-use mdx_sim::{InjectSpec, PacketOutcome, SimConfig, SimOutcome};
+use mdx_sim::{InjectSpec, PacketOutcome, SimConfig, SimOutcome, SortedLatencies};
 use mdx_topology::{
     embed, mesh::DirectNetwork, mesh::Wrap, metrics, Coord, MdCrossbar, Node, Shape,
 };
@@ -475,6 +475,18 @@ pub fn fig9_combined_deadlock() -> Vec<Table> {
             "detour %",
         ],
     );
+    let mut delivery = Table::new(
+        "fig9-delivery",
+        "the same runs: delivered packets, delivered per kilocycle and latency pooled over every delivered packet",
+        &[
+            "configuration",
+            "runs",
+            "delivered",
+            "delivered/kcycle",
+            "mean latency",
+            "p95 latency",
+        ],
+    );
     let shape = Shape::fig2();
     let faulty = shape.index_of(Coord::new(&[1, 0]));
     for (label, scheme) in [
@@ -500,6 +512,7 @@ pub fn fig9_combined_deadlock() -> Vec<Table> {
             &ObsOptions {
                 metrics: true,
                 attribution: true,
+                latencies: true,
                 ..ObsOptions::default()
             },
         );
@@ -515,6 +528,7 @@ pub fn fig9_combined_deadlock() -> Vec<Table> {
             phase_share(result.reports.iter(), blocked_cycles),
             phase_share(result.reports.iter(), |a| a.detour_transfer),
         ]);
+        delivery.row(delivery_row(label, &result.reports));
         // Exhibit one cycle, with its replay token.
         let witness = result.deadlocks().next();
         if let Some(r) = witness {
@@ -534,7 +548,36 @@ pub fn fig9_combined_deadlock() -> Vec<Table> {
         "blocked % / detour % = attributed share of delivered-packet latency \
          (wait phases incl. S-XB serialization / RC=3 detour transfer)",
     );
-    vec![t]
+    delivery.note(
+        "delivered/kcycle = delivered packets x 1000 / cycles, both summed over every run, \
+         deadlocked runs included",
+    );
+    vec![t, delivery]
+}
+
+/// One `fig9-delivery` row: delivered packets, delivered per kilocycle and
+/// the mean and p95 of every delivered latency pooled over `rows` (not
+/// averaged per run: a run delivers a handful of packets, so its own p95
+/// is nearly its median).
+fn delivery_row(label: &str, rows: &[ScenarioReport]) -> Vec<String> {
+    let delivered: usize = rows.iter().map(|r| r.stats.delivered).sum();
+    let cycles: u64 = rows.iter().map(|r| r.stats.cycles).sum();
+    let pooled: Vec<u64> = rows
+        .iter()
+        .filter_map(|r| r.latencies.as_deref())
+        .flatten()
+        .copied()
+        .collect();
+    let mean = pooled.iter().sum::<u64>() as f64 / pooled.len() as f64;
+    let p95 = SortedLatencies::from_unsorted(pooled).percentile(95);
+    vec![
+        label.to_string(),
+        rows.len().to_string(),
+        delivered.to_string(),
+        f3(delivered as f64 * 1000.0 / cycles as f64),
+        f3(mean),
+        p95.map_or_else(|| "-".to_string(), |v| v.to_string()),
+    ]
 }
 
 /// Fig. 10: the paper's scheme — randomized stress and static certification.

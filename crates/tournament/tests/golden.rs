@@ -1,4 +1,4 @@
-//! Golden tournament tables: two committed grids whose JSONL is compared
+//! Golden tournament tables: three committed grids whose JSONL is compared
 //! byte for byte against `tests/golden/*.jsonl`. The goldens are never
 //! regenerated to make a change pass; a moved byte is a changed table.
 //!
@@ -14,6 +14,11 @@
 //!   with a router fault), whose reason names the lowest seed's
 //!   scenario;
 //! * a topology that rejects its shape (`hypercube:3x2`).
+//!
+//! `default.spec` sets no directive, so it is the grid a bare
+//! `TournamentSpec::parse("")` builds: every scheme on `mdx:4x3`,
+//! `hyperx:3x3`, `fullmesh:6` and `hypercube:2x2x2`, `none` and `router`
+//! faults, one mixed workload, two seeds.
 
 use mdx_tournament::{run_tournament, TournamentSpec};
 
@@ -50,4 +55,15 @@ fn the_skip_paths_match_their_golden() {
         include_str!("golden/edges.jsonl"),
         "edges",
     );
+}
+
+#[test]
+fn the_default_grid_matches_its_golden() {
+    let spec = include_str!("golden/default.spec");
+    assert_eq!(
+        TournamentSpec::parse(spec).expect("golden spec parses"),
+        TournamentSpec::parse("").expect("the empty spec parses"),
+        "default.spec must be the default grid"
+    );
+    assert_golden(spec, include_str!("golden/default.jsonl"), "default");
 }
