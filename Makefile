@@ -1,24 +1,12 @@
 # Convenience targets for the SR2201 reproduction.
 
-.PHONY: test experiments trajectory sentinel bench examples doc clippy lint campaign campaign-smoke sweep-gate metrics-demo metrics-serve-demo reconfig-demo reconfig-smoke attribution-smoke serve-smoke tournament-smoke health-smoke spans-demo all
+.PHONY: test experiments bench examples doc clippy lint campaign campaign-smoke sweep-gate results-gate metrics-demo metrics-serve-demo reconfig-demo reconfig-smoke attribution-smoke serve-smoke tournament-smoke health-smoke spans-demo all
 
 test:
 	cargo test --workspace
 
-experiments: trajectory
+experiments:
 	cargo run --release -p mdx-bench --bin experiments -- --json results all
-
-# Append one metric snapshot each to BENCH_fig9.json / BENCH_fig10.json /
-# BENCH_tournament.json and judge each grown file with the sentinel (an
-# identical snapshot is skipped, not appended).
-trajectory:
-	cargo run --release -p mdx-bench --bin experiments -- trajectory --dir .
-
-# Median/MAD regression sentinel over the committed BENCH_*.json history:
-# exits nonzero when the latest snapshot of any diffed metric deviates
-# from its robust baseline in the bad direction. Runs no sweeps.
-sentinel:
-	cargo run --release -p mdx-bench --bin experiments -- sentinel --dir .
 
 bench:
 	cargo bench --workspace
@@ -60,6 +48,16 @@ sweep-gate:
 	cargo run --release -p mdx-serve -- run --scheme all --max-faults 1 --seeds 16 \
 		--jsonl target/baseline-sweep.jsonl --quiet
 	sha256sum -c crates/campaign/tests/golden/baseline-sweep.sha256
+
+# Drift gate on the results tables: a fresh `experiments --json` run,
+# written under target/, must reproduce the committed results/ directory
+# byte for byte (the same files, the same bytes; no table has a
+# wall-clock column). Any change to a figure's numbers fails it.
+results-gate:
+	rm -rf target/results-gate
+	cargo run --release -p mdx-bench --bin experiments -- --json target/results-gate all > /dev/null
+	diff -r results target/results-gate
+	@echo "$$(ls results | wc -l) tables match results/"
 
 # Small deterministic campaign gating the paper scheme on zero deadlocks.
 # The flight recorder rides along: any failure auto-dumps a post-mortem.
@@ -134,10 +132,9 @@ tournament-smoke:
 # rows plus one stripped-away `health` key; a deadlock storm against a
 # live `campaign serve --slo` must breach the deadlock budget on the
 # health verb, the Prometheus endpoint, the `campaign watch` screen, and
-# the alert log; the bench sentinel must be clean on the committed
-# history and catch a synthetic collapse. Artifacts land under target/.
+# the alert log. Artifacts land under target/.
 health-smoke:
-	cargo build --release -p mdx-serve -p mdx-bench
+	cargo build --release -p mdx-serve
 	./scripts/health_smoke.sh
 
 # Request-tracing walkthrough: capture a span log from a traced `campaign

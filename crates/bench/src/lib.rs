@@ -14,8 +14,6 @@ pub mod claims;
 pub mod extensions;
 pub mod figures;
 pub mod report;
-pub mod sentinel;
-pub mod trajectory;
 
 use mdx_core::Scheme;
 use mdx_sim::{InjectSpec, SimConfig, SimResult, Simulator};
@@ -23,11 +21,6 @@ use mdx_topology::NetworkGraph;
 use std::sync::Arc;
 
 pub use report::Table;
-pub use sentinel::{scan_file, scan_path, MetricVerdict, SentinelReport};
-pub use trajectory::{
-    append_snapshot, snapshot_fig10, snapshot_fig9, snapshot_tournament, TrajectoryEntry,
-    TrajectoryFile,
-};
 
 /// Runs one schedule to completion and returns the result.
 pub fn run_schedule(

@@ -3,10 +3,9 @@
 //!
 //! Covered decoders: `Scenario::from_token` (on the pinned `token_compat`
 //! tokens, mutated both as token text and as decoded JSON payload), the
-//! serve `Request` line, campaign `ScenarioReport` rows, `TrajectoryFile`
-//! documents, `TraceDoc::parse`, the JSONL span log (`parse_span_log`,
-//! whose spans must also never end before they start), and the three
-//! line grammars:
+//! serve `Request` line, campaign `ScenarioReport` rows,
+//! `TraceDoc::parse`, the JSONL span log (`parse_span_log`, whose spans
+//! must also never end before they start), and the three line grammars:
 //! `StreamSpec::parse`, `TournamentSpec::parse` and `SloSpec::parse`. A
 //! mutated request line that does not parse must still get exactly one
 //! `error` response line from `Service::process_line`, echoing the line's
@@ -15,7 +14,6 @@
 //! parsed spec can never panic the engine. Every case only parses —
 //! nothing simulates — so the run time stays bounded.
 
-use mdx_bench::TrajectoryFile;
 use mdx_campaign::{token, Scenario, ScenarioReport, Workload};
 use mdx_health::SloSpec;
 use mdx_obs::{parse_span_log, TraceDoc};
@@ -218,12 +216,6 @@ proptest! {
     }
 
     #[test]
-    fn mutated_trajectory_files_decode_or_error(ops in ops()) {
-        let doc = read("BENCH_fig9.json");
-        no_panic(&mutate(&doc, &ops), serde_json::from_str::<TrajectoryFile>)?;
-    }
-
-    #[test]
     fn mutated_traces_parse_or_error(ops in ops()) {
         no_panic(&mutate(TRACE, &ops), TraceDoc::parse)?;
     }
@@ -312,7 +304,6 @@ fn the_unmutated_inputs_decode() {
     for row in read("crates/serve/tests/golden/rows.jsonl").lines() {
         serde_json::from_str::<ScenarioReport>(row).expect("row decodes");
     }
-    serde_json::from_str::<TrajectoryFile>(&read("BENCH_fig9.json")).expect("fig9 decodes");
     TraceDoc::parse(TRACE).expect("trace parses");
     assert_eq!(parse_span_log(SPAN_LOG).expect("span log parses").len(), 3);
     let backwards = SPAN_LOG.replace(r#""end":19"#, r#""end":11"#);

@@ -1,11 +1,11 @@
 //! Run-to-run attribution diffs: `campaign diff <a.jsonl> <b.jsonl>`.
 //!
-//! The trajectory file answers *whether* a sweep regressed; this module
-//! answers *where the cycles moved*. Two campaign JSONL files (written
-//! with `--attribution`) are reduced to sweep-wide phase totals and
-//! compared phase-by-phase as **shares of total latency** — a shift of
-//! more than the threshold (default 1 percentage point) is flagged. On a
-//! fault-free vs. 1-fault pair, the latency delta shows up as share
+//! A changed row digest or results table says *that* a sweep moved; this
+//! module answers *where the cycles moved*. Two campaign JSONL files
+//! (written with `--attribution`) are reduced to sweep-wide phase totals
+//! and compared phase-by-phase as **shares of total latency** — a shift
+//! of more than the threshold (default 1 percentage point) is flagged. On
+//! a fault-free vs. 1-fault pair, the latency delta shows up as share
 //! moving into `detour_transfer` and the blocked phases; on two runs of
 //! the same tokens, every shift is exactly zero and the rendering is
 //! byte-identical.
