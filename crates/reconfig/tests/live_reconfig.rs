@@ -2,11 +2,12 @@
 //! drain/reprogram/resume, recovery policies, and transition safety.
 
 use mdx_core::registry::build_scheme;
-use mdx_core::Header;
+use mdx_core::{DropReason, Header, RouteChange};
 use mdx_fault::{FaultSet, FaultSite, FaultTimeline};
 use mdx_reconfig::{run_reconfig, ReconfigSpec, RecoveryPolicy};
 use mdx_sim::{InjectSpec, PacketOutcome, SimConfig, SimOutcome, Simulator};
 use mdx_topology::{MdCrossbar, Shape, XbarRef};
+use mdx_workloads::{mixed_schedule, OpenLoop, TrafficPattern};
 use std::sync::Arc;
 
 fn fig2() -> Arc<MdCrossbar> {
@@ -167,6 +168,46 @@ fn reroute_policy_recovers_without_loss() {
     assert!(out.report.victims_total > 0);
     assert_eq!(out.report.lost, 0, "{}", out.report.render());
     assert!(out.report.transition_safe());
+}
+
+/// Router 0 fails at cycle 25 while the S-XB (X0-XB) waits to emit
+/// broadcast 70 to it. The reprogrammed function serializes on another
+/// line, so the paused emission is evacuated at the resume and replayed
+/// from its source. Re-deciding it at the S-XB, which has no input
+/// channel, dropped it as a protocol violation.
+#[test]
+fn reroute_replays_a_paused_emission_whose_sxb_moved() {
+    let net = fig2();
+    let traffic = OpenLoop {
+        rate: 0.05,
+        packet_flits: 8,
+        window: 120,
+        seed: 1,
+    };
+    let specs = mixed_schedule(
+        net.shape(),
+        TrafficPattern::UniformRandom,
+        traffic,
+        0.03,
+        &FaultSet::none(),
+    );
+    assert_eq!(specs[70].header.rc, RouteChange::BroadcastRequest);
+    let spec = ReconfigSpec::new(FaultTimeline::new().inject(FaultSite::Router(0), 25))
+        .with_policy(RecoveryPolicy::Reroute);
+    let out = run_reconfig(
+        net.clone(),
+        "sr2201",
+        &FaultSet::none(),
+        &specs,
+        cfg(),
+        &spec,
+        None,
+    )
+    .unwrap();
+
+    assert_eq!(out.result.packets[70].outcome, PacketOutcome::Delivered);
+    let violation = PacketOutcome::Dropped(DropReason::ProtocolViolation);
+    assert!(out.result.packets.iter().all(|p| p.outcome != violation));
 }
 
 #[test]
