@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mdx_bench::run_schedule;
 use mdx_core::Sr2201Routing;
 use mdx_fault::FaultSet;
-use mdx_obs::{AttributionObserver, FlightRecorder, MetricsObserver, DEFAULT_FLIGHT_CAPACITY};
-use mdx_sim::{EventCounts, SimConfig, SimObserver, Simulator};
+use mdx_obs::{AttributionObserver, FlightRecorder, MetricsObserver};
+use mdx_sim::{EventCounts, SimConfig, Simulator};
 use mdx_topology::{MdCrossbar, Shape};
 use mdx_workloads::{unicast_schedule, OpenLoop, TrafficPattern};
 use std::sync::Arc;
@@ -98,20 +98,24 @@ fn bench_engine(c: &mut Criterion) {
         },
         &FaultSet::none(),
     );
-    let run_with = |observer: Option<Box<dyn SimObserver>>| {
+    let loaded = || {
         let scheme = Arc::new(Sr2201Routing::new(net.clone(), &FaultSet::none()).unwrap());
         let mut sim = Simulator::new(net.graph().clone(), scheme, SimConfig::default());
-        if let Some(obs) = observer {
-            sim.add_observer(obs);
-        }
         for &spec in &specs {
             sim.schedule(spec);
         }
-        sim.run()
+        sim
     };
-    g.bench_function("none", |b| b.iter(|| run_with(None)));
+    let run_with = || loaded().run();
+    g.bench_function("none", |b| b.iter(run_with));
     g.bench_function("event_counts", |b| {
-        b.iter(|| run_with(Some(Box::new(EventCounts::default()))))
+        b.iter(|| {
+            let mut sim = loaded();
+            let counts = sim.add_observer(EventCounts::default());
+            let cycles = sim.run().stats.cycles;
+            let flits = counts.borrow().flits;
+            (cycles, flits)
+        })
     });
     // The detached-registry contract: the engine self-profiles on every
     // run, but with no `EngineMeter` attached the profile is dropped on
@@ -119,7 +123,7 @@ fn bench_engine(c: &mut Criterion) {
     g.bench_function("metrics", |b| {
         let meter: Option<mdx_campaign::EngineMeter> = None;
         b.iter(|| {
-            let r = run_with(None);
+            let r = run_with();
             if let (Some(m), Some(p)) = (&meter, &r.profile) {
                 m.observe(&mdx_campaign::RowProfile::from_engine(p));
             }
@@ -131,7 +135,7 @@ fn bench_engine(c: &mut Criterion) {
         let reg = mdx_metrics::Registry::new();
         let meter = mdx_campaign::EngineMeter::register(&reg);
         b.iter(|| {
-            let r = run_with(None);
+            let r = run_with();
             if let Some(p) = &r.profile {
                 meter.observe(&mdx_campaign::RowProfile::from_engine(p));
             }
@@ -146,7 +150,7 @@ fn bench_engine(c: &mut Criterion) {
         let spans: Option<std::sync::Arc<mdx_obs::SpanCollector>> = None;
         b.iter(|| {
             let tracing = spans.as_ref().map(|c| (c, c.head_sample()));
-            let r = run_with(None);
+            let r = run_with();
             if let Some((c, sampled)) = tracing {
                 let mut t = mdx_obs::TraceBuilder::new(c.next_trace_id());
                 let root = t.add(None, "row", 0, r.stats.cycles, mdx_obs::SpanUnit::Cycles);
@@ -176,9 +180,11 @@ fn bench_engine(c: &mut Criterion) {
     });
     g.bench_function("metrics_observer", |b| {
         b.iter(|| {
-            let (obs, handle) = MetricsObserver::new(net.graph().clone());
-            let r = run_with(Some(Box::new(obs)));
-            (r.stats.cycles, handle.report(r.stats.cycles).total_flits)
+            let mut sim = loaded();
+            let metrics = sim.add_observer(MetricsObserver::new(net.graph().clone()));
+            let r = sim.run();
+            let total_flits = metrics.borrow().report(r.stats.cycles).total_flits;
+            (r.stats.cycles, total_flits)
         })
     });
     // Full latency attribution: per-packet phase tracking during the run
@@ -187,9 +193,10 @@ fn bench_engine(c: &mut Criterion) {
     // pins what opting in actually costs.
     g.bench_function("attribution", |b| {
         b.iter(|| {
-            let (obs, handle) = AttributionObserver::new(net.graph().clone());
-            let r = run_with(Some(Box::new(obs)));
-            let att = handle.report(&r);
+            let mut sim = loaded();
+            let attribution = sim.add_observer(AttributionObserver::new(net.graph().clone()));
+            let r = sim.run();
+            let att = attribution.borrow().report(&r);
             (r.stats.cycles, att.conserved, att.totals.latency)
         })
     });
@@ -197,10 +204,11 @@ fn bench_engine(c: &mut Criterion) {
     // per-flit events and the ring writes are fixed-size stores.
     g.bench_function("flight", |b| {
         b.iter(|| {
-            let (obs, handle) =
-                FlightRecorder::new(net.graph().clone(), 1, DEFAULT_FLIGHT_CAPACITY);
-            let r = run_with(Some(Box::new(obs)));
-            (r.stats.cycles, handle.events_recorded())
+            let mut sim = loaded();
+            let flight = sim.add_observer(FlightRecorder::new(net.graph().clone(), 1));
+            let r = sim.run();
+            let recorded = flight.borrow().events_recorded();
+            (r.stats.cycles, recorded)
         })
     });
     g.finish();

@@ -80,7 +80,6 @@ fn bench_extensions(c: &mut Criterion) {
                 &specs,
                 SimConfig::default(),
                 &spec,
-                None,
             )
             .unwrap()
         })

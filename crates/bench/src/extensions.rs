@@ -560,7 +560,6 @@ pub fn reconfig_policies() -> Vec<Table> {
                 &specs,
                 SimConfig::default(),
                 &spec,
-                None,
             )
             .expect("single faults reconfigure");
             let r = &out.report;

@@ -12,7 +12,6 @@ use mdx_fault::{enumerate_single_faults, sample_fault_sets, FaultSet, FaultTimel
 use mdx_obs::{
     AttributionObserver, AttributionReport, FlightRecorder, MetricsObserver, MetricsReport,
     PostmortemReport, StallProbe, StallReport, TraceRecorder, WindowObserver, WindowReport,
-    DEFAULT_FLIGHT_CAPACITY,
 };
 use mdx_reconfig::{drive_reconfig, ReconfigError, ReconfigReport, ReconfigSpec, RecoveryPolicy};
 use mdx_sim::{DeadlockInfo, SimConfig, SimOutcome, SimResult, SimStats, Simulator};
@@ -339,7 +338,7 @@ pub struct ObsOptions {
     /// Attach a [`TraceRecorder`] (Chrome `trace_event` JSON for Perfetto).
     pub trace: bool,
     /// Attach a [`FlightRecorder`] with a ring of
-    /// [`DEFAULT_FLIGHT_CAPACITY`] events. Failed runs then carry a
+    /// [`mdx_obs::DEFAULT_FLIGHT_CAPACITY`] events. Failed runs then carry a
     /// [`PostmortemReport`] in their row and telemetry.
     pub flight: bool,
     /// Attach an [`AttributionObserver`] (per-packet latency phase
@@ -682,42 +681,25 @@ fn run_on(
         sim.set_phase_timing(true);
     }
 
-    let mut metrics_handle = None;
-    let mut stall_handle = None;
-    let mut trace_handle = None;
-    let mut flight_handle = None;
-    let mut attribution_handle = None;
-    let mut window_handle = None;
-    if opts.metrics {
-        let (obs, handle) = MetricsObserver::new(net.graph().clone());
-        sim.add_observer(Box::new(obs));
-        metrics_handle = Some(handle);
-    }
-    if let Some(interval) = opts.stall_probe {
-        let (probe, handle) = StallProbe::new(interval);
-        sim.add_observer(Box::new(probe));
-        stall_handle = Some(handle);
-    }
-    if opts.trace {
-        let (rec, handle) = TraceRecorder::new(net.graph());
-        sim.add_observer(Box::new(rec));
-        trace_handle = Some(handle);
-    }
-    if opts.flight {
-        let (rec, handle) = FlightRecorder::new(net.graph().clone(), vcs, DEFAULT_FLIGHT_CAPACITY);
-        sim.add_observer(Box::new(rec));
-        flight_handle = Some(handle);
-    }
-    if opts.attribution {
-        let (obs, handle) = AttributionObserver::new(net.graph().clone());
-        sim.add_observer(Box::new(obs));
-        attribution_handle = Some(handle);
-    }
-    if let Some(width) = opts.windows {
-        let (obs, handle) = WindowObserver::new(width);
-        sim.add_observer(Box::new(obs));
-        window_handle = Some(handle);
-    }
+    let graph = net.graph();
+    let metrics = opts
+        .metrics
+        .then(|| sim.add_observer(MetricsObserver::new(graph.clone())));
+    let stall = opts
+        .stall_probe
+        .map(|every| sim.add_observer(StallProbe::new(every)));
+    let trace = opts
+        .trace
+        .then(|| sim.add_observer(TraceRecorder::new(graph)));
+    let flight = opts
+        .flight
+        .then(|| sim.add_observer(FlightRecorder::new(graph.clone(), vcs)));
+    let attribution = opts
+        .attribution
+        .then(|| sim.add_observer(AttributionObserver::new(graph.clone())));
+    let windows = opts
+        .windows
+        .map(|width| sim.add_observer(WindowObserver::new(width)));
 
     let scheduled = specs.len();
     sim.schedule_all(specs);
@@ -756,7 +738,7 @@ fn run_on(
         _ => None,
     };
 
-    let attribution_report = attribution_handle.map(|h| h.report(&result));
+    let attribution_report = attribution.map(|a| a.borrow().report(&result));
     if let Some(rep) = &attribution_report {
         // The hard invariant behind `--attribution`: the phase
         // decomposition must conserve every delivered packet's latency
@@ -771,12 +753,13 @@ fn run_on(
     }
 
     let telemetry = Telemetry {
-        metrics: metrics_handle.map(|h| h.report(result.stats.cycles)),
-        stall: stall_handle.map(|h| h.report()),
-        trace: trace_handle.map(|h| h.render(result.stats.cycles)),
-        postmortem: flight_handle.and_then(|h| h.postmortem(&result.outcome, &result.diagnostics)),
+        metrics: metrics.map(|m| m.borrow().report(result.stats.cycles)),
+        stall: stall.map(|s| s.borrow().report()),
+        trace: trace.map(|t| t.borrow().render(result.stats.cycles)),
+        postmortem: flight
+            .and_then(|f| f.borrow().postmortem(&result.outcome, &result.diagnostics)),
         attribution: attribution_report,
-        windows: window_handle.map(|h| h.report(result.stats.cycles)),
+        windows: windows.map(|w| w.borrow().report(result.stats.cycles)),
         sxb_name: sxb_name.clone(),
         dxb_name: dxb_name.clone(),
     };

@@ -72,7 +72,7 @@ fn executed_steps(scenario: &Scenario, opts: &ObsOptions) -> u64 {
     let scheme = build_scheme_for(&scenario.scheme, &net, &faults).unwrap();
     let mut sim = Simulator::new(net.graph().clone(), scheme, scenario.sim_config());
     if !opts.is_none() {
-        sim.add_observer(Box::new(StepProbe(opts.stall_probe)));
+        sim.add_observer(StepProbe(opts.stall_probe));
     }
     for spec in scenario.specs(&shape, &faults) {
         sim.schedule(spec);

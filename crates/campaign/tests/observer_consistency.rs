@@ -4,95 +4,28 @@
 //!
 //! The telemetry layer ([`mdx_obs`]) trusts the [`SimObserver`] hooks to
 //! fire exactly once per lifecycle event. The first test pins that
-//! contract by attaching the stock [`EventCounts`] observer (through a
-//! shared-cell wrapper so the totals are readable after the run) and
-//! checking its counters against [`SimResult`]'s independently-derived
-//! statistics.
+//! contract by attaching the stock [`EventCounts`] observer and checking
+//! its counters against [`SimResult`]'s independently-derived statistics.
 
 use mdx_campaign::{
     detour_stress_for, run_scenario_instrumented, ObsOptions, Scenario, Workload, CAMPAIGN_SCHEMES,
 };
 use mdx_core::registry::build_scheme;
-use mdx_core::RouteChange;
 use mdx_fault::{enumerate_single_faults, FaultTimeline};
 use mdx_reconfig::{ReconfigSpec, RecoveryPolicy};
-use mdx_sim::{
-    DeadlockInfo, EventCounts, InjectSpec, PacketId, PhaseEnd, SimObserver, SimResult, Simulator,
-    WaitSnapshot,
-};
-use mdx_topology::{ChannelId, MdCrossbar, Node};
+use mdx_sim::{EventCounts, PhaseEnd, SimObserver, SimResult, Simulator, WaitSnapshot};
+use mdx_topology::MdCrossbar;
 use mdx_workloads::TrafficPattern;
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Forwards every hook to an [`EventCounts`] behind a shared cell, so the
-/// totals survive the engine taking ownership of the boxed observer.
-struct SharedCounts(Rc<RefCell<EventCounts>>);
-
-impl SimObserver for SharedCounts {
-    fn on_inject(&mut self, id: PacketId, spec: &InjectSpec, now: u64) {
-        self.0.borrow_mut().on_inject(id, spec, now);
-    }
-    fn on_hop(&mut self, id: PacketId, at: Node, in_channel: Option<ChannelId>, now: u64) {
-        self.0.borrow_mut().on_hop(id, at, in_channel, now);
-    }
-    fn on_rc_change(
-        &mut self,
-        id: PacketId,
-        at: Node,
-        from: RouteChange,
-        to: RouteChange,
-        now: u64,
-    ) {
-        self.0.borrow_mut().on_rc_change(id, at, from, to, now);
-    }
-    fn on_blocked(
-        &mut self,
-        id: PacketId,
-        channel: ChannelId,
-        vc: u8,
-        holder: Option<PacketId>,
-        now: u64,
-    ) {
-        self.0.borrow_mut().on_blocked(id, channel, vc, holder, now);
-    }
-    fn on_unblocked(&mut self, id: PacketId, channel: ChannelId, vc: u8, waited: u64, now: u64) {
-        self.0
-            .borrow_mut()
-            .on_unblocked(id, channel, vc, waited, now);
-    }
-    fn on_flit(&mut self, channel: ChannelId, vc: u8, occupancy: usize, now: u64) {
-        self.0.borrow_mut().on_flit(channel, vc, occupancy, now);
-    }
-    fn on_gather(&mut self, id: PacketId, depth: usize, now: u64) {
-        self.0.borrow_mut().on_gather(id, depth, now);
-    }
-    fn on_emission(&mut self, id: PacketId, depth: usize, now: u64) {
-        self.0.borrow_mut().on_emission(id, depth, now);
-    }
-    fn on_delivery(&mut self, id: PacketId, pe: usize, now: u64) {
-        self.0.borrow_mut().on_delivery(id, pe, now);
-    }
-    fn on_packet_finished(&mut self, id: PacketId, now: u64) {
-        self.0.borrow_mut().on_packet_finished(id, now);
-    }
-    fn on_probe(&mut self, now: u64, waits: &[WaitSnapshot]) {
-        self.0.borrow_mut().on_probe(now, waits);
-    }
-    fn on_deadlock(&mut self, info: &DeadlockInfo) {
-        self.0.borrow_mut().on_deadlock(info);
-    }
-}
-
-/// Stall probes seen by a [`ProbeLog`]: each probe's cycle and snapshot.
-type Probes = Rc<RefCell<Vec<(u64, Vec<WaitSnapshot>)>>>;
-
-/// Asks for a stall probe every `every` cycles and records each one.
+/// Asks for a stall probe every `every` cycles and records each one: its
+/// cycle and snapshot.
 struct ProbeLog {
     every: u64,
-    seen: Probes,
+    seen: Vec<(u64, Vec<WaitSnapshot>)>,
 }
 
 impl SimObserver for ProbeLog {
@@ -100,7 +33,7 @@ impl SimObserver for ProbeLog {
         Some(self.every)
     }
     fn on_probe(&mut self, now: u64, waits: &[WaitSnapshot]) {
-        self.seen.borrow_mut().push((now, waits.to_vec()));
+        self.seen.push((now, waits.to_vec()));
     }
 }
 
@@ -176,9 +109,8 @@ proptest! {
         let specs = scenario.specs(&shape, &faults);
         prop_assume!(!specs.is_empty());
 
-        let counts = Rc::new(RefCell::new(EventCounts::default()));
         let mut sim = Simulator::new(net.graph().clone(), scheme, scenario.sim_config());
-        sim.add_observer(Box::new(SharedCounts(counts.clone())));
+        let counts = sim.add_observer(EventCounts::default());
         for &spec in &specs {
             sim.schedule(spec);
         }
@@ -280,7 +212,10 @@ proptest! {
 /// The scenario's engine with its schedule loaded and, given an interval,
 /// a [`ProbeLog`] attached. `None` when the scheme/fault pair is
 /// unbuildable or the workload schedules nothing.
-fn loaded_sim(scenario: &Scenario, probe_every: Option<u64>) -> Option<(Simulator, Probes)> {
+fn loaded_sim(
+    scenario: &Scenario,
+    probe_every: Option<u64>,
+) -> Option<(Simulator, Option<Rc<RefCell<ProbeLog>>>)> {
     let shape = scenario.shape_obj().ok()?;
     let faults = scenario.fault_set().ok()?;
     let net = Arc::new(MdCrossbar::build(shape.clone()));
@@ -290,13 +225,12 @@ fn loaded_sim(scenario: &Scenario, probe_every: Option<u64>) -> Option<(Simulato
         return None;
     }
     let mut sim = Simulator::new(net.graph().clone(), scheme, scenario.sim_config());
-    let probes = Probes::default();
-    if let Some(every) = probe_every {
-        sim.add_observer(Box::new(ProbeLog {
+    let probes = probe_every.map(|every| {
+        sim.add_observer(ProbeLog {
             every,
-            seen: probes.clone(),
-        }));
-    }
+            seen: Vec::new(),
+        })
+    });
     for spec in specs {
         sim.schedule(spec);
     }
@@ -350,9 +284,11 @@ proptest! {
         prop_assert_eq!(got.idle_ticks(), want.idle_ticks());
         prop_assert_eq!(got.occupancy, want.occupancy);
         prop_assert_eq!(got.events, want.events);
-        prop_assert_eq!(&*fast_probes.borrow(), &*stepped_probes.borrow());
+        let seen = |log: Option<Rc<RefCell<ProbeLog>>>| log.map(|l| l.borrow().seen.clone());
+        let fast_seen = seen(fast_probes);
+        prop_assert_eq!(&fast_seen, &seen(stepped_probes));
         if probe_every.is_some() {
-            prop_assert!(!fast_probes.borrow().is_empty());
+            prop_assert!(!fast_seen.unwrap_or_default().is_empty());
         }
 
         if result.outcome.is_deadlock() {

@@ -38,7 +38,7 @@
 //! ```
 //!
 //! holds for every delivered packet by construction, and
-//! [`AttributionHandle::report`] re-checks it against the engine's
+//! [`AttributionObserver::report`] re-checks it against the engine's
 //! [`PacketResult::latency`] anyway (`conserved` / `violations`).
 //!
 //! On top of the per-packet records the report computes **blame
@@ -58,9 +58,7 @@ use mdx_core::RouteChange;
 use mdx_sim::{EpochPhase, InjectSpec, PacketId, PacketOutcome, SimObserver, SimResult};
 use mdx_topology::{ChannelId, NetworkGraph, Node, XbarRef};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Holder class of a blocked episode, sampled when the episode opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +101,8 @@ struct Track {
     gather_spans: Vec<(u64, u64)>,
     detour_open: Option<u64>,
     detour_spans: Vec<(u64, u64)>,
-    /// Open blocked episodes: each one's index in `State::closed` (which
+    /// Open blocked episodes: each one's index in
+    /// `AttributionObserver::closed` (which
     /// holds its channel and class) and its lane.
     open_blocks: Vec<(u32, u8)>,
     /// Closed episodes of this flight: `(channel, start, end, class)`.
@@ -129,7 +128,11 @@ impl Default for Track {
     }
 }
 
-struct State {
+/// The attribution instrument: implements [`SimObserver`]; build with
+/// [`AttributionObserver::new`], attach with
+/// [`mdx_sim::Simulator::add_observer`], and reduce afterwards with
+/// [`AttributionObserver::report`].
+pub struct AttributionObserver {
     graph: NetworkGraph,
     packets: Vec<Track>,
     pauses: Vec<PauseWin>,
@@ -138,7 +141,18 @@ struct State {
     closed: Vec<ClosedEpisode>,
 }
 
-impl State {
+impl AttributionObserver {
+    /// Creates the observer for a run on `graph` (the same graph handed to
+    /// the simulator — channel ids must agree).
+    pub fn new(graph: NetworkGraph) -> AttributionObserver {
+        AttributionObserver {
+            graph,
+            packets: Vec::new(),
+            pauses: Vec::new(),
+            closed: Vec::new(),
+        }
+    }
+
     fn track_mut(&mut self, id: PacketId) -> &mut Track {
         if self.packets.len() <= id.idx() {
             self.packets.resize_with(id.idx() + 1, Track::default);
@@ -155,45 +169,9 @@ impl State {
     }
 }
 
-/// The attachable half of the attribution instrument: implements
-/// [`SimObserver`]; build with [`AttributionObserver::new`], attach with
-/// [`mdx_sim::Simulator::add_observer`], and reduce afterwards through the
-/// paired [`AttributionHandle`].
-pub struct AttributionObserver {
-    state: Rc<RefCell<State>>,
-}
-
-/// The caller-retained half of the attribution instrument; survives
-/// handing the [`AttributionObserver`] to the simulator and produces the
-/// [`AttributionReport`].
-#[derive(Clone)]
-pub struct AttributionHandle {
-    state: Rc<RefCell<State>>,
-}
-
-impl AttributionObserver {
-    /// Creates the observer/handle pair for a run on `graph` (the same
-    /// graph handed to the simulator — channel ids must agree).
-    pub fn new(graph: NetworkGraph) -> (AttributionObserver, AttributionHandle) {
-        let state = Rc::new(RefCell::new(State {
-            graph,
-            packets: Vec::new(),
-            pauses: Vec::new(),
-            closed: Vec::new(),
-        }));
-        (
-            AttributionObserver {
-                state: Rc::clone(&state),
-            },
-            AttributionHandle { state },
-        )
-    }
-}
-
 impl SimObserver for AttributionObserver {
     fn on_inject(&mut self, id: PacketId, spec: &InjectSpec, now: u64) {
-        let mut s = self.state.borrow_mut();
-        let t = s.track_mut(id);
+        let t = self.track_mut(id);
         // A repeat injection is a live-reconfiguration re-schedule: the
         // engine restarts the packet's lifecycle (and its latency window),
         // so the per-packet record restarts too.
@@ -207,7 +185,7 @@ impl SimObserver for AttributionObserver {
     }
 
     fn on_hop(&mut self, id: PacketId, _at: Node, _in_channel: Option<ChannelId>, _now: u64) {
-        self.state.borrow_mut().track_mut(id).hops += 1;
+        self.track_mut(id).hops += 1;
     }
 
     fn on_rc_change(
@@ -218,8 +196,7 @@ impl SimObserver for AttributionObserver {
         to: RouteChange,
         now: u64,
     ) {
-        let mut s = self.state.borrow_mut();
-        let t = s.track_mut(id);
+        let t = self.track_mut(id);
         t.rc = to;
         if to == RouteChange::Detour {
             t.detoured = true;
@@ -239,8 +216,7 @@ impl SimObserver for AttributionObserver {
         holder: Option<PacketId>,
         _now: u64,
     ) {
-        let mut s = self.state.borrow_mut();
-        let class = match holder.map(|h| s.rc_of(h)) {
+        let class = match holder.map(|h| self.rc_of(h)) {
             Some(RouteChange::BroadcastRequest) | Some(RouteChange::Broadcast) => {
                 BlockClass::Gather
             }
@@ -248,10 +224,10 @@ impl SimObserver for AttributionObserver {
             Some(RouteChange::Normal) | None => BlockClass::Normal,
         };
         let holder_id = holder.map(|h| h.0);
-        let at = u32::try_from(s.closed.len()).expect("under 2^32 blocked episodes in one run");
-        s.track_mut(id).open_blocks.push((at, vc));
+        let at = u32::try_from(self.closed.len()).expect("under 2^32 blocked episodes in one run");
+        self.track_mut(id).open_blocks.push((at, vc));
         // Remember the holder alongside, for the wall-clock episode list.
-        s.closed.push(ClosedEpisode {
+        self.closed.push(ClosedEpisode {
             ep: WaitEpisode {
                 waiter: id.0,
                 holder: holder_id,
@@ -264,11 +240,10 @@ impl SimObserver for AttributionObserver {
     }
 
     fn on_unblocked(&mut self, id: PacketId, channel: ChannelId, vc: u8, waited: u64, now: u64) {
-        let mut s = self.state.borrow_mut();
         let start = now - waited;
-        let State {
+        let AttributionObserver {
             packets, closed, ..
-        } = &mut *s;
+        } = self;
         let Some(t) = packets.get_mut(id.idx()) else {
             return;
         };
@@ -290,24 +265,18 @@ impl SimObserver for AttributionObserver {
     }
 
     fn on_gather(&mut self, id: PacketId, _depth: usize, now: u64) {
-        self.state
-            .borrow_mut()
-            .track_mut(id)
-            .gather_open
-            .get_or_insert(now);
+        self.track_mut(id).gather_open.get_or_insert(now);
     }
 
     fn on_emission(&mut self, id: PacketId, _depth: usize, now: u64) {
-        let mut s = self.state.borrow_mut();
-        let t = s.track_mut(id);
+        let t = self.track_mut(id);
         if let Some(start) = t.gather_open.take() {
             t.gather_spans.push((start, now));
         }
     }
 
     fn on_packet_finished(&mut self, id: PacketId, now: u64) {
-        let mut s = self.state.borrow_mut();
-        let t = s.track_mut(id);
+        let t = self.track_mut(id);
         if let Some(start) = t.detour_open.take() {
             t.detour_spans.push((start, now));
         }
@@ -317,23 +286,22 @@ impl SimObserver for AttributionObserver {
     }
 
     fn on_epoch_phase(&mut self, _epoch: u32, phase: EpochPhase, now: u64) {
-        let mut s = self.state.borrow_mut();
         match phase {
             // Soft pause: injection closed, drain in progress — waiting
             // cycles in here are the protocol's fault, moving ones are not.
-            EpochPhase::Quiesced => s.pauses.push(PauseWin {
+            EpochPhase::Quiesced => self.pauses.push(PauseWin {
                 start: now,
                 end: None,
                 hard: false,
             }),
             // Hard pause: the reprogram clock jump — nothing moves at all.
-            EpochPhase::Drained => s.pauses.push(PauseWin {
+            EpochPhase::Drained => self.pauses.push(PauseWin {
                 start: now,
                 end: None,
                 hard: true,
             }),
             EpochPhase::Reprogrammed => {
-                if let Some(w) = s
+                if let Some(w) = self
                     .pauses
                     .iter_mut()
                     .rev()
@@ -343,7 +311,7 @@ impl SimObserver for AttributionObserver {
                 }
             }
             EpochPhase::Resumed => {
-                if let Some(w) = s
+                if let Some(w) = self
                     .pauses
                     .iter_mut()
                     .rev()
@@ -523,16 +491,14 @@ pub struct AttributionReport {
     pub critical: CriticalPath,
 }
 
-impl AttributionHandle {
+impl AttributionObserver {
     /// Reduces the accumulated events against the engine's own accounting
     /// into an [`AttributionReport`]. `result` must come from the run the
     /// observer watched.
     pub fn report(&self, result: &SimResult) -> AttributionReport {
-        let s = self.state.borrow();
-
         // Closed pause windows (an unclosed protocol leaves the window
         // open to the end of time; the per-packet clip bounds it).
-        let pauses: Vec<(u64, u64, bool)> = s
+        let pauses: Vec<(u64, u64, bool)> = self
             .pauses
             .iter()
             .map(|w| (w.start, w.end.unwrap_or(u64::MAX), w.hard))
@@ -548,7 +514,7 @@ impl AttributionHandle {
             let Some(finished) = p.finished_at else {
                 continue;
             };
-            let track = s.packets.get(p.id.idx()).filter(|t| t.present);
+            let track = self.packets.get(p.id.idx()).filter(|t| t.present);
             let phases = decompose(p.id.0, p.injected_at, finished, track, &pauses);
             if phases.phase_sum() != phases.latency {
                 violations.push(p.id.0);
@@ -568,13 +534,13 @@ impl AttributionHandle {
 
         // Blame: every closed episode, aggregated per channel and per
         // owning crossbar.
-        let n = s.graph.num_channels();
+        let n = self.graph.num_channels();
         let mut ep_count = vec![0u64; n];
         let mut cyc = vec![0u64; n];
         let mut cyc_gather = vec![0u64; n];
         let mut cyc_detour = vec![0u64; n];
         let mut cyc_normal = vec![0u64; n];
-        for c in s.closed.iter().filter(|c| c.ep.end != u64::MAX) {
+        for c in self.closed.iter().filter(|c| c.ep.end != u64::MAX) {
             let i = c.ep.channel as usize;
             let dur = c.ep.end - c.ep.start;
             ep_count[i] += 1;
@@ -589,7 +555,7 @@ impl AttributionHandle {
             .filter(|&i| ep_count[i] > 0)
             .map(|i| ChannelBlame {
                 channel: i as u32,
-                desc: s.graph.describe_channel(ChannelId(i as u32)),
+                desc: self.graph.describe_channel(ChannelId(i as u32)),
                 episodes: ep_count[i],
                 blocked_cycles: cyc[i],
                 gather_cycles: cyc_gather[i],
@@ -604,11 +570,11 @@ impl AttributionHandle {
         });
 
         let mut per_xbar: HashMap<XbarRef, XbarBlame> = HashMap::new();
-        for id in s.graph.channel_ids() {
+        for id in self.graph.channel_ids() {
             if ep_count[id.idx()] == 0 {
                 continue;
             }
-            let src = s.graph.node(s.graph.channel(id).src);
+            let src = self.graph.node(self.graph.channel(id).src);
             let Node::Xbar(x) = src else { continue };
             let row = per_xbar.entry(x).or_insert_with(|| XbarBlame {
                 name: x.to_string(),
@@ -636,13 +602,13 @@ impl AttributionHandle {
             .filter_map(|p| p.finished_at.map(|f| (f, p.id.0)))
             .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
             .map(|(finished, id)| {
-                let eps: Vec<WaitEpisode> = s
+                let eps: Vec<WaitEpisode> = self
                     .closed
                     .iter()
                     .filter(|c| c.ep.end != u64::MAX)
                     .map(|c| c.ep)
                     .collect();
-                critical_path(&eps, id, finished, &s.graph)
+                critical_path(&eps, id, finished, &self.graph)
             })
             .unwrap_or_else(CriticalPath::empty);
 
@@ -899,7 +865,7 @@ mod tests {
     #[test]
     fn phases_partition_and_conserve() {
         let g = tiny_graph();
-        let (mut obs, handle) = AttributionObserver::new(g);
+        let mut obs = AttributionObserver::new(g);
         // Scheduled at 0, actually injected at 4 (inject_wait 4).
         obs.on_inject(PacketId(0), &spec(0), 4);
         // Blocked on channel 1 for [10, 16) behind a free port.
@@ -922,7 +888,7 @@ mod tests {
         );
         obs.on_packet_finished(PacketId(0), 40);
 
-        let rep = handle.report(&result_of(vec![delivered(0, 0, 40)]));
+        let rep = obs.report(&result_of(vec![delivered(0, 0, 40)]));
         assert!(rep.conserved);
         let p = &rep.packets[0];
         assert_eq!(p.latency, 40);
@@ -939,7 +905,7 @@ mod tests {
     #[test]
     fn overlapping_waits_count_once() {
         let g = tiny_graph();
-        let (mut obs, handle) = AttributionObserver::new(g);
+        let mut obs = AttributionObserver::new(g);
         obs.on_inject(PacketId(0), &spec(0), 0);
         // Two overlapping episodes (a broadcast's two branches): [5, 15)
         // behind a gather-class holder and [10, 20) behind normal traffic.
@@ -957,7 +923,7 @@ mod tests {
         obs.on_unblocked(PacketId(0), ChannelId(1), 0, 10, 20);
         obs.on_packet_finished(PacketId(0), 25);
 
-        let rep = handle.report(&result_of(vec![delivered(0, 0, 25)]));
+        let rep = obs.report(&result_of(vec![delivered(0, 0, 25)]));
         assert!(rep.conserved);
         let p = &rep.packets[0];
         // [5, 15) is gather-class (higher priority), [15, 20) normal.
@@ -970,7 +936,7 @@ mod tests {
     #[test]
     fn epoch_pause_overlays_waits_and_hard_windows() {
         let g = tiny_graph();
-        let (mut obs, handle) = AttributionObserver::new(g);
+        let mut obs = AttributionObserver::new(g);
         obs.on_inject(PacketId(0), &spec(0), 0);
         // Blocked [10, 40); quiesce [20, 50) with a hard reprogram jump
         // [30, 35) inside it.
@@ -982,7 +948,7 @@ mod tests {
         obs.on_epoch_phase(1, EpochPhase::Resumed, 50);
         obs.on_packet_finished(PacketId(0), 60);
 
-        let rep = handle.report(&result_of(vec![delivered(0, 0, 60)]));
+        let rep = obs.report(&result_of(vec![delivered(0, 0, 60)]));
         assert!(rep.conserved);
         let p = &rep.packets[0];
         // Blocked [10, 20) is normal; blocked [20, 40) is pause-overlaid;
@@ -1001,13 +967,13 @@ mod tests {
     #[test]
     fn hard_pause_overlays_transfer_too() {
         let g = tiny_graph();
-        let (mut obs, handle) = AttributionObserver::new(g);
+        let mut obs = AttributionObserver::new(g);
         obs.on_inject(PacketId(0), &spec(0), 0);
         // No waits at all; a hard jump [10, 18) pauses the whole machine.
         obs.on_epoch_phase(1, EpochPhase::Drained, 10);
         obs.on_epoch_phase(1, EpochPhase::Reprogrammed, 18);
         obs.on_packet_finished(PacketId(0), 30);
-        let rep = handle.report(&result_of(vec![delivered(0, 0, 30)]));
+        let rep = obs.report(&result_of(vec![delivered(0, 0, 30)]));
         let p = &rep.packets[0];
         assert_eq!(p.epoch_pause, 8);
         assert_eq!(p.base_transfer, 22);
@@ -1017,7 +983,7 @@ mod tests {
     #[test]
     fn reinjection_resets_the_final_flight() {
         let g = tiny_graph();
-        let (mut obs, handle) = AttributionObserver::new(g);
+        let mut obs = AttributionObserver::new(g);
         obs.on_inject(PacketId(0), &spec(0), 0);
         obs.on_blocked(PacketId(0), ChannelId(0), 0, None, 2);
         obs.on_unblocked(PacketId(0), ChannelId(0), 0, 3, 5);
@@ -1026,7 +992,7 @@ mod tests {
         obs.on_inject(PacketId(0), &spec(48), 50);
         obs.on_packet_finished(PacketId(0), 60);
 
-        let rep = handle.report(&result_of(vec![delivered(0, 48, 60)]));
+        let rep = obs.report(&result_of(vec![delivered(0, 48, 60)]));
         assert!(rep.conserved);
         let p = &rep.packets[0];
         // First-flight wait and hops do not leak into the final flight.
@@ -1047,7 +1013,7 @@ mod tests {
             .find(|&c| matches!(g.node(g.channel(c).src), Node::Xbar(_)))
             .unwrap();
         let other = g.channel_ids().find(|&c| c != xbar_out).unwrap();
-        let (mut obs, handle) = AttributionObserver::new(g);
+        let mut obs = AttributionObserver::new(g);
         obs.on_inject(PacketId(0), &spec(0), 0);
         obs.on_inject(PacketId(1), &spec(0), 0);
         // pkt1's own wait ends before pkt0's wait began, so the critical
@@ -1059,7 +1025,7 @@ mod tests {
         obs.on_packet_finished(PacketId(0), 30);
         obs.on_packet_finished(PacketId(1), 30);
 
-        let rep = handle.report(&result_of(vec![delivered(0, 0, 30), delivered(1, 0, 30)]));
+        let rep = obs.report(&result_of(vec![delivered(0, 0, 30), delivered(1, 0, 30)]));
         assert_eq!(rep.channel_blame.len(), 2);
         assert_eq!(rep.channel_blame[0].channel, xbar_out.0);
         assert_eq!(rep.channel_blame[0].blocked_cycles, 20);
@@ -1079,14 +1045,14 @@ mod tests {
     #[test]
     fn gather_wait_is_the_sxb_serialization_phase() {
         let g = tiny_graph();
-        let (mut obs, handle) = AttributionObserver::new(g);
+        let mut obs = AttributionObserver::new(g);
         let mut bspec = spec(0);
         bspec.header = Header::broadcast_request(Coord::ORIGIN);
         obs.on_inject(PacketId(0), &bspec, 0);
         obs.on_gather(PacketId(0), 2, 10);
         obs.on_emission(PacketId(0), 1, 24);
         obs.on_packet_finished(PacketId(0), 30);
-        let rep = handle.report(&result_of(vec![delivered(0, 0, 30)]));
+        let rep = obs.report(&result_of(vec![delivered(0, 0, 30)]));
         let p = &rep.packets[0];
         assert_eq!(p.gather_wait, 14);
         assert_eq!(p.fault_free_hops, None);

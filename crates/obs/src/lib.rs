@@ -21,9 +21,9 @@
 //!   watchdog fires.
 //! - [`FlightRecorder`] — *what happened right before it died?* An
 //!   always-on, fixed-capacity ring of hop-level events (zero allocation
-//!   in steady state). When a run ends abnormally, the paired
-//!   [`FlightHandle`] joins the ring with the engine's terminal wait
-//!   snapshot and deadlock witness into a [`PostmortemReport`]: the cyclic
+//!   in steady state). When a run ends abnormally,
+//!   [`FlightRecorder::postmortem`] joins the ring with the engine's
+//!   terminal wait snapshot into a [`PostmortemReport`]: the cyclic
 //!   wait with each packet's RC state, recent hops, S-XB gather depth, and
 //!   a classification against the paper's Fig. 5 / Fig. 9 signatures.
 //! - [`WindowObserver`] — *is the network keeping up?* Fixed-width
@@ -50,11 +50,10 @@
 //! *service around* the engine (queue wait, cache tier, serialize) as
 //! well as the engine itself (profile phases, reconfig epochs).
 //!
-//! Each observer follows the same *handle* pattern: the observer itself is
-//! attached to the simulator (which takes ownership of the `Box<dyn
-//! SimObserver>`), while a cheap [`std::rc::Rc`]-backed handle stays with
-//! the caller and can read the accumulated state afterwards — no
-//! downcasting required:
+//! Each instrument is a plain struct: [`mdx_sim::Simulator::add_observer`]
+//! attaches it and hands it back, shared with the engine, so the caller
+//! reads its report from the same value after the run — no handle and no
+//! downcasting:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -67,8 +66,7 @@
 //! let shape = net.shape().clone();
 //! let scheme = Arc::new(NaiveBroadcast::new(net.clone()));
 //! let mut sim = Simulator::new(net.graph().clone(), scheme, SimConfig::default());
-//! let (obs, metrics) = MetricsObserver::new(net.graph().clone());
-//! sim.add_observer(Box::new(obs));
+//! let metrics = sim.add_observer(MetricsObserver::new(net.graph().clone()));
 //! sim.schedule(InjectSpec {
 //!     src_pe: 0,
 //!     header: Header::unicast(shape.coord_of(0), shape.coord_of(11)),
@@ -76,7 +74,7 @@
 //!     inject_at: 0,
 //! });
 //! let result = sim.run();
-//! let report = metrics.report(result.stats.cycles);
+//! let report = metrics.borrow().report(result.stats.cycles);
 //! assert!(report.total_flits > 0);
 //! ```
 //!
@@ -98,26 +96,22 @@ mod trace;
 mod windows;
 
 pub use attribution::{
-    AttributionHandle, AttributionObserver, AttributionReport, ChannelBlame, PacketPhases,
-    PhaseTotals, XbarBlame,
+    AttributionObserver, AttributionReport, ChannelBlame, PacketPhases, PhaseTotals, XbarBlame,
 };
 pub use critical::{critical_path, CriticalPath, CriticalStep, WaitEpisode, MAX_CRITICAL_STEPS};
 pub use flight::{
-    FlightEvent, FlightEventKind, FlightHandle, FlightRecorder, DEFAULT_FLIGHT_CAPACITY,
-    FLIGHT_NO_PACKET,
+    FlightEvent, FlightEventKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHT_NO_PACKET,
 };
-pub use metrics::{
-    ChannelMetrics, GatherSample, MetricsHandle, MetricsObserver, MetricsReport, XbarMetrics,
-};
+pub use metrics::{ChannelMetrics, GatherSample, MetricsObserver, MetricsReport, XbarMetrics};
 pub use postmortem::{CycleEdge, HopTrace, PacketForensics, PostmortemReport, LAST_HOPS};
 pub use schema::{TraceArgs, TraceDoc, TraceEvent};
 pub use span::{
     group_traces, parse_span_log, spans_to_perfetto, summarize_spans, Span, SpanCollector,
     SpanStats, SpanSummary, SpanUnit, TraceBuilder, DEFAULT_TRACE_CAPACITY,
 };
-pub use stall::{StallHandle, StallProbe, StallReport, StallSample};
-pub use trace::{TraceHandle, TraceRecorder};
+pub use stall::{StallProbe, StallReport, StallSample};
+pub use trace::TraceRecorder;
 pub use windows::{
-    WindowHandle, WindowObserver, WindowReport, WindowRow, WindowTotals, DEFAULT_MAX_WINDOWS,
+    WindowObserver, WindowReport, WindowRow, WindowTotals, DEFAULT_MAX_WINDOWS,
     SATURATION_DELIVERY_FRACTION, SATURATION_WINDOWS,
 };

@@ -3,7 +3,7 @@
 //! [`MetricsObserver`] accumulates, per directed channel: flit counts, peak
 //! downstream-buffer occupancy, blocked episodes and blocked cycles; plus
 //! run-level series (S-XB gather-queue depth over time), detour counts, and
-//! a log₂ histogram of blocked-episode durations. [`MetricsHandle::report`]
+//! a log₂ histogram of blocked-episode durations. [`MetricsObserver::report`]
 //! reduces the raw tables into a [`MetricsReport`]: per-channel rows,
 //! per-crossbar output utilization (the quantity Fig. 6's serialization
 //! argument is about — the S-XB's output fan is the broadcast bottleneck),
@@ -13,9 +13,7 @@ use mdx_core::RouteChange;
 use mdx_sim::{InjectSpec, PacketId, SimObserver};
 use mdx_topology::{ChannelId, NetworkGraph, Node, XbarRef};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Glyph ramp shared by the text heatmaps (same ramp as the bench reports).
 const RAMP: &[u8] = b" .:-=+*#%@";
@@ -34,7 +32,11 @@ pub struct GatherSample {
     pub depth: usize,
 }
 
-struct State {
+/// The metrics instrument: implements [`SimObserver`]; build with
+/// [`MetricsObserver::new`], attach with
+/// [`mdx_sim::Simulator::add_observer`], and read the results afterwards
+/// with [`MetricsObserver::report`].
+pub struct MetricsObserver {
     graph: NetworkGraph,
     flits: Vec<u64>,
     peak_occupancy: Vec<usize>,
@@ -48,27 +50,12 @@ struct State {
     detours: u64,
 }
 
-/// The attachable half of the metrics instrument: implements
-/// [`SimObserver`]; build with [`MetricsObserver::new`], attach with
-/// [`mdx_sim::Simulator::add_observer`], and read the results afterwards
-/// through the paired [`MetricsHandle`].
-pub struct MetricsObserver {
-    state: Rc<RefCell<State>>,
-}
-
-/// The caller-retained half of the metrics instrument; survives handing the
-/// [`MetricsObserver`] to the simulator and produces the [`MetricsReport`].
-#[derive(Clone)]
-pub struct MetricsHandle {
-    state: Rc<RefCell<State>>,
-}
-
 impl MetricsObserver {
-    /// Creates the observer/handle pair for a run on `graph` (the same
-    /// graph handed to the simulator — channel ids must agree).
-    pub fn new(graph: NetworkGraph) -> (MetricsObserver, MetricsHandle) {
+    /// Creates the observer for a run on `graph` (the same graph handed to
+    /// the simulator — channel ids must agree).
+    pub fn new(graph: NetworkGraph) -> MetricsObserver {
         let n = graph.num_channels();
-        let state = Rc::new(RefCell::new(State {
+        MetricsObserver {
             graph,
             flits: vec![0; n],
             peak_occupancy: vec![0; n],
@@ -80,23 +67,17 @@ impl MetricsObserver {
             injected: 0,
             hops: 0,
             detours: 0,
-        }));
-        (
-            MetricsObserver {
-                state: Rc::clone(&state),
-            },
-            MetricsHandle { state },
-        )
+        }
     }
 }
 
 impl SimObserver for MetricsObserver {
     fn on_inject(&mut self, _id: PacketId, _spec: &InjectSpec, _now: u64) {
-        self.state.borrow_mut().injected += 1;
+        self.injected += 1;
     }
 
     fn on_hop(&mut self, _id: PacketId, _at: Node, _in_channel: Option<ChannelId>, _now: u64) {
-        self.state.borrow_mut().hops += 1;
+        self.hops += 1;
     }
 
     fn on_rc_change(
@@ -108,7 +89,7 @@ impl SimObserver for MetricsObserver {
         _now: u64,
     ) {
         if to == RouteChange::Detour {
-            self.state.borrow_mut().detours += 1;
+            self.detours += 1;
         }
     }
 
@@ -120,41 +101,32 @@ impl SimObserver for MetricsObserver {
         _holder: Option<PacketId>,
         _now: u64,
     ) {
-        self.state.borrow_mut().blocked_events[channel.idx()] += 1;
+        self.blocked_events[channel.idx()] += 1;
     }
 
     fn on_unblocked(&mut self, _id: PacketId, channel: ChannelId, _vc: u8, waited: u64, _now: u64) {
-        let mut s = self.state.borrow_mut();
-        s.blocked_cycles[channel.idx()] += waited;
+        self.blocked_cycles[channel.idx()] += waited;
         let bucket = if waited <= 1 {
             0
         } else {
             ((63 - waited.leading_zeros()) as usize).min(BLOCKED_BUCKETS - 1)
         };
-        s.blocked_hist[bucket] += 1;
+        self.blocked_hist[bucket] += 1;
     }
 
     fn on_flit(&mut self, channel: ChannelId, _vc: u8, occupancy: usize, _now: u64) {
-        let mut s = self.state.borrow_mut();
-        s.flits[channel.idx()] += 1;
-        if occupancy > s.peak_occupancy[channel.idx()] {
-            s.peak_occupancy[channel.idx()] = occupancy;
-        }
+        self.flits[channel.idx()] += 1;
+        let peak = &mut self.peak_occupancy[channel.idx()];
+        *peak = (*peak).max(occupancy);
     }
 
     fn on_gather(&mut self, _id: PacketId, depth: usize, now: u64) {
-        let mut s = self.state.borrow_mut();
-        s.gather_series.push(GatherSample { now, depth });
-        if depth > s.gather_peak {
-            s.gather_peak = depth;
-        }
+        self.gather_series.push(GatherSample { now, depth });
+        self.gather_peak = self.gather_peak.max(depth);
     }
 
     fn on_emission(&mut self, _id: PacketId, depth: usize, now: u64) {
-        self.state
-            .borrow_mut()
-            .gather_series
-            .push(GatherSample { now, depth });
+        self.gather_series.push(GatherSample { now, depth });
     }
 }
 
@@ -227,30 +199,29 @@ pub struct MetricsReport {
     pub blocked_histogram: Vec<u64>,
 }
 
-impl MetricsHandle {
+impl MetricsObserver {
     /// Reduces the accumulated tables into a [`MetricsReport`]. `cycles` is
     /// the run length ([`mdx_sim::SimStats::cycles`]); it only scales the
     /// utilization columns.
     pub fn report(&self, cycles: u64) -> MetricsReport {
-        let s = self.state.borrow();
         let denom = cycles.max(1) as f64;
-        let mut channels: Vec<ChannelMetrics> = (0..s.graph.num_channels())
-            .filter(|&i| s.flits[i] > 0 || s.blocked_events[i] > 0)
+        let mut channels: Vec<ChannelMetrics> = (0..self.graph.num_channels())
+            .filter(|&i| self.flits[i] > 0 || self.blocked_events[i] > 0)
             .map(|i| ChannelMetrics {
                 channel: i as u32,
-                desc: s.graph.describe_channel(ChannelId(i as u32)),
-                flits: s.flits[i],
-                utilization: s.flits[i] as f64 / denom,
-                peak_occupancy: s.peak_occupancy[i],
-                blocked_events: s.blocked_events[i],
-                blocked_cycles: s.blocked_cycles[i],
+                desc: self.graph.describe_channel(ChannelId(i as u32)),
+                flits: self.flits[i],
+                utilization: self.flits[i] as f64 / denom,
+                peak_occupancy: self.peak_occupancy[i],
+                blocked_events: self.blocked_events[i],
+                blocked_cycles: self.blocked_cycles[i],
             })
             .collect();
         channels.sort_by(|a, b| b.flits.cmp(&a.flits).then(a.channel.cmp(&b.channel)));
 
         let mut per_xbar: HashMap<XbarRef, XbarMetrics> = HashMap::new();
-        for id in s.graph.channel_ids() {
-            let src = s.graph.node(s.graph.channel(id).src);
+        for id in self.graph.channel_ids() {
+            let src = self.graph.node(self.graph.channel(id).src);
             let Node::Xbar(x) = src else { continue };
             let row = per_xbar.entry(x).or_insert_with(|| XbarMetrics {
                 name: x.to_string(),
@@ -263,9 +234,9 @@ impl MetricsHandle {
                 blocked_cycles: 0,
             });
             row.out_ports += 1;
-            row.out_flits += s.flits[id.idx()];
-            row.blocked_events += s.blocked_events[id.idx()];
-            row.blocked_cycles += s.blocked_cycles[id.idx()];
+            row.out_flits += self.flits[id.idx()];
+            row.blocked_events += self.blocked_events[id.idx()];
+            row.blocked_cycles += self.blocked_cycles[id.idx()];
         }
         let mut crossbars: Vec<XbarMetrics> = per_xbar
             .into_values()
@@ -281,23 +252,23 @@ impl MetricsHandle {
                 .then_with(|| (a.dim, a.line).cmp(&(b.dim, b.line)))
         });
 
-        let total_flits: u64 = s.flits.iter().sum();
+        let total_flits: u64 = self.flits.iter().sum();
         MetricsReport {
             cycles,
             total_flits,
-            injected: s.injected,
-            hops: s.hops,
-            detours: s.detours,
-            detour_rate: if s.injected == 0 {
+            injected: self.injected,
+            hops: self.hops,
+            detours: self.detours,
+            detour_rate: if self.injected == 0 {
                 0.0
             } else {
-                s.detours as f64 / s.injected as f64
+                self.detours as f64 / self.injected as f64
             },
             channels,
             crossbars,
-            gather_peak: s.gather_peak,
-            gather_series: s.gather_series.clone(),
-            blocked_histogram: s.blocked_hist.to_vec(),
+            gather_peak: self.gather_peak,
+            gather_series: self.gather_series.clone(),
+            blocked_histogram: self.blocked_hist.to_vec(),
         }
     }
 }
@@ -439,7 +410,7 @@ mod tests {
             .channel_ids()
             .find(|&c| matches!(g.node(g.channel(c).src), Node::Xbar(_)))
             .unwrap();
-        let (mut obs, handle) = MetricsObserver::new(g);
+        let mut obs = MetricsObserver::new(g);
         obs.on_inject(PacketId(0), &dummy_spec(), 0);
         for t in 0..10 {
             obs.on_flit(xbar_out, 0, 1, t);
@@ -449,7 +420,7 @@ mod tests {
         obs.on_gather(PacketId(0), 1, 2);
         obs.on_emission(PacketId(0), 0, 4);
 
-        let rep = handle.report(20);
+        let rep = obs.report(20);
         assert_eq!(rep.total_flits, 10);
         assert_eq!(rep.injected, 1);
         assert_eq!(rep.channels.len(), 1);
@@ -473,9 +444,9 @@ mod tests {
     fn heatmap_and_json_render() {
         let g = tiny_graph();
         let ch = ChannelId(0);
-        let (mut obs, handle) = MetricsObserver::new(g);
+        let mut obs = MetricsObserver::new(g);
         obs.on_flit(ch, 0, 2, 1);
-        let rep = handle.report(10);
+        let rep = obs.report(10);
         let text = rep.heatmap(Some("X0-XB"), Some("X0-XB"));
         assert!(text.contains("per-crossbar output utilization"));
         assert!(text.contains("hottest channels"));

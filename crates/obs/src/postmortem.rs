@@ -1,7 +1,7 @@
 //! Deadlock post-mortems: join the flight-recorder ring with the engine's
 //! terminal wait snapshot and deadlock witness into a forensic report.
 //!
-//! [`FlightHandle::postmortem`] reconstructs the cyclic wait from the
+//! [`FlightRecorder::postmortem`] reconstructs the cyclic wait from the
 //! terminal snapshot with the *same* function the engine's watchdog uses
 //! ([`mdx_sim::first_wait_cycle`]), so the reported cycle names exactly
 //! the channels of the [`DeadlockInfo`](mdx_sim::DeadlockInfo) witness.
@@ -20,8 +20,8 @@
 //! but no wall-clock timestamps — so identical scenario tokens produce
 //! byte-identical post-mortems.
 
-use crate::flight::FlightHandle;
-use crate::FlightEventKind;
+use crate::flight::FlightRecorder;
+use crate::{FlightEventKind, DEFAULT_FLIGHT_CAPACITY};
 use mdx_core::RouteChange;
 use mdx_sim::{first_wait_cycle, EngineDiagnostic, PacketId, SimOutcome};
 use serde::{Deserialize, Serialize};
@@ -167,7 +167,7 @@ fn classify(cycle: &[CycleEdge]) -> (&'static str, &'static str) {
     }
 }
 
-impl FlightHandle {
+impl FlightRecorder {
     /// Builds the post-mortem for a failed run, or `None` when the run
     /// completed. `diagnostics` is [`mdx_sim::SimResult::diagnostics`]
     /// (engine bookkeeping anomalies, normally empty).
@@ -182,14 +182,14 @@ impl FlightHandle {
             SimOutcome::Stalled => "stalled",
             SimOutcome::CycleLimit => "cycle-limit",
         };
-        let s = self.state.borrow();
-        let failed_at = s.final_at.unwrap_or(match outcome {
+        let failed_at = self.final_at.unwrap_or(match outcome {
             SimOutcome::Deadlock(info) => info.detected_at,
             _ => 0,
         });
-        let waits = &s.final_waits;
+        let waits = &self.final_waits;
         let rc_of = |p: u32| {
-            s.rc.get(p as usize)
+            self.rc
+                .get(p as usize)
                 .copied()
                 .unwrap_or(RouteChange::Normal)
                 .bits()
@@ -203,7 +203,7 @@ impl FlightHandle {
                 CycleEdge {
                     waiter: w.waiter,
                     holder,
-                    channel: s.describe(w.channel, w.vc),
+                    channel: self.describe(w.channel, w.vc),
                     waiter_rc: rc_of(w.waiter.0),
                     holder_rc: rc_of(holder.0),
                     blocked_since: w.since,
@@ -221,7 +221,7 @@ impl FlightHandle {
 
         // One pass over the ring collects each packet's recent arrivals.
         let mut hops: HashMap<u32, Vec<HopTrace>> = HashMap::new();
-        for ev in s.events_in_order() {
+        for ev in self.events() {
             let at = match ev.kind {
                 FlightEventKind::Inject { src_pe } => format!("PE{src_pe}"),
                 FlightEventKind::Hop { at } => at.to_string(),
@@ -242,14 +242,16 @@ impl FlightHandle {
                     packet: PacketId(p),
                     rc,
                     rc_name: rc_label(rc).to_string(),
-                    injected_at: s.injected_at.get(p as usize).copied().unwrap_or(0),
+                    injected_at: self.injected_at.get(p as usize).copied().unwrap_or(0),
                     last_hops: hops.remove(&p).unwrap_or_default(),
                     waiting_on: waits
                         .iter()
                         .filter(|w| w.waiter.0 == p)
                         .map(|w| match w.holder {
-                            Some(h) => format!("{} (held by {})", s.describe(w.channel, w.vc), h),
-                            None => format!("{} (free)", s.describe(w.channel, w.vc)),
+                            Some(h) => {
+                                format!("{} (held by {})", self.describe(w.channel, w.vc), h)
+                            }
+                            None => format!("{} (free)", self.describe(w.channel, w.vc)),
                         })
                         .collect(),
                 }
@@ -264,12 +266,12 @@ impl FlightHandle {
             summary: summary.to_string(),
             cycle,
             packets,
-            gather_depth: s.gather_depth,
-            gather_peak: s.gather_peak,
+            gather_depth: self.gather_depth,
+            gather_peak: self.gather_peak,
             wait_edges: waits.len(),
-            ring_capacity: s.capacity(),
-            events_recorded: s.recorded(),
-            events_dropped: s.dropped(),
+            ring_capacity: DEFAULT_FLIGHT_CAPACITY,
+            events_recorded: self.events_recorded(),
+            events_dropped: self.events_dropped(),
             engine_diagnostics: diagnostics.iter().map(|d| d.to_string()).collect(),
         })
     }

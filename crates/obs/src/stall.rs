@@ -12,9 +12,7 @@
 
 use mdx_sim::{search_waits, DeadlockInfo, SimObserver, WaitSnapshot};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::ops::ControlFlow;
-use std::rc::Rc;
 
 /// One reduced probe snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,51 +31,45 @@ pub struct StallSample {
     pub max_wait: u64,
 }
 
-struct State {
+/// The stall instrument: implements [`SimObserver`]; build with
+/// [`StallProbe::new`], attach with [`mdx_sim::Simulator::add_observer`],
+/// and read the samples afterwards with [`StallProbe::report`].
+pub struct StallProbe {
     interval: u64,
     samples: Vec<StallSample>,
     deadlock_at: Option<u64>,
 }
 
-/// The attachable half of the stall instrument; build with
-/// [`StallProbe::new`] and read back through the paired [`StallHandle`].
-pub struct StallProbe {
-    state: Rc<RefCell<State>>,
-}
-
-/// The caller-retained half of the stall instrument.
-#[derive(Clone)]
-pub struct StallHandle {
-    state: Rc<RefCell<State>>,
-}
-
 impl StallProbe {
-    /// Creates the probe/handle pair sampling every `interval` cycles
-    /// (clamped to at least 1).
-    pub fn new(interval: u64) -> (StallProbe, StallHandle) {
-        let state = Rc::new(RefCell::new(State {
+    /// Creates the probe sampling every `interval` cycles (clamped to at
+    /// least 1).
+    pub fn new(interval: u64) -> StallProbe {
+        StallProbe {
             interval: interval.max(1),
             samples: Vec::new(),
             deadlock_at: None,
-        }));
-        (
-            StallProbe {
-                state: Rc::clone(&state),
-            },
-            StallHandle { state },
-        )
+        }
+    }
+
+    /// Snapshots the collected samples into a [`StallReport`].
+    pub fn report(&self) -> StallReport {
+        StallReport {
+            interval: self.interval,
+            samples: self.samples.clone(),
+            deadlock_at: self.deadlock_at,
+        }
     }
 }
 
 impl SimObserver for StallProbe {
     fn probe_interval(&self) -> Option<u64> {
-        Some(self.state.borrow().interval)
+        Some(self.interval)
     }
 
     fn on_probe(&mut self, now: u64, waits: &[WaitSnapshot]) {
         let chain = search_waits(waits, |_| ControlFlow::Continue(()));
         let max_wait = waits.iter().map(|w| now.saturating_sub(w.since)).max();
-        self.state.borrow_mut().samples.push(StallSample {
+        self.samples.push(StallSample {
             now,
             waiting: waits.len(),
             longest_chain: chain.longest_chain,
@@ -87,7 +79,7 @@ impl SimObserver for StallProbe {
     }
 
     fn on_deadlock(&mut self, info: &DeadlockInfo) {
-        self.state.borrow_mut().deadlock_at = Some(info.detected_at);
+        self.deadlock_at = Some(info.detected_at);
     }
 }
 
@@ -100,18 +92,6 @@ pub struct StallReport {
     pub samples: Vec<StallSample>,
     /// Cycle the watchdog confirmed a deadlock, if it did.
     pub deadlock_at: Option<u64>,
-}
-
-impl StallHandle {
-    /// Snapshots the collected samples into a [`StallReport`].
-    pub fn report(&self) -> StallReport {
-        let s = self.state.borrow();
-        StallReport {
-            interval: s.interval,
-            samples: s.samples.clone(),
-            deadlock_at: s.deadlock_at,
-        }
-    }
 }
 
 impl StallReport {
@@ -225,11 +205,11 @@ mod tests {
 
     #[test]
     fn samples_reduce_chain_and_wait() {
-        let (mut probe, handle) = StallProbe::new(8);
+        let mut probe = StallProbe::new(8);
         assert_eq!(probe.probe_interval(), Some(8));
         probe.on_probe(8, &[want(0, Some(1), 2)]);
         probe.on_probe(16, &[want(0, Some(1), 2), want(1, Some(2), 10)]);
-        let rep = handle.report();
+        let rep = probe.report();
         assert_eq!(rep.samples.len(), 2);
         assert_eq!(rep.samples[0].longest_chain, 2);
         assert_eq!(rep.samples[1].longest_chain, 3);
@@ -243,7 +223,7 @@ mod tests {
 
     #[test]
     fn cycle_and_deadlock_show_in_timeline() {
-        let (mut probe, handle) = StallProbe::new(4);
+        let mut probe = StallProbe::new(4);
         probe.on_probe(4, &[want(0, Some(1), 0), want(1, Some(0), 0)]);
         probe.on_deadlock(&DeadlockInfo {
             detected_at: 40,
@@ -253,7 +233,7 @@ mod tests {
                 channel: "R0 -> X0-XB".into(),
             }],
         });
-        let rep = handle.report();
+        let rep = probe.report();
         assert!(rep.saw_cycle());
         assert_eq!(rep.deadlock_at, Some(40));
         assert!(rep.warning().unwrap().contains("cyclic wait"));
@@ -264,10 +244,10 @@ mod tests {
 
     #[test]
     fn quiet_run_has_no_warning() {
-        let (mut probe, handle) = StallProbe::new(4);
+        let mut probe = StallProbe::new(4);
         probe.on_probe(4, &[]);
         probe.on_probe(8, &[]);
-        let rep = handle.report();
+        let rep = probe.report();
         assert_eq!(rep.peak_chain(), 0);
         assert!(rep.warning().is_none());
     }

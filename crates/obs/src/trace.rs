@@ -23,9 +23,7 @@ use crate::schema::{TraceArgs, TraceDoc, TraceEvent};
 use mdx_core::RouteChange;
 use mdx_sim::{DeadlockInfo, InjectSpec, PacketId, SimObserver};
 use mdx_topology::{ChannelId, NetworkGraph, Node};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 const PID_PACKETS: u64 = 1;
 const PID_STALLS: u64 = 2;
@@ -37,7 +35,11 @@ type BlockKey = (u32, u32, u8);
 /// A blocked episode's opening: (start cycle, holding packet).
 type BlockOpen = (u64, Option<u32>);
 
-struct State {
+/// The trace instrument: implements [`SimObserver`]; build with
+/// [`TraceRecorder::new`], attach with
+/// [`mdx_sim::Simulator::add_observer`], and render the collected events
+/// afterwards with [`TraceRecorder::render`].
+pub struct TraceRecorder {
     chan_desc: Vec<String>,
     chan_src_xbar: Vec<Option<u32>>,
     xbar_names: Vec<String>,
@@ -47,24 +49,71 @@ struct State {
     xbar_flits: Vec<u64>,
 }
 
-impl State {
+impl TraceRecorder {
+    /// Creates the recorder for a run on `graph`.
+    pub fn new(graph: &NetworkGraph) -> TraceRecorder {
+        let chan_desc: Vec<String> = graph
+            .channel_ids()
+            .map(|c| graph.describe_channel(c))
+            .collect();
+        let mut xbar_names = Vec::new();
+        let mut xbar_index: HashMap<Node, u32> = HashMap::new();
+        for id in graph.node_ids() {
+            let n = graph.node(id);
+            if matches!(n, Node::Xbar(_)) {
+                xbar_index.insert(n, xbar_names.len() as u32);
+                xbar_names.push(n.to_string());
+            }
+        }
+        let chan_src_xbar: Vec<Option<u32>> = graph
+            .channel_ids()
+            .map(|c| xbar_index.get(&graph.node(graph.channel(c).src)).copied())
+            .collect();
+        let xbar_count = xbar_names.len();
+        let mut rec = TraceRecorder {
+            chan_desc,
+            chan_src_xbar,
+            xbar_names,
+            events: Vec::new(),
+            open_hops: HashMap::new(),
+            open_blocks: HashMap::new(),
+            xbar_flits: vec![0; xbar_count],
+        };
+        for (pid, name) in [
+            (PID_PACKETS, "packets"),
+            (PID_STALLS, "stalls"),
+            (PID_QUEUES, "queues"),
+            (PID_XBARS, "crossbars"),
+        ] {
+            rec.push(TraceEvent::meta(pid, None, name));
+        }
+        rec
+    }
+
     fn push(&mut self, event: TraceEvent) {
         self.events.push(event.to_json());
     }
 
-    fn slice(&mut self, tid: u32, name: &str, start: u64, end: u64) {
-        self.push(TraceEvent::slice(PID_PACKETS, tid.into(), name, start, end));
+    fn slice(tid: u32, name: &str, start: u64, end: u64) -> TraceEvent {
+        TraceEvent::slice(PID_PACKETS, tid.into(), name, start, end)
     }
 
     /// A stall slice on `chan`, naming the holding packet when known.
-    fn blocked(&mut self, tid: u32, chan: usize, start: u64, end: u64, holder: Option<u32>) {
+    fn blocked(
+        &self,
+        tid: u32,
+        chan: usize,
+        start: u64,
+        end: u64,
+        holder: Option<u32>,
+    ) -> TraceEvent {
         let name = format!("blocked: {}", self.chan_desc[chan]);
         let mut event = TraceEvent::slice(PID_STALLS, tid.into(), name, start, end);
         event.args = holder.map(|h| TraceArgs {
             holder: Some(format!("pkt{h}")),
             ..TraceArgs::default()
         });
-        self.push(event);
+        event
     }
 
     fn instant(&mut self, tid: u32, name: &str, ts: u64) {
@@ -85,82 +134,19 @@ impl State {
     }
 }
 
-/// The attachable half of the trace instrument; pair with the
-/// [`TraceHandle`] returned by [`TraceRecorder::new`].
-pub struct TraceRecorder {
-    state: Rc<RefCell<State>>,
-}
-
-/// The caller-retained half of the trace instrument; renders the collected
-/// events to a Chrome `trace_event` JSON document after the run.
-#[derive(Clone)]
-pub struct TraceHandle {
-    state: Rc<RefCell<State>>,
-}
-
-impl TraceRecorder {
-    /// Creates the recorder/handle pair for a run on `graph`.
-    pub fn new(graph: &NetworkGraph) -> (TraceRecorder, TraceHandle) {
-        let chan_desc: Vec<String> = graph
-            .channel_ids()
-            .map(|c| graph.describe_channel(c))
-            .collect();
-        let mut xbar_names = Vec::new();
-        let mut xbar_index: HashMap<Node, u32> = HashMap::new();
-        for id in graph.node_ids() {
-            let n = graph.node(id);
-            if matches!(n, Node::Xbar(_)) {
-                xbar_index.insert(n, xbar_names.len() as u32);
-                xbar_names.push(n.to_string());
-            }
-        }
-        let chan_src_xbar: Vec<Option<u32>> = graph
-            .channel_ids()
-            .map(|c| xbar_index.get(&graph.node(graph.channel(c).src)).copied())
-            .collect();
-        let xbar_count = xbar_names.len();
-        let mut state = State {
-            chan_desc,
-            chan_src_xbar,
-            xbar_names,
-            events: Vec::new(),
-            open_hops: HashMap::new(),
-            open_blocks: HashMap::new(),
-            xbar_flits: vec![0; xbar_count],
-        };
-        for (pid, name) in [
-            (PID_PACKETS, "packets"),
-            (PID_STALLS, "stalls"),
-            (PID_QUEUES, "queues"),
-            (PID_XBARS, "crossbars"),
-        ] {
-            state.push(TraceEvent::meta(pid, None, name));
-        }
-        let state = Rc::new(RefCell::new(state));
-        (
-            TraceRecorder {
-                state: Rc::clone(&state),
-            },
-            TraceHandle { state },
-        )
-    }
-}
-
 impl SimObserver for TraceRecorder {
     fn on_inject(&mut self, id: PacketId, spec: &InjectSpec, _now: u64) {
-        let mut s = self.state.borrow_mut();
         let label = format!("pkt{} (from PE{})", id.0, spec.src_pe);
         for pid in [PID_PACKETS, PID_STALLS] {
-            s.push(TraceEvent::meta(pid, Some(id.0.into()), label.as_str()));
+            self.push(TraceEvent::meta(pid, Some(id.0.into()), label.as_str()));
         }
     }
 
     fn on_hop(&mut self, id: PacketId, at: Node, _in_channel: Option<ChannelId>, now: u64) {
-        let mut s = self.state.borrow_mut();
-        if let Some((name, start)) = s.open_hops.remove(&id.0) {
-            s.slice(id.0, &name, start, now);
+        if let Some((name, start)) = self.open_hops.remove(&id.0) {
+            self.push(TraceRecorder::slice(id.0, &name, start, now));
         }
-        s.open_hops.insert(id.0, (at.to_string(), now));
+        self.open_hops.insert(id.0, (at.to_string(), now));
     }
 
     fn on_rc_change(
@@ -171,9 +157,7 @@ impl SimObserver for TraceRecorder {
         to: RouteChange,
         now: u64,
     ) {
-        self.state
-            .borrow_mut()
-            .instant(id.0, &format!("RC {from:?} -> {to:?} at {at}"), now);
+        self.instant(id.0, &format!("RC {from:?} -> {to:?} at {at}"), now);
     }
 
     fn on_blocked(
@@ -184,60 +168,51 @@ impl SimObserver for TraceRecorder {
         holder: Option<PacketId>,
         now: u64,
     ) {
-        self.state
-            .borrow_mut()
-            .open_blocks
+        self.open_blocks
             .insert((id.0, channel.0, vc), (now, holder.map(|h| h.0)));
     }
 
     fn on_unblocked(&mut self, id: PacketId, channel: ChannelId, vc: u8, _waited: u64, now: u64) {
-        let mut s = self.state.borrow_mut();
-        if let Some((start, holder)) = s.open_blocks.remove(&(id.0, channel.0, vc)) {
-            s.blocked(id.0, channel.idx(), start, now, holder);
+        if let Some((start, holder)) = self.open_blocks.remove(&(id.0, channel.0, vc)) {
+            self.push(self.blocked(id.0, channel.idx(), start, now, holder));
         }
     }
 
     fn on_flit(&mut self, channel: ChannelId, _vc: u8, _occupancy: usize, now: u64) {
-        let mut s = self.state.borrow_mut();
-        if let Some(x) = s.chan_src_xbar[channel.idx()] {
-            s.xbar_flits[x as usize] += 1;
-            let name = format!("{} flits", s.xbar_names[x as usize]);
+        if let Some(x) = self.chan_src_xbar[channel.idx()] {
+            self.xbar_flits[x as usize] += 1;
+            let name = format!("{} flits", self.xbar_names[x as usize]);
             let args = TraceArgs {
-                flits: Some(s.xbar_flits[x as usize]),
+                flits: Some(self.xbar_flits[x as usize]),
                 ..TraceArgs::default()
             };
-            s.push(TraceEvent::counter(PID_XBARS, name, now, args));
+            self.push(TraceEvent::counter(PID_XBARS, name, now, args));
         }
     }
 
     fn on_gather(&mut self, _id: PacketId, depth: usize, now: u64) {
-        self.state.borrow_mut().depth(depth, now);
+        self.depth(depth, now);
     }
 
     fn on_emission(&mut self, id: PacketId, depth: usize, now: u64) {
-        let mut s = self.state.borrow_mut();
-        s.depth(depth, now);
-        s.instant(id.0, "S-XB emission", now);
+        self.depth(depth, now);
+        self.instant(id.0, "S-XB emission", now);
     }
 
     fn on_delivery(&mut self, id: PacketId, pe: usize, now: u64) {
-        self.state
-            .borrow_mut()
-            .instant(id.0, &format!("delivered to PE{pe}"), now);
+        self.instant(id.0, &format!("delivered to PE{pe}"), now);
     }
 
     fn on_packet_finished(&mut self, id: PacketId, now: u64) {
-        let mut s = self.state.borrow_mut();
-        if let Some((name, start)) = s.open_hops.remove(&id.0) {
-            s.slice(id.0, &name, start, now);
+        if let Some((name, start)) = self.open_hops.remove(&id.0) {
+            self.push(TraceRecorder::slice(id.0, &name, start, now));
         }
-        s.instant(id.0, "finished", now);
+        self.instant(id.0, "finished", now);
     }
 
     fn on_deadlock(&mut self, info: &DeadlockInfo) {
-        let mut s = self.state.borrow_mut();
         let packets: Vec<u32> = info.cycle.iter().map(|e| e.waiter.0).collect();
-        s.instant(
+        self.instant(
             packets.first().copied().unwrap_or(0),
             &format!("DEADLOCK ({} packets in cycle)", packets.len()),
             info.detected_at,
@@ -245,10 +220,10 @@ impl SimObserver for TraceRecorder {
     }
 }
 
-impl TraceHandle {
+impl TraceRecorder {
     /// Number of events recorded so far (open slices not yet counted).
     pub fn len(&self) -> usize {
-        self.state.borrow().events.len()
+        self.events.len()
     }
 
     /// True when nothing has been recorded.
@@ -261,19 +236,27 @@ impl TraceHandle {
     /// slices — packets caught in a deadlock show as slices running to the
     /// end of the trace.
     pub fn render(&self, end: u64) -> String {
-        let mut s = self.state.borrow_mut();
         // Closed in key order, so one run always renders one document.
-        let mut open_hops: Vec<(u32, (String, u64))> = s.open_hops.drain().collect();
-        open_hops.sort_unstable_by_key(|&(pkt, _)| pkt);
-        for (pkt, (name, start)) in open_hops {
-            s.slice(pkt, &name, start, end);
-        }
-        let mut open_blocks: Vec<(BlockKey, BlockOpen)> = s.open_blocks.drain().collect();
-        open_blocks.sort_unstable_by_key(|&(key, _)| key);
-        for ((pkt, chan, _vc), (start, holder)) in open_blocks {
-            s.blocked(pkt, chan as usize, start, end, holder);
-        }
-        TraceDoc::render(&s.events)
+        let mut open_hops: Vec<_> = self.open_hops.iter().collect();
+        open_hops.sort_unstable_by_key(|&(&pkt, _)| pkt);
+        let mut open_blocks: Vec<_> = self.open_blocks.iter().collect();
+        open_blocks.sort_unstable_by_key(|&(&key, _)| key);
+        let hops = open_hops
+            .into_iter()
+            .map(|(&pkt, (name, start))| TraceRecorder::slice(pkt, name, *start, end));
+        let blocks = open_blocks
+            .into_iter()
+            .map(|(&(pkt, chan, _vc), &(start, holder))| {
+                self.blocked(pkt, chan as usize, start, end, holder)
+            });
+        let closing: Vec<String> = hops.chain(blocks).map(|e| e.to_json()).collect();
+        let events: Vec<&str> = self
+            .events
+            .iter()
+            .chain(&closing)
+            .map(String::as_str)
+            .collect();
+        TraceDoc::render(&events)
     }
 }
 
@@ -301,7 +284,7 @@ mod tests {
             .channel_ids()
             .find(|&c| matches!(g.node(g.channel(c).src), Node::Xbar(_)))
             .unwrap();
-        let (mut rec, handle) = TraceRecorder::new(&g);
+        let mut rec = TraceRecorder::new(&g);
         let spec = InjectSpec {
             src_pe: 0,
             header: Header::unicast(Coord::ORIGIN, Coord::ORIGIN),
@@ -316,7 +299,7 @@ mod tests {
         rec.on_flit(xbar_out, 0, 1, 6);
         rec.on_gather(PacketId(0), 2, 6);
         // One hop left open on purpose: render() must close it.
-        let doc = handle.render(10);
+        let doc = rec.render(10);
         assert!(doc.starts_with("{\"traceEvents\":["));
         assert!(doc.trim_end().ends_with("}"));
         assert!(doc.contains("\"ph\":\"X\""));

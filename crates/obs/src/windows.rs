@@ -9,7 +9,7 @@
 //! [`WindowObserver`] accumulates, per window of `window` cycles: packets
 //! injected, packets finished, mean end-to-end latency of the packets that
 //! finished in the window, and the in-flight backlog at the window's
-//! close. [`WindowHandle::report`] reduces the ring into a
+//! close. [`WindowObserver::report`] reduces the ring into a
 //! [`WindowReport`] with run totals and open-loop steady-state accounting:
 //! the delivered-rate vs offered-rate comparison that pins down the
 //! saturation point — the first window of a sustained stretch where the
@@ -18,11 +18,9 @@
 
 use mdx_sim::{InjectSpec, PacketId, SimObserver};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 
-/// Default ring capacity: windows kept before the oldest are evicted.
+/// Ring capacity: windows kept before the oldest are evicted.
 pub const DEFAULT_MAX_WINDOWS: usize = 512;
 
 /// Consecutive qualifying windows before the run counts as saturated.
@@ -164,9 +162,12 @@ impl WindowReport {
     }
 }
 
-struct State {
+/// The windowed instrument: implements [`SimObserver`]; build with
+/// [`WindowObserver::new`], attach with
+/// [`mdx_sim::Simulator::add_observer`] (alongside any other observers),
+/// and reduce afterwards with [`WindowObserver::report`].
+pub struct WindowObserver {
     window: u64,
-    max_windows: usize,
     ring: VecDeque<WindowRow>,
     dropped: u64,
     totals: WindowTotals,
@@ -177,14 +178,37 @@ struct State {
     in_flight: HashMap<PacketId, u64>,
 }
 
-impl State {
+impl WindowObserver {
+    /// Creates the observer for windows of `window` cycles, keeping at
+    /// most [`DEFAULT_MAX_WINDOWS`] of them.
+    ///
+    /// # Panics
+    /// Panics on a zero window width.
+    pub fn new(window: u64) -> WindowObserver {
+        assert!(window > 0, "window width must be at least one cycle");
+        WindowObserver {
+            window,
+            ring: VecDeque::new(),
+            dropped: 0,
+            totals: WindowTotals::default(),
+            current: WindowRow {
+                start: 0,
+                injected: 0,
+                finished: 0,
+                latency_sum: 0,
+                backlog: 0,
+            },
+            in_flight: HashMap::new(),
+        }
+    }
+
     /// Closes windows until `now` falls inside the current one.
     fn roll_to(&mut self, now: u64) {
         while now >= self.current.start + self.window {
             let backlog = self.in_flight.len() as u64;
             let mut closed = self.current;
             closed.backlog = backlog;
-            if self.ring.len() == self.max_windows {
+            if self.ring.len() == DEFAULT_MAX_WINDOWS {
                 self.ring.pop_front();
                 self.dropped += 1;
             }
@@ -198,110 +222,51 @@ impl State {
             };
         }
     }
-}
 
-/// The attachable half of the windowed instrument; build with
-/// [`WindowObserver::new`], attach with
-/// [`mdx_sim::Simulator::add_observer`] (alongside any other observers),
-/// read back through the paired [`WindowHandle`].
-pub struct WindowObserver {
-    state: Rc<RefCell<State>>,
-}
-
-/// The caller-retained half; produces the [`WindowReport`].
-#[derive(Clone)]
-pub struct WindowHandle {
-    state: Rc<RefCell<State>>,
-}
-
-impl WindowObserver {
-    /// Observer/handle pair with the default ring cap
-    /// ([`DEFAULT_MAX_WINDOWS`]).
-    ///
-    /// # Panics
-    /// Panics on a zero window width.
-    pub fn new(window: u64) -> (WindowObserver, WindowHandle) {
-        WindowObserver::with_capacity(window, DEFAULT_MAX_WINDOWS)
-    }
-
-    /// Observer/handle pair keeping at most `max_windows` windows.
-    ///
-    /// # Panics
-    /// Panics on a zero window width or capacity.
-    pub fn with_capacity(window: u64, max_windows: usize) -> (WindowObserver, WindowHandle) {
-        assert!(window > 0, "window width must be at least one cycle");
-        assert!(max_windows > 0, "ring must hold at least one window");
-        let state = Rc::new(RefCell::new(State {
-            window,
-            max_windows,
-            ring: VecDeque::new(),
-            dropped: 0,
-            totals: WindowTotals::default(),
-            current: WindowRow {
-                start: 0,
-                injected: 0,
-                finished: 0,
-                latency_sum: 0,
-                backlog: 0,
-            },
-            in_flight: HashMap::new(),
-        }));
-        (
-            WindowObserver {
-                state: Rc::clone(&state),
-            },
-            WindowHandle { state },
-        )
+    /// Reduces the accumulated windows into a report. `total_cycles` closes
+    /// the in-progress window (pass the run's final cycle count).
+    pub fn report(&self, total_cycles: u64) -> WindowReport {
+        // Flush the partial last window if it saw anything.
+        let backlog = self.in_flight.len() as u64;
+        let mut windows: Vec<WindowRow> = self.ring.iter().copied().collect();
+        if self.current.injected > 0
+            || self.current.finished > 0
+            || total_cycles > self.current.start
+        {
+            let mut last = self.current;
+            last.backlog = backlog;
+            windows.push(last);
+        }
+        WindowReport {
+            window: self.window,
+            dropped_windows: self.dropped,
+            totals: self.totals,
+            saturated_at: find_saturation(&windows),
+            windows,
+        }
     }
 }
 
 impl SimObserver for WindowObserver {
     fn on_inject(&mut self, id: PacketId, _spec: &InjectSpec, now: u64) {
-        let mut s = self.state.borrow_mut();
-        s.roll_to(now);
-        s.current.injected += 1;
-        s.totals.injected += 1;
-        s.in_flight.insert(id, now);
+        self.roll_to(now);
+        self.current.injected += 1;
+        self.totals.injected += 1;
+        self.in_flight.insert(id, now);
     }
 
     fn on_packet_finished(&mut self, id: PacketId, now: u64) {
-        let mut s = self.state.borrow_mut();
-        s.roll_to(now);
+        self.roll_to(now);
         // Injection-gated victims can settle without ever injecting; only
         // packets we saw inject count toward latency.
-        if let Some(injected_at) = s.in_flight.remove(&id) {
+        if let Some(injected_at) = self.in_flight.remove(&id) {
             let lat = now - injected_at;
-            s.current.finished += 1;
-            s.current.latency_sum += lat;
-            s.totals.finished += 1;
-            s.totals.latency_sum += lat;
-            s.totals.latency_max = s.totals.latency_max.max(lat);
+            self.current.finished += 1;
+            self.current.latency_sum += lat;
+            self.totals.finished += 1;
+            self.totals.latency_sum += lat;
+            self.totals.latency_max = self.totals.latency_max.max(lat);
         }
-    }
-}
-
-impl WindowHandle {
-    /// Reduces the accumulated windows into a report. `total_cycles` closes
-    /// the in-progress window (pass the run's final cycle count).
-    pub fn report(&self, total_cycles: u64) -> WindowReport {
-        let s = self.state.borrow();
-        // Flush the partial last window if it saw anything.
-        let backlog = s.in_flight.len() as u64;
-        let mut windows: Vec<WindowRow> = s.ring.iter().copied().collect();
-        if s.current.injected > 0 || s.current.finished > 0 || total_cycles > s.current.start {
-            let mut last = s.current;
-            last.backlog = backlog;
-            windows.push(last);
-        }
-        let report = WindowReport {
-            window: s.window,
-            dropped_windows: s.dropped,
-            totals: s.totals,
-            saturated_at: find_saturation(&windows),
-            windows,
-        };
-        drop(s);
-        report
     }
 }
 
@@ -348,14 +313,14 @@ mod tests {
 
     #[test]
     fn windows_roll_and_accumulate() {
-        let (mut obs, handle) = WindowObserver::new(100);
+        let mut obs = WindowObserver::new(100);
         let s = spec();
         obs.on_inject(PacketId(0), &s, 5);
         obs.on_packet_finished(PacketId(0), 25);
         obs.on_inject(PacketId(1), &s, 150);
         obs.on_inject(PacketId(2), &s, 160);
         obs.on_packet_finished(PacketId(1), 260);
-        let r = handle.report(300);
+        let r = obs.report(300);
         assert_eq!(r.windows.len(), 3);
         assert_eq!(r.windows[0].injected, 1);
         assert_eq!(r.windows[0].finished, 1);
@@ -372,22 +337,24 @@ mod tests {
 
     #[test]
     fn ring_cap_bounds_memory_but_not_totals() {
-        let (mut obs, handle) = WindowObserver::with_capacity(10, 4);
+        let mut obs = WindowObserver::new(10);
         let s = spec();
-        for i in 0..100u64 {
+        let n = DEFAULT_MAX_WINDOWS as u64 + 88;
+        for i in 0..n {
             obs.on_inject(PacketId(i as u32), &s, i * 10);
             obs.on_packet_finished(PacketId(i as u32), i * 10 + 3);
         }
-        let r = handle.report(1000);
-        assert!(r.windows.len() <= 5); // ring + the flushed partial
-        assert!(r.dropped_windows >= 95);
-        assert_eq!(r.totals.injected, 100);
-        assert_eq!(r.totals.finished, 100);
+        let r = obs.report(n * 10);
+        // The full ring plus the flushed partial window.
+        assert_eq!(r.windows.len(), DEFAULT_MAX_WINDOWS + 1);
+        assert_eq!(r.dropped_windows, 87);
+        assert_eq!(r.totals.injected, n);
+        assert_eq!(r.totals.finished, n);
     }
 
     #[test]
     fn sustained_lag_with_rising_backlog_is_saturation() {
-        let (mut obs, handle) = WindowObserver::new(10);
+        let mut obs = WindowObserver::new(10);
         let s = spec();
         let mut id = 0u32;
         // Window 0: healthy. Windows 1..=3: inject 4, finish 1 each.
@@ -403,7 +370,7 @@ mod tests {
             }
             id += inject;
         }
-        let r = handle.report(40);
+        let r = obs.report(40);
         assert_eq!(r.saturated_at, Some(10));
         assert!(r.delivery_ratio() < 1.0);
         assert!(r.render().contains("saturated from cycle 10"));
@@ -411,14 +378,14 @@ mod tests {
 
     #[test]
     fn all_idle_windows_never_divide_by_zero_or_saturate() {
-        let (mut obs, handle) = WindowObserver::new(10);
+        let mut obs = WindowObserver::new(10);
         let s = spec();
         // One packet injected at cycle 0; then three fully idle windows
         // (offered == 0) while its backlog sits at 1. A finish event for a
         // packet we never saw inject rolls the clock without counting.
         obs.on_inject(PacketId(0), &s, 0);
         obs.on_packet_finished(PacketId(99), 35);
-        let r = handle.report(40);
+        let r = obs.report(40);
         assert_eq!(r.windows.len(), 4);
         for w in &r.windows[1..] {
             assert_eq!(w.injected, 0);
@@ -434,7 +401,7 @@ mod tests {
 
     #[test]
     fn draining_windows_saturate_backlog_delta_at_zero() {
-        let (mut obs, handle) = WindowObserver::new(10);
+        let mut obs = WindowObserver::new(10);
         let s = spec();
         // Window 0 injects 3 and finishes none; window 1 injects 1 but
         // finishes all 4 — deliveries outpace offers across the boundary.
@@ -445,7 +412,7 @@ mod tests {
         for k in 0..4u32 {
             obs.on_packet_finished(PacketId(k), 12 + k as u64);
         }
-        let r = handle.report(20);
+        let r = obs.report(20);
         assert_eq!(r.windows.len(), 2);
         assert_eq!(r.windows[0].backlog_delta(), 3);
         // finished (4) > injected (1): must clamp to 0, not wrap.

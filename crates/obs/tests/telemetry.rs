@@ -12,7 +12,6 @@ use mdx_core::{NaiveBroadcast, RouteChange, Scheme, Sr2201Routing};
 use mdx_fault::FaultSet;
 use mdx_obs::{
     FlightRecorder, MetricsObserver, PostmortemReport, StallProbe, TraceDoc, TraceRecorder,
-    DEFAULT_FLIGHT_CAPACITY,
 };
 use mdx_sim::{EventCounts, InjectSpec, SimConfig, SimOutcome, Simulator};
 use mdx_topology::{MdCrossbar, Node, Shape};
@@ -47,8 +46,7 @@ fn fig10_sxb_utilization_dominates_other_x_crossbars() {
     assert_eq!(sxb.dim, 0, "the S-XB is an X-dimension crossbar");
 
     let mut sim = Simulator::new(net.graph().clone(), scheme, SimConfig::default());
-    let (obs, metrics) = MetricsObserver::new(net.graph().clone());
-    sim.add_observer(Box::new(obs));
+    let metrics = sim.add_observer(MetricsObserver::new(net.graph().clone()));
     let specs = fig10_specs(&net, 7);
     assert!(
         specs
@@ -62,7 +60,7 @@ fn fig10_sxb_utilization_dominates_other_x_crossbars() {
     let result = sim.run();
     assert_eq!(result.outcome, SimOutcome::Completed);
 
-    let report = metrics.report(result.stats.cycles);
+    let report = metrics.borrow().report(result.stats.cycles);
     // Observer flit accounting agrees with the engine's own counters.
     assert_eq!(report.total_flits, result.stats.flit_hops);
 
@@ -108,8 +106,7 @@ fn naive_broadcast_storm_wait_chain_grows_before_watchdog_fires() {
                 ..SimConfig::default()
             },
         );
-        let (probe, stall) = StallProbe::new(64);
-        sim.add_observer(Box::new(probe));
+        let stall = sim.add_observer(StallProbe::new(64));
         for &src in &sources {
             let c = shape.coord_of(src);
             sim.schedule(InjectSpec {
@@ -128,7 +125,7 @@ fn naive_broadcast_storm_wait_chain_grows_before_watchdog_fires() {
             continue;
         }
 
-        let report = stall.report();
+        let report = stall.borrow().report();
         assert!(
             report.deadlock_at.is_some(),
             "probe saw the watchdog's verdict"
@@ -169,8 +166,7 @@ fn naive_broadcast_postmortem_matches_watchdog_witness() {
                 ..SimConfig::default()
             },
         );
-        let (rec, flight) = FlightRecorder::new(net.graph().clone(), vcs, DEFAULT_FLIGHT_CAPACITY);
-        sim.add_observer(Box::new(rec));
+        let flight = sim.add_observer(FlightRecorder::new(net.graph().clone(), vcs));
         for &src in &sources {
             let c = shape.coord_of(src);
             sim.schedule(InjectSpec {
@@ -190,6 +186,7 @@ fn naive_broadcast_postmortem_matches_watchdog_witness() {
         };
 
         let pm = flight
+            .borrow()
             .postmortem(&result.outcome, &result.diagnostics)
             .expect("failed runs always yield a post-mortem");
         assert_eq!(pm.outcome, "deadlock");
@@ -250,14 +247,11 @@ fn all_three_observers_compose_via_fanout() {
     let scheme = Arc::new(Sr2201Routing::new(net.clone(), &FaultSet::none()).unwrap());
     let mut sim = Simulator::new(net.graph().clone(), scheme, SimConfig::default());
 
-    let (metrics_obs, metrics) = MetricsObserver::new(net.graph().clone());
-    let (trace_obs, trace) = TraceRecorder::new(net.graph());
-    let (probe, stall) = StallProbe::new(32);
     // The engine fans every hook out to all four.
-    sim.add_observer(Box::new(metrics_obs));
-    sim.add_observer(Box::new(trace_obs));
-    sim.add_observer(Box::new(probe));
-    sim.add_observer(Box::new(EventCounts::default()));
+    let metrics = sim.add_observer(MetricsObserver::new(net.graph().clone()));
+    let trace = sim.add_observer(TraceRecorder::new(net.graph()));
+    let stall = sim.add_observer(StallProbe::new(32));
+    let counts = sim.add_observer(EventCounts::default());
 
     for &spec in &fig10_specs(&net, 3) {
         sim.schedule(spec);
@@ -265,18 +259,19 @@ fn all_three_observers_compose_via_fanout() {
     let result = sim.run();
     assert_eq!(result.outcome, SimOutcome::Completed);
 
-    let m = metrics.report(result.stats.cycles);
+    let m = metrics.borrow().report(result.stats.cycles);
     assert_eq!(m.total_flits, result.stats.flit_hops);
+    assert_eq!(counts.borrow().flits, m.total_flits);
     assert!(!m.heatmap(None, None).is_empty());
 
-    let doc = trace.render(result.stats.cycles);
+    let doc = trace.borrow().render(result.stats.cycles);
     assert!(doc.contains("S-XB gather depth") || m.gather_peak == 0);
     // The full rendered trace passes the strict deny-unknown-fields schema.
     let parsed = TraceDoc::parse(&doc).expect("trace passes the strict schema");
     assert!(!parsed.trace_events.is_empty());
     assert!(parsed.events("X").count() > 0);
 
-    let s = stall.report();
+    let s = stall.borrow().report();
     assert_eq!(s.interval, 32);
     assert!(s.deadlock_at.is_none());
     assert!(!s.samples.is_empty());

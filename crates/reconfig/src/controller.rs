@@ -11,8 +11,8 @@ use mdx_core::RouteChange;
 use mdx_fault::connectivity::{pair_connected, reachable_pairs};
 use mdx_fault::{FaultEvent, FaultEventKind, FaultSet, TimelineError};
 use mdx_sim::{
-    EpochPhase, InjectSpec, PacketId, PacketOutcome, PhaseEnd, SimConfig, SimObserver, SimResult,
-    Simulator, VictimMode,
+    EpochPhase, InjectSpec, PacketId, PacketOutcome, PhaseEnd, SimConfig, SimResult, Simulator,
+    VictimMode,
 };
 use mdx_topology::MdCrossbar;
 use std::collections::{BTreeSet, HashMap};
@@ -78,9 +78,10 @@ fn replay_viable(net: &MdCrossbar, faults: &FaultSet, spec: &InjectSpec) -> bool
 }
 
 /// Runs `specs` on `net` under `scheme_id`, activating the fault timeline
-/// in `spec` mid-run via the epoch protocol. The observer (if any) sees
-/// the usual packet hooks plus [`SimObserver::on_fault_activated`] and
-/// [`SimObserver::on_epoch_phase`].
+/// in `spec` mid-run via the epoch protocol. To watch the run, build the
+/// engine, attach observers and call [`drive_reconfig`]: they see the
+/// usual packet hooks plus [`mdx_sim::SimObserver::on_fault_activated`]
+/// and [`mdx_sim::SimObserver::on_epoch_phase`].
 pub fn run_reconfig(
     net: Arc<MdCrossbar>,
     scheme_id: &str,
@@ -88,14 +89,10 @@ pub fn run_reconfig(
     specs: &[InjectSpec],
     cfg: SimConfig,
     spec: &ReconfigSpec,
-    observer: Option<Box<dyn SimObserver>>,
 ) -> Result<ReconfigOutcome, ReconfigError> {
     let scheme = build_scheme(scheme_id, net.clone(), initial_faults)
         .map_err(|e| ReconfigError::BuildScheme(e.to_string()))?;
     let mut sim = Simulator::new(net.graph().clone(), scheme, cfg);
-    if let Some(obs) = observer {
-        sim.add_observer(obs);
-    }
     for &s in specs {
         sim.schedule(s);
     }

@@ -49,7 +49,6 @@ fn empty_timeline_matches_static_run() {
         &specs,
         cfg(),
         &spec,
-        None,
     )
     .unwrap();
 
@@ -85,7 +84,6 @@ fn xbar_fault_under_reinject_recovers_every_victim() {
         &specs,
         cfg(),
         &spec,
-        None,
     )
     .unwrap();
 
@@ -127,7 +125,6 @@ fn drop_policy_loses_exactly_the_victims() {
         &specs,
         cfg(),
         &spec,
-        None,
     )
     .unwrap();
 
@@ -160,7 +157,6 @@ fn reroute_policy_recovers_without_loss() {
         &specs,
         cfg(),
         &spec,
-        None,
     )
     .unwrap();
 
@@ -201,7 +197,6 @@ fn reroute_replays_a_paused_emission_whose_sxb_moved() {
         &specs,
         cfg(),
         &spec,
-        None,
     )
     .unwrap();
 
@@ -238,7 +233,6 @@ fn router_fault_abandons_unreachable_destinations() {
         &specs,
         cfg(),
         &spec,
-        None,
     )
     .unwrap();
 
@@ -266,7 +260,7 @@ fn repair_event_restores_service() {
         inject_at: 1000,
     }];
     let spec = ReconfigSpec::new(FaultTimeline::new().repair(FaultSite::Router(5), 500));
-    let out = run_reconfig(net.clone(), "sr2201", &initial, &specs, cfg(), &spec, None).unwrap();
+    let out = run_reconfig(net.clone(), "sr2201", &initial, &specs, cfg(), &spec).unwrap();
 
     assert_eq!(out.result.outcome, SimOutcome::Completed);
     assert_eq!(out.result.packets[0].outcome, PacketOutcome::Delivered);
@@ -287,7 +281,6 @@ fn inject_then_repair_roundtrip_timeline() {
         &specs,
         cfg(),
         &spec,
-        None,
     )
     .unwrap();
     assert_eq!(out.report.epochs.len(), 2);
@@ -310,7 +303,6 @@ fn reconfig_runs_are_deterministic() {
             &specs,
             cfg(),
             &spec,
-            None,
         )
         .unwrap()
     };
@@ -335,7 +327,7 @@ fn conflicting_xbar_faults_report_unconfigurable() {
         FaultTimeline::new().inject(FaultSite::Xbar(XbarRef { dim: 1, line: 2 }), 20),
     );
     let initial = FaultSet::single(FaultSite::Xbar(XbarRef { dim: 0, line: 0 }));
-    let err = run_reconfig(net.clone(), "sr2201", &initial, &specs, cfg(), &spec, None)
+    let err = run_reconfig(net.clone(), "sr2201", &initial, &specs, cfg(), &spec)
         .expect_err("two-dimension crossbar faults must be unconfigurable");
     match err {
         mdx_reconfig::ReconfigError::Unconfigurable { at, .. } => assert!(at >= 20),

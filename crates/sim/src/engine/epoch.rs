@@ -76,8 +76,8 @@ impl Simulator {
     /// controller owns the protocol but the engine owns the observers).
     pub fn notify_epoch_phase(&mut self, epoch: u32, phase: EpochPhase) {
         let now = self.now;
-        for obs in &mut self.observers {
-            obs.on_epoch_phase(epoch, phase, now);
+        for obs in &self.observers {
+            obs.borrow_mut().on_epoch_phase(epoch, phase, now);
         }
     }
 
@@ -183,8 +183,8 @@ impl Simulator {
             self.log_victim(p.0);
         }
         let now = self.now;
-        for obs in &mut self.observers {
-            obs.on_fault_activated(now, &out);
+        for obs in &self.observers {
+            obs.borrow_mut().on_fault_activated(now, &out);
         }
         out
     }
@@ -339,9 +339,9 @@ impl Simulator {
         self.moving.retain(|&vi| !visits[vi as usize].complete);
     }
 
-    /// Replaces the routing function (the reprogram step). The engine must
-    /// be drained of S-XB state; the new scheme must keep the virtual-
-    /// channel layout (ports are sized at construction).
+    /// Replaces the routing function (the reprogram step). The new scheme
+    /// must keep the virtual-channel layout (ports are sized at
+    /// construction).
     pub fn set_scheme(&mut self, scheme: Arc<dyn Scheme>) {
         assert_eq!(
             scheme.max_vcs().max(1) as usize,
@@ -349,9 +349,12 @@ impl Simulator {
             "reprogram must preserve the virtual-channel layout"
         );
         // A drain that went quiet (rather than empty) can leave queued or
-        // even mid-emission broadcasts behind a wounded packet. Those keep
-        // their old-function fan; only *new* emissions use the new scheme.
-        // The transition checker watches exactly this mixed-epoch overlap.
+        // even mid-emission broadcasts behind a wounded packet. Only an
+        // emission already under way keeps its old-function fan. Gathered
+        // requests still queued are emitted from the new `serial_node`
+        // with the new scheme's `emission` fan, although they gathered at
+        // the old S-XB and never travel to the new one (ROADMAP item 2).
+        // The transition checker watches this mixed-epoch overlap.
         self.serial_node = scheme.serializing_node().and_then(|n| self.graph.id_of(n));
         self.scheme = scheme;
     }

@@ -37,13 +37,13 @@ impl Simulator {
         // [`crate::observer`].
         if !self.observers.is_empty() && !matches!(outcome, SimOutcome::Completed) {
             let waits = self.wait_snapshot();
-            for obs in &mut self.observers {
-                obs.on_final_waits(self.now, &waits);
+            for obs in &self.observers {
+                obs.borrow_mut().on_final_waits(self.now, &waits);
             }
         }
         if let SimOutcome::Deadlock(info) = &outcome {
-            for obs in &mut self.observers {
-                obs.on_deadlock(info);
+            for obs in &self.observers {
+                obs.borrow_mut().on_deadlock(info);
             }
         }
         self.free_hop_state();

@@ -40,7 +40,9 @@ use crate::result::{
 use crate::source::TrafficSource;
 use mdx_core::{DropReason, Header, Scheme};
 use mdx_topology::{ChannelId, NetworkGraph, Node, NodeId};
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -402,8 +404,9 @@ pub struct Simulator {
     /// the profiler buckets each tick.
     started_packets: usize,
     prof: Profiler,
-    /// Attached observers; every hook fires on each, in attach order.
-    observers: Vec<Box<dyn SimObserver>>,
+    /// Attached observers; every hook fires on each, in attach order,
+    /// inside one borrow of its cell.
+    observers: Vec<Rc<RefCell<dyn SimObserver>>>,
     /// Invariant violations recorded instead of panicking (see
     /// [`EngineDiagnostic`]); copied into [`SimResult::diagnostics`].
     diagnostics: Vec<EngineDiagnostic>,
@@ -487,13 +490,17 @@ impl Simulator {
         }
     }
 
-    /// Attaches an event observer. The engine calls its hooks at
-    /// packet-lifecycle transitions (see [`SimObserver`]); with several
+    /// Attaches an event observer and returns it, shared with the engine,
+    /// so the caller can read it after the run. The engine calls its hooks
+    /// at packet-lifecycle transitions (see [`SimObserver`]); with several
     /// attached, each hook fires on every observer in attach order, and
     /// probes run at the smallest [`SimObserver::probe_interval`] any of
-    /// them asks for.
-    pub fn add_observer(&mut self, observer: Box<dyn SimObserver>) {
-        self.observers.push(observer);
+    /// them asks for. The engine borrows the observer's cell for each
+    /// call, so a borrow the caller still holds when a hook fires panics.
+    pub fn add_observer<T: SimObserver + 'static>(&mut self, observer: T) -> Rc<RefCell<T>> {
+        let observer = Rc::new(RefCell::new(observer));
+        self.observers.push(observer.clone());
+        observer
     }
 
     /// Enables per-phase wall-clock timing in the self-profile
@@ -807,7 +814,7 @@ impl Simulator {
         let probe_every = self
             .observers
             .iter()
-            .filter_map(|o| o.probe_interval())
+            .filter_map(|o| o.borrow().probe_interval())
             .min()
             .filter(|&iv| iv > 0);
         let timing = self.prof.timing;
@@ -852,8 +859,8 @@ impl Simulator {
                 if self.now.is_multiple_of(iv) {
                     let t = timing.then(Instant::now);
                     let waits = self.wait_snapshot();
-                    for obs in &mut self.observers {
-                        obs.on_probe(self.now, &waits);
+                    for obs in &self.observers {
+                        obs.borrow_mut().on_probe(self.now, &waits);
                     }
                     if let Some(t) = t {
                         self.prof.probe += t.elapsed();

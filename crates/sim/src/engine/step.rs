@@ -97,8 +97,8 @@ impl Simulator {
             }
             self.packets[pidx as usize].started = true;
             self.started_packets += 1;
-            for obs in &mut self.observers {
-                obs.on_inject(PacketId(pidx), &spec, self.now);
+            for obs in &self.observers {
+                obs.borrow_mut().on_inject(PacketId(pidx), &spec, self.now);
             }
             self.create_visit(pidx, at, None, None, &spec.header);
             effect = effect.max(StepEffect::Changed);
@@ -152,8 +152,9 @@ impl Simulator {
         self.serial_queue.pop_front();
         let branches = self.scheme.emission(&header);
         let depth = self.serial_queue.len();
-        for obs in &mut self.observers {
-            obs.on_emission(PacketId(pidx), depth, self.now);
+        for obs in &self.observers {
+            obs.borrow_mut()
+                .on_emission(PacketId(pidx), depth, self.now);
         }
         let at = self.graph.node(serial);
         self.report_decision(pidx, at, None, header.rc, &branches);
@@ -261,8 +262,9 @@ impl Simulator {
         if let Some(since) = was_blocked {
             let ch = ChannelId((pu / self.vcs) as u32);
             let vc = (pu % self.vcs) as u8;
-            for obs in &mut self.observers {
-                obs.on_unblocked(PacketId(packet), ch, vc, self.now - since, self.now);
+            for obs in &self.observers {
+                obs.borrow_mut()
+                    .on_unblocked(PacketId(packet), ch, vc, self.now - since, self.now);
             }
         }
     }
@@ -285,8 +287,9 @@ impl Simulator {
             newly_any = true;
             let ch = ChannelId((pu / self.vcs) as u32);
             let vc = (pu % self.vcs) as u8;
-            for obs in &mut self.observers {
-                obs.on_blocked(PacketId(packet), ch, vc, holder, now);
+            for obs in &self.observers {
+                obs.borrow_mut()
+                    .on_blocked(PacketId(packet), ch, vc, holder, now);
             }
         }
         newly_any
@@ -398,8 +401,9 @@ impl Simulator {
             self.chan_flits[ch.idx()] += 1;
             self.port_flits[port] += 1;
             self.flit_hops += 1;
-            for obs in &mut self.observers {
-                obs.on_flit(ch, vc, self.buffered[port] as usize, self.now);
+            for obs in &self.observers {
+                obs.borrow_mut()
+                    .on_flit(ch, vc, self.buffered[port] as usize, self.now);
             }
         }
         for &vi in &s.sink_moves {
@@ -442,8 +446,8 @@ impl Simulator {
                             deliveries.reserve_exact(1);
                         }
                         deliveries.push((pe, self.now));
-                        for obs in &mut self.observers {
-                            obs.on_delivery(PacketId(packet), pe, self.now);
+                        for obs in &self.observers {
+                            obs.borrow_mut().on_delivery(PacketId(packet), pe, self.now);
                         }
                     }
                     SinkKind::Gather => {
@@ -452,8 +456,9 @@ impl Simulator {
                         let header = self.visit_header(vi);
                         self.serial_queue.push_back((packet, header));
                         let depth = self.serial_queue.len();
-                        for obs in &mut self.observers {
-                            obs.on_gather(PacketId(packet), depth, self.now);
+                        for obs in &self.observers {
+                            obs.borrow_mut()
+                                .on_gather(PacketId(packet), depth, self.now);
                         }
                     }
                     SinkKind::Drop(r) => {
@@ -608,12 +613,12 @@ impl Simulator {
             return;
         }
         let (id, now) = (PacketId(packet), self.now);
-        for obs in &mut self.observers {
-            obs.on_hop(id, at, in_channel, now);
+        for obs in &self.observers {
+            obs.borrow_mut().on_hop(id, at, in_channel, now);
         }
         if let Some(to) = branches.iter().map(|b| b.header.rc).find(|&to| to != rc) {
-            for obs in &mut self.observers {
-                obs.on_rc_change(id, at, rc, to, now);
+            for obs in &self.observers {
+                obs.borrow_mut().on_rc_change(id, at, rc, to, now);
             }
         }
     }

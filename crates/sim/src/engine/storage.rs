@@ -411,8 +411,9 @@ impl Simulator {
     pub(super) fn finish_packet(&mut self, packet: u32) {
         self.packets[packet as usize].finished_at = Some(self.now);
         self.finished_packets += 1;
-        for obs in &mut self.observers {
-            obs.on_packet_finished(PacketId(packet), self.now);
+        for obs in &self.observers {
+            obs.borrow_mut()
+                .on_packet_finished(PacketId(packet), self.now);
         }
     }
 }

@@ -129,7 +129,7 @@
 //! let shape = net.shape().clone();
 //! let scheme = Arc::new(NaiveBroadcast::new(net.clone()));
 //! let mut sim = Simulator::new(net.graph().clone(), scheme, SimConfig::default());
-//! sim.add_observer(Box::new(PairingCheck::default()));
+//! sim.add_observer(PairingCheck::default());
 //! for src in [0usize, 7] {
 //!     sim.schedule(InjectSpec {
 //!         src_pe: src,

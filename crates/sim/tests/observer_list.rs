@@ -25,11 +25,11 @@ struct Recorder {
 
 impl Recorder {
     fn attach(sim: &mut Simulator, log: &HookLog, slot: usize, probe: Option<u64>) {
-        sim.add_observer(Box::new(Recorder {
+        sim.add_observer(Recorder {
             slot,
             probe,
             log: log.clone(),
-        }));
+        });
     }
 
     fn note(&self, hook: &'static str, now: u64, args: String) {

@@ -38,13 +38,12 @@ fn main() {
     let scheme = Arc::new(Sr2201Routing::new(net.clone(), &faults).unwrap());
 
     let mut sim = Simulator::new(net.graph().clone(), scheme, scenario.sim_config());
-    let (obs, attribution) = AttributionObserver::new(net.graph().clone());
-    sim.add_observer(Box::new(obs));
+    let attribution = sim.add_observer(AttributionObserver::new(net.graph().clone()));
     for &spec in &scenario.specs(&shape, &faults) {
         sim.schedule(spec);
     }
     let result = sim.run();
-    let report = attribution.report(&result);
+    let report = attribution.borrow().report(&result);
     assert!(report.conserved, "phases must sum to latency exactly");
     print!("{}", report.render());
 

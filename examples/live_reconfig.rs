@@ -50,7 +50,6 @@ fn main() {
             &specs,
             SimConfig::default(),
             &spec,
-            None,
         )
         .expect("the sr2201 scheme reconfigures around a single crossbar fault");
 

@@ -33,12 +33,9 @@ fn main() {
     let dxb = scheme.config().dxb().to_string();
 
     let mut sim = Simulator::new(net.graph().clone(), scheme, SimConfig::default());
-    let (metrics_obs, metrics) = MetricsObserver::new(net.graph().clone());
-    let (trace_obs, trace) = TraceRecorder::new(net.graph());
-    let (probe_obs, probe) = StallProbe::new(32);
-    sim.add_observer(Box::new(metrics_obs));
-    sim.add_observer(Box::new(trace_obs));
-    sim.add_observer(Box::new(probe_obs));
+    let metrics = sim.add_observer(MetricsObserver::new(net.graph().clone()));
+    let trace = sim.add_observer(TraceRecorder::new(net.graph()));
+    let probe = sim.add_observer(StallProbe::new(32));
 
     let specs = mixed_schedule(
         &shape,
@@ -64,15 +61,17 @@ fn main() {
         result.stats.flit_hops
     );
 
-    let report = metrics.report(result.stats.cycles);
+    let report = metrics.borrow().report(result.stats.cycles);
     print!("{}", report.heatmap(Some(&sxb), Some(&dxb)));
+    let stall = probe.borrow().report();
     println!(
         "\nstall probe: {} samples, peak wait chain {}, peak blocked wait {} cycles",
-        probe.report().samples.len(),
-        probe.report().peak_chain(),
-        probe.report().peak_wait()
+        stall.samples.len(),
+        stall.peak_chain(),
+        stall.peak_wait()
     );
 
+    let trace = trace.borrow();
     if let Some(path) = trace_out {
         let doc = trace.render(result.stats.cycles);
         match std::fs::write(&path, &doc) {
@@ -102,8 +101,7 @@ fn main() {
                 ..SimConfig::default()
             },
         );
-        let (probe_obs, probe) = StallProbe::new(64);
-        sim.add_observer(Box::new(probe_obs));
+        let probe = sim.add_observer(StallProbe::new(64));
         for &src in &sources {
             let c = shape.coord_of(src);
             sim.schedule(InjectSpec {
@@ -120,7 +118,7 @@ fn main() {
         if !sim.run().outcome.is_deadlock() {
             continue;
         }
-        let report = probe.report();
+        let report = probe.borrow().report();
         println!("broadcasts from PEs {sources:?} with arbitration seed {seed}:");
         if let Some(w) = report.warning() {
             println!("early warning: {w}");
